@@ -138,6 +138,11 @@ class HostControlPlane:
         self._tick_mark = len(self.journal)
 
     @property
+    def has_pending(self) -> bool:
+        """Whether deferred writes are waiting for the next tick."""
+        return bool(self._pending)
+
+    @property
     def writes_this_tick(self) -> int:
         """Journal entries since the last :meth:`begin_tick`."""
         return len(self.journal) - self._tick_mark

@@ -137,50 +137,8 @@ class KelpGovernor:
     # ------------------------------------------------------------ decide
     def decide(self, m: KelpMeasurements) -> GovernorDecision:
         """One pass of Algorithm 1: decide actions, update plans."""
-        profile = self.profile
-
-        # Lines 4-9: high-priority-subdomain (backfill) decision.
-        if profile.hipri_bw.above(m.hipri_bw) or profile.socket_latency.above(
-            m.socket_latency
-        ):
-            action_hi = Action.THROTTLE
-        elif profile.hipri_bw.below(m.hipri_bw) and profile.socket_latency.below(
-            m.socket_latency
-        ):
-            action_hi = Action.BOOST
-        else:
-            action_hi = Action.NOP
-
-        # Lines 10-15: low-priority-subdomain decision.
-        if (
-            profile.socket_bw.above(m.socket_bw)
-            or profile.socket_latency.above(m.socket_latency)
-            or profile.saturation.above(m.saturation)
-        ):
-            action_lo = Action.THROTTLE
-        elif (
-            profile.socket_bw.below(m.socket_bw)
-            and profile.socket_latency.below(m.socket_latency)
-            and profile.saturation.below(m.saturation)
-        ):
-            action_lo = Action.BOOST
-        else:
-            action_lo = Action.NOP
-
-        # Lines 16-18: Algorithm 2 plan updates, gated by the manage flags.
-        if self.manage_backfill:
-            self._hi_plan = config_hi_priority(self._hi_plan, action_hi)
-        new_lo = config_lo_priority(self._lo_plan, action_lo)
-        if not self.manage_lo_cores and new_lo.core_num != self._lo_plan.core_num:
-            new_lo = self._lo_plan  # cores frozen; prefetcher move only
-        if not self.manage_prefetchers:
-            new_lo = LoPriorityPlan(
-                core_num=new_lo.core_num,
-                prefetcher_num=self._lo_plan.prefetcher_num,
-                min_core_num=new_lo.min_core_num,
-                max_core_num=new_lo.max_core_num,
-            )
-        self._lo_plan = new_lo
+        action_hi, action_lo = self._actions(m)
+        self._hi_plan, self._lo_plan = self._next_plans(action_hi, action_lo)
 
         lo_task_mask: frozenset[int] | None = None
         if self.manage_lo_cores:
@@ -212,6 +170,90 @@ class KelpGovernor:
             backfill_mask=backfill_mask,
             prefetcher_count=prefetcher_count,
         )
+
+    def steady(
+        self, m: KelpMeasurements, error: KelpMeasurements
+    ) -> GovernorDecision | None:
+        """The decision every sample near ``m`` would repeat.
+
+        A sample is near ``m`` when each field is within the matching
+        field of ``error``. Returns the actions and knob values
+        :meth:`decide` would report for such a sample, without changing
+        any state, when no watermark is that near and both plans come back
+        as the same objects. Otherwise None: a sample near ``m`` could
+        change a plan.
+        """
+        profile = self.profile
+        if not (
+            profile.hipri_bw.clears(m.hipri_bw, error.hipri_bw)
+            and profile.socket_latency.clears(m.socket_latency, error.socket_latency)
+            and profile.socket_bw.clears(m.socket_bw, error.socket_bw)
+            and profile.saturation.clears(m.saturation, error.saturation)
+        ):
+            return None
+        action_hi, action_lo = self._actions(m)
+        hi_plan, lo_plan = self._next_plans(action_hi, action_lo)
+        if hi_plan is not self._hi_plan or lo_plan is not self._lo_plan:
+            return None
+        return GovernorDecision(
+            action_hi=action_hi,
+            action_lo=action_lo,
+            lo_cores=lo_plan.core_num,
+            lo_prefetchers=lo_plan.prefetcher_num,
+            backfill_cores=hi_plan.core_num,
+        )
+
+    def _actions(self, m: KelpMeasurements) -> tuple[Action, Action]:
+        """Algorithm 1's comparisons: the (hi, lo) subdomain actions."""
+        profile = self.profile
+
+        # Lines 4-9: high-priority-subdomain (backfill) decision.
+        if profile.hipri_bw.above(m.hipri_bw) or profile.socket_latency.above(
+            m.socket_latency
+        ):
+            action_hi = Action.THROTTLE
+        elif profile.hipri_bw.below(m.hipri_bw) and profile.socket_latency.below(
+            m.socket_latency
+        ):
+            action_hi = Action.BOOST
+        else:
+            action_hi = Action.NOP
+
+        # Lines 10-15: low-priority-subdomain decision.
+        if (
+            profile.socket_bw.above(m.socket_bw)
+            or profile.socket_latency.above(m.socket_latency)
+            or profile.saturation.above(m.saturation)
+        ):
+            action_lo = Action.THROTTLE
+        elif (
+            profile.socket_bw.below(m.socket_bw)
+            and profile.socket_latency.below(m.socket_latency)
+            and profile.saturation.below(m.saturation)
+        ):
+            action_lo = Action.BOOST
+        else:
+            action_lo = Action.NOP
+        return action_hi, action_lo
+
+    def _next_plans(
+        self, action_hi: Action, action_lo: Action
+    ) -> tuple[HiPriorityPlan, LoPriorityPlan]:
+        """Lines 16-18: Algorithm 2 plan updates, gated by the manage flags."""
+        hi_plan = self._hi_plan
+        if self.manage_backfill:
+            hi_plan = config_hi_priority(hi_plan, action_hi)
+        new_lo = config_lo_priority(self._lo_plan, action_lo)
+        if not self.manage_lo_cores and new_lo.core_num != self._lo_plan.core_num:
+            new_lo = self._lo_plan  # cores frozen; prefetcher move only
+        if not self.manage_prefetchers:
+            new_lo = LoPriorityPlan(
+                core_num=new_lo.core_num,
+                prefetcher_num=self._lo_plan.prefetcher_num,
+                min_core_num=new_lo.min_core_num,
+                max_core_num=new_lo.max_core_num,
+            )
+        return hi_plan, new_lo
 
 
 class CoreThrottleGovernor:

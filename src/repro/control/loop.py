@@ -12,16 +12,22 @@ MSRs → backfill cpusets → MBA cap), so a fault-free run replays the exact
 write sequence of the pre-refactor policies. A ``None`` decision (a
 dormant governor) still consumes the sample — the perf window keeps its
 historical cadence — but performs no writes and records nothing.
+
+A fleet member that parks while quiescent skips its ticks and later hands
+them to :meth:`ControlLoop.elide` with the readings they would have taken;
+:attr:`ControlLoop.history` builds their records on first read, identical
+to the records the ticks would have appended.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.control.actuators import HostControlPlane
 from repro.control.governors import Governor
 from repro.control.records import ControlTickRecord
-from repro.control.sensors import SensorSuite
+from repro.control.sensors import PerfectSensors, SensorSuite
+from repro.core.measurements import KelpMeasurements
 
 if TYPE_CHECKING:
     from repro.node import Node
@@ -41,17 +47,34 @@ class ControlLoop:
         self.governor = governor
         self.sensors = sensors
         self.plane = plane
-        #: One :class:`ControlTickRecord` per engaged tick, in time order.
-        self.history: list[ControlTickRecord] = []
+        self._history: list[ControlTickRecord] = []
+        #: Records not yet in ``_history``, in tick order: real records, and
+        #: ``(rows, fields)`` batches of elided ticks (see :meth:`elide`)
+        #: whose records are built only when the history is read.
+        self._pending: list = []
+        #: Called before every :attr:`history` read; a parked fleet member
+        #: hooks its replay here so pending skipped ticks are never missed.
+        self.before_read: Callable[[], None] | None = None
         #: Engaged ticks whose enforcement produced zero actuation writes
         #: (every knob already held the decided value): the machine was
         #: never notified, so no contention re-solve ran at all.
         self.noop_ticks = 0
+        #: Writes of the last tick, None before the first engaged one.
+        self._last_writes: int | None = None
         #: Telemetry-blackout support: while ``now < _hold_until`` the loop
         #: reuses the last pre-hold sample instead of reading the sensors —
         #: the governor keeps deciding on a frozen, stale view of the node.
         self._held_sample = None
         self._hold_until = 0.0
+
+    @property
+    def history(self) -> list[ControlTickRecord]:
+        """One :class:`ControlTickRecord` per engaged tick, in time order."""
+        if self.before_read is not None:
+            self.before_read()
+        if self._pending:
+            self._build_pending()
+        return self._history
 
     def hold_sensors(self, until: float) -> None:
         """Freeze the sensor view until ``until`` (telemetry blackout).
@@ -79,6 +102,7 @@ class ControlLoop:
             self._held_sample = m
         decision = self.governor.decide(m)
         if decision is None:
+            self._last_writes = None
             return None
 
         # All enforcement writes land at one simulated instant; the hold
@@ -100,6 +124,7 @@ class ControlLoop:
                 plane.set_mb_percent(clos, percent)
         finally:
             machine.end_hold()
+        self._last_writes = plane.writes_this_tick
         if plane.writes_this_tick == 0:
             self.noop_ticks += 1
 
@@ -116,5 +141,85 @@ class ControlLoop:
             extra=decision.extra,
             writes=plane.writes_this_tick,
         )
-        self.history.append(record)
+        if self._pending:
+            self._pending.append(record)
+        else:
+            self._history.append(record)
         return record
+
+    # -------------------------------------------------------------- parking
+    def steady(
+        self, m: KelpMeasurements, error: KelpMeasurements
+    ) -> tuple | None:
+        """The record fields every tick would repeat while each sample
+        field stays within ``error`` of ``m``'s, or None when a tick could
+        do more.
+
+        A tick is provably a repeat only when the last tick wrote nothing,
+        the sensors are perfect and not held, the actuators carry no fault
+        injection and no deferred write, and the governor reports a
+        :meth:`~repro.control.governors.KelpGovernor.steady` decision (no
+        plan moves). The fields are ``(lo_cores, lo_prefetchers,
+        backfill_cores, action_hi, action_lo, extra)``, as :meth:`tick`
+        would record them.
+        """
+        plane = self.plane
+        if (
+            self._last_writes != 0
+            or type(self.sensors) is not PerfectSensors
+            or plane.faults is not None
+            or plane.fault_windows
+            or plane.has_pending
+            or self.node.sim.now < self._hold_until
+        ):
+            return None
+        steady = getattr(self.governor, "steady", None)
+        decision = steady(m, error) if steady is not None else None
+        if decision is None:
+            return None
+        return (
+            decision.lo_cores,
+            decision.lo_prefetchers,
+            decision.backfill_cores if self.node.backfill_tasks else 0,
+            decision.action_hi,
+            decision.action_lo,
+            decision.extra,
+        )
+
+    def elide(self, rows: list[tuple[float, tuple]], fields: tuple) -> None:
+        """Account for ticks that were skipped while their node was parked.
+
+        ``rows`` holds ``(time, reading)`` per skipped tick, where
+        ``reading`` is the ``(socket_bw, socket_latency, saturation,
+        hipri_bw, elapsed)`` sample the tick would have taken; ``fields``
+        is the :meth:`steady` decision in force. The ticks count as no-op
+        ticks now; their records are built on the next :attr:`history`
+        read.
+        """
+        self._pending.append((rows, fields))
+        self.noop_ticks += len(rows)
+        self._held_sample = KelpMeasurements(*rows[-1][1])
+
+    def _build_pending(self) -> None:
+        history = self._history
+        for entry in self._pending:
+            if isinstance(entry, ControlTickRecord):
+                history.append(entry)
+                continue
+            rows, fields = entry
+            lo_cores, lo_prefetchers, backfill_cores, action_hi, action_lo, extra = fields
+            history.extend(
+                ControlTickRecord(
+                    time=time,
+                    lo_cores=lo_cores,
+                    lo_prefetchers=lo_prefetchers,
+                    backfill_cores=backfill_cores,
+                    action_hi=action_hi,
+                    action_lo=action_lo,
+                    measurements=KelpMeasurements(*reading),
+                    extra=extra,
+                    writes=0,
+                )
+                for time, reading in rows
+            )
+        self._pending.clear()

@@ -56,11 +56,12 @@ class PerfectSensors:
 
     def __init__(self, node: "Node", reader: str = "kelp") -> None:
         self._node = node
-        self._reader = reader
+        #: The perf reader name this suite's windows are kept under.
+        self.reader = reader
 
     def sample(self) -> KelpMeasurements:
         """One fresh windowed perf read."""
-        return measure_node(self._node, reader=self._reader)
+        return measure_node(self._node, reader=self.reader)
 
 
 class _SimClock:

@@ -33,6 +33,11 @@ class Watermark:
         """The ``Lo*`` predicate: measurement is under the low watermark."""
         return value < self.lo
 
+    def clears(self, value: float, error: float) -> bool:
+        """Whether both predicates give the same answer for every reading
+        within ``error`` of ``value`` (neither threshold is that close)."""
+        return abs(value - self.lo) > error and abs(value - self.hi) > error
+
 
 @dataclass(frozen=True)
 class QosProfile:

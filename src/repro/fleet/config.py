@@ -22,6 +22,17 @@ ROUTING_NAMES = ("random", "least-loaded", "interference-aware")
 #: *bandwidth saturated* for the fleet statistic (the Fig 2 threshold).
 SATURATED_BW_FRACTION = 0.70
 
+#: Pressure quantum for interference-aware routing. Telemetry is one control
+#: interval old; acting on raw float pressure would dump every arrival of an
+#: interval onto the single momentarily-coolest node (a thundering herd).
+#: Bucketing keeps stale near-ties from defeating live load balancing.
+PRESSURE_BUCKET = 0.05
+
+
+def pressure_bucket(pressure: float) -> int:
+    """The routing bucket of a node's interference pressure."""
+    return int(pressure / PRESSURE_BUCKET)
+
 
 @dataclass(frozen=True)
 class TenantSpec:

@@ -35,14 +35,13 @@ The index is an internal accelerator for the orchestrator's admission
 path; the ``Router`` objects themselves are unchanged, and the orchestrator
 falls back to the scan whenever ``orchestrator.router`` is no longer the
 exact router the index was built for (e.g. the incident engine wrapping it
-in a null-routing misconfiguration). Set ``REPRO_FLEET_INDEX=0`` to disable
-the index globally and force the reference scan.
+in a null-routing misconfiguration). Reference mode (``REPRO_REFERENCE=1``,
+see :mod:`repro.reference`) builds no index and forces the reference scan.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.fleet.routing import (
@@ -50,23 +49,10 @@ from repro.fleet.routing import (
     LeastLoadedRouter,
     Router,
 )
+from repro.reference import reference_mode
 
 if TYPE_CHECKING:
     from repro.fleet.member import FleetMember
-
-#: Environment knob: set to ``0`` to force the reference O(N) scans.
-INDEX_ENV = "REPRO_FLEET_INDEX"
-
-
-def index_enabled() -> bool:
-    """Whether the incremental routing index is enabled (default: yes)."""
-    return os.environ.get(INDEX_ENV, "").strip().lower() not in {
-        "0",
-        "false",
-        "no",
-        "off",
-    }
-
 
 def _least_loaded_key(member: "FleetMember") -> tuple:
     # Must mirror LeastLoadedRouter.choose's key exactly.
@@ -155,9 +141,10 @@ def make_routing_index(
     """An index matching ``router``'s key, or None for unindexable routers.
 
     Only the two deterministic argmin strategies are indexable; the random
-    router draws from its RNG stream and keeps the reference path.
+    router draws from its RNG stream and keeps the reference path, as does
+    every router in reference mode.
     """
-    if not index_enabled():
+    if reference_mode():
         return None
     if isinstance(router, LeastLoadedRouter):
         return RoutingIndex(members, _least_loaded_key, load_only=True)

@@ -7,6 +7,12 @@ and the pipelined inference server the fleet routes requests to. On top it
 adds the two things only a fleet needs: request attribution (which tenant
 owns which in-flight request) and dynamic batch-job slots the cluster queue
 places into and evicts from.
+
+A quiescent member *parks*: while nothing can change what its control
+ticks and telemetry samples would read or decide, it skips them and only
+notes their times, then replays them exactly on demand. See
+:meth:`FleetMember.wake` and the "Quiescent members" section of
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -19,12 +25,16 @@ import numpy as np
 
 from repro.node import Node
 from repro.control.actuators import ActuationFaultConfig
+from repro.control.governors import Governor
 from repro.control.records import ActuationRecord, ControlTickRecord
 from repro.control.sensors import SensorConfig
+from repro.core.measurements import KelpMeasurements
 from repro.core.policies import IsolationPolicy, make_policy
 from repro.core.policies.base import ROLE_BACKFILL, ROLE_LO
+from repro.core.watermarks import QosProfile
 from repro.errors import SchedulingError
-from repro.fleet.config import SATURATED_BW_FRACTION
+from repro.fleet.config import SATURATED_BW_FRACTION, pressure_bucket
+from repro.reference import reference_mode
 from repro.sim import Simulator
 from repro.sim.engine import PRIORITY_CONTROL
 from repro.workloads.cpu.base import BatchProfile, BatchTask
@@ -32,9 +42,42 @@ from repro.workloads.ml.base import InferenceServerTask
 from repro.workloads.ml.catalog import MlInstance, MlWorkloadFactory
 
 
+#: The perf reader name of the fleet's telemetry sampler.
+FLEET_READER = "fleet"
+
+#: A park lasts at most this many control intervals; the rounding bounds the
+#: parking predicate checks are computed for that horizon.
+PARK_HORIZON_TICKS = 1024
+
+
 def _mix_seed(*parts: int) -> int:
     """A stable 32-bit seed from a tuple of integer parts."""
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
+
+
+class _Park:
+    """What a parked member's skipped reads depend on, fixed at parking."""
+
+    __slots__ = ("until", "governor", "governor_profile", "profile", "reader", "fields")
+
+    def __init__(
+        self,
+        until: float,
+        governor: Governor,
+        profile: QosProfile,
+        reader: str,
+        fields: tuple,
+    ) -> None:
+        #: Last instant the parking predicate's rounding bound covers.
+        self.until = until
+        self.governor = governor
+        self.governor_profile = governor.profile
+        #: The member profile the sampler's hot predicate reads.
+        self.profile = profile
+        #: The control loop's perf reader name.
+        self.reader = reader
+        #: The record fields every skipped tick repeats (see ControlLoop.steady).
+        self.fields = fields
 
 
 @dataclass(frozen=True)
@@ -132,13 +175,25 @@ class FleetMember:
         self._interval = interval
         self._on_complete = on_complete
         self._cancel_policy_loop: Callable[[], None] | None = None
+        #: Control ticks this member ran, and skipped while parked.
+        self.ticks_run = 0
+        self.ticks_elided = 0
+        #: Set while parked (see :meth:`_maybe_park`).
+        self._park: _Park | None = None
+        #: ``(time, perf reader)`` of every read skipped while parked.
+        self._skipped: list[tuple[float, str]] = []
+        #: When not None, every replayed telemetry sample is appended here,
+        #: so the orchestrator can rebuild its telemetry rows at finalize.
+        self.signal_log: deque[NodeSignals] | None = None
+        self._can_park = not reference_mode() and self.policy.loop is not None
+        if self.policy.loop is not None:
+            self.policy.loop.before_read = self.wake
         #: FIFO of ``(tenant, counted)`` ownership records per request-start
         #: timestamp. ``counted`` is the request's admission epoch: whether
         #: it was admitted inside the measurement window, decided once at
         #: admission so completion-side accounting can never disagree.
         self._owners: dict[float, deque[tuple[int, bool]]] = {}
-        #: Latest telemetry snapshot (None before the first control tick).
-        self.last_signals: NodeSignals | None = None
+        self._last_signals: NodeSignals | None = None
         #: Consecutive samples with the hot predicate true (eviction patience).
         self.hot_streak = 0
         #: job_id -> live BatchTask list for resident batch jobs.
@@ -174,6 +229,13 @@ class FleetMember:
         self._frozen_load = 0
 
     @property
+    def last_signals(self) -> NodeSignals | None:
+        """Latest telemetry snapshot (None before the first control tick)."""
+        if self._park is not None:
+            self.wake()
+        return self._last_signals
+
+    @property
     def in_rotation(self) -> bool:
         """Whether the admission router may send this member traffic."""
         return self._in_rotation
@@ -196,7 +258,7 @@ class FleetMember:
         if self.policy.has_control_loop:
             self._cancel_policy_loop = self.sim.every(
                 self._interval,
-                self.policy.tick,
+                self._policy_tick,
                 label=f"fleet:policy:{self.index}",
                 priority=PRIORITY_CONTROL,
             )
@@ -228,6 +290,7 @@ class FleetMember:
 
         Returns the number of *counted* requests dropped.
         """
+        self.wake()
         if not self.alive:
             return 0
         self.alive = False
@@ -253,8 +316,8 @@ class FleetMember:
             for task in tasks:
                 task.meter.set_rate(0.0, self.sim.now)
                 task.stop()
-        if self.last_signals is None:
-            self.last_signals = self._offline_signals()
+        if self._last_signals is None:
+            self._last_signals = self._offline_signals()
         self._notify("load")
         return dropped
 
@@ -282,7 +345,7 @@ class FleetMember:
         if self.policy.has_control_loop:
             self._cancel_policy_loop = self.sim.every(
                 self._interval,
-                self.policy.tick,
+                self._policy_tick,
                 label=f"fleet:policy:{self.index}",
                 priority=PRIORITY_CONTROL,
             )
@@ -292,12 +355,13 @@ class FleetMember:
         """Black out telemetry until ``until``: the fleet sees a frozen
         snapshot, and the node policy's own control loop keeps deciding on
         its last pre-blackout sensor sample (it is blind too)."""
+        self.wake()
         self.blackout_until = max(self.blackout_until, until)
         loop = self.policy.loop
         if loop is not None:
             loop.hold_sensors(until)
-        if self.last_signals is None:
-            self.last_signals = self._offline_signals()
+        if self._last_signals is None:
+            self._last_signals = self._offline_signals()
             self._notify("signals")
 
     # ------------------------------------------------------------- serving
@@ -367,38 +431,225 @@ class FleetMember:
         telemetry-silence detector keys on exactly this).
         """
         if not self.alive or self.sim.now < self.blackout_until:
-            if self.last_signals is None:  # pragma: no cover - defensive
-                self.last_signals = self._offline_signals()
+            if self._last_signals is None:  # pragma: no cover - defensive
+                self._last_signals = self._offline_signals()
                 self._notify("signals")
-            return self.last_signals
+            return self._last_signals
         node = self.node
-        profile = self.policy.profile
-        socket_bw, latency, saturation, hipri_bw, _ = node.perf.read_kelp(
-            "fleet", node.accel_socket, node.hi_subdomain
+        server = self.server
+        signals = self._make_signals(
+            self.sim.now,
+            node.perf.read_kelp(FLEET_READER, node.accel_socket, node.hi_subdomain),
+            self.policy.profile,
+            server.inflight,
+            server.queued,
+            len(self._jobs),
         )
+        self._last_signals = signals
+        self.hot_streak = self.hot_streak + 1 if signals.hot else 0
+        if self.on_state_change is not None:
+            self.on_state_change(self, "signals")
+        return signals
+
+    def _make_signals(
+        self,
+        now: float,
+        reading: tuple[float, float, float, float, float],
+        profile: QosProfile,
+        inflight: int,
+        queued: int,
+        batch_jobs: int,
+    ) -> NodeSignals:
+        """The snapshot of one ``read_kelp`` reading taken at ``now``."""
+        socket_bw, latency, saturation, hipri_bw, _ = reading
         hot = (
             profile.saturation.above(saturation)
             or profile.socket_latency.above(latency)
             or profile.socket_bw.above(socket_bw)
         )
-        signals = NodeSignals(
+        return NodeSignals(
             node_index=self.index,
-            time=self.sim.now,
+            time=now,
             socket_bw_gbps=socket_bw,
             latency_factor=latency,
             saturation=saturation,
             hipri_bw_gbps=hipri_bw,
-            inflight=self.server.inflight,
-            queued=self.server.queued,
-            batch_jobs=len(self._jobs),
+            inflight=inflight,
+            queued=queued,
+            batch_jobs=batch_jobs,
             saturated=socket_bw >= SATURATED_BW_FRACTION * self._peak_bw,
             hot=hot,
         )
-        self.last_signals = signals
-        self.hot_streak = self.hot_streak + 1 if hot else 0
-        if self.on_state_change is not None:
-            self.on_state_change(self, "signals")
-        return signals
+
+    # -------------------------------------------------------------- parking
+    @property
+    def parked(self) -> bool:
+        """Whether this member is skipping its control ticks and samples."""
+        return self._park is not None
+
+    def skip_sample(self) -> bool:
+        """Skip this interval's telemetry sample if parked; False if not.
+
+        A skipped sample is provably neither hot nor saturated, and its
+        routing pressure falls in the last real sample's bucket (the
+        parking predicate checks all three), so the caller may count it as
+        such.
+        """
+        if not self._skippable():
+            return False
+        self._skipped.append((self.sim.now, FLEET_READER))
+        self.hot_streak = 0
+        return True
+
+    def _policy_tick(self) -> None:
+        """The periodic policy event: a real tick, or a skipped one."""
+        if self._skippable():
+            self._skipped.append((self.sim.now, self._park.reader))
+            self.ticks_elided += 1
+            return
+        self.ticks_run += 1
+        self.policy.tick()
+
+    def _skippable(self) -> bool:
+        """Whether the current tick or sample may be skipped.
+
+        An awake member tries to park here, at the first read it could
+        skip, rather than right after its last real read: a request that
+        arrives in between then fails the predicate's cheap checks, and
+        the full predicate runs only when it saves a read.
+        """
+        if self._park is None:
+            self._maybe_park()
+            return self._park is not None
+        return self._still_parked()
+
+    def _still_parked(self) -> bool:
+        """Whether the park still holds now; wakes the member if not.
+
+        Catches the changes that touch no telemetry: a governor or
+        profile swap, an armed stuck actuator, the end of the horizon.
+        """
+        park = self._park
+        loop = self.policy.loop
+        if (
+            self.sim.now <= park.until
+            and loop.governor is park.governor
+            and park.governor.profile is park.governor_profile
+            and self.policy.profile is park.profile
+            and not loop.plane.fault_windows
+        ):
+            return True
+        self.wake()
+        return False
+
+    def _maybe_park(self) -> None:
+        """Park if this read and the ones after it provably change nothing.
+
+        The predicate: the member is alive, not blacked out, with an empty
+        server and no batch task; both perf readers last read after the
+        current solve state was installed, so every later window sees that
+        state alone; the control loop reports a steady decision (no write,
+        no plan move, perfect sensors, no faults); and the state's values
+        sit farther than their rounding bound from every watermark and
+        from :data:`~repro.fleet.config.SATURATED_BW_FRACTION`, with every
+        sample's routing pressure in the last real sample's bucket.
+        """
+        if not self._can_park or self._park is not None or not self.alive:
+            return
+        now = self.sim.now
+        server = self.server
+        if now < self.blackout_until or self._jobs or server.inflight or server.queued:
+            return
+        node = self.node
+        loop = self.policy.loop
+        reader = getattr(loop.sensors, "reader", None)
+        telemetry = node.machine.telemetry
+        perf = node.perf
+        since = telemetry.state_since
+        if (
+            reader is None
+            or perf.mark_time(reader) < since
+            or perf.mark_time(FLEET_READER) < since
+        ):
+            return
+        # Windows are one interval long; half of it bounds them from below.
+        until = now + PARK_HORIZON_TICKS * self._interval
+        steady = perf.steady_kelp(
+            node.accel_socket, node.hi_subdomain, 0.5 * self._interval, until
+        )
+        if steady is None:
+            return
+        values, errors = steady
+        fields = loop.steady(
+            KelpMeasurements(*values, 0.0), KelpMeasurements(*errors, 0.0)
+        )
+        if fields is None:
+            return
+        socket_bw, latency, saturation, _ = values
+        bw_error, latency_error, saturation_error, _ = errors
+        profile = self.policy.profile
+        # The routing bucket of every sample's pressure (never negative):
+        # bucketing after NodeSignals.pressure()'s rounding is monotone, so
+        # equal buckets at both ends of the error interval pin it.
+        pressure = saturation + 0.5 * max(latency - 1.0, 0.0)
+        pressure_error = saturation_error + latency_error
+        bucket = pressure_bucket(round(max(pressure - pressure_error, 0.0), 9))
+        last = self._last_signals
+        if (
+            saturation >= profile.saturation.hi - saturation_error
+            or latency >= profile.socket_latency.hi - latency_error
+            or socket_bw >= profile.socket_bw.hi - bw_error
+            or socket_bw >= SATURATED_BW_FRACTION * self._peak_bw - bw_error
+            or pressure_bucket(round(pressure + pressure_error, 9)) != bucket
+            or (pressure_bucket(last.pressure()) if last is not None else 0) != bucket
+        ):
+            return
+        self._park = _Park(until, loop.governor, profile, reader, fields)
+        telemetry.on_advance = self.wake
+
+    def wake(self) -> None:
+        """Unpark, replaying every skipped read exactly (no-op if awake).
+
+        The one replay choke point. It runs before the member's telemetry
+        advances for any reason (a submit, a job placement, a knob write
+        or a remediation all end in an advance) and before any read of its
+        history, signals or perf window. The skipped reads are performed
+        in their original order at their original instants, so the
+        integrals, the ``kelp`` and ``fleet`` reader marks, the control
+        records and the telemetry snapshots come out exactly as if the
+        member had never parked.
+        """
+        park = self._park
+        if park is None:
+            return
+        self._park = None
+        node = self.node
+        node.machine.telemetry.on_advance = None
+        skipped, self._skipped = self._skipped, []
+        if not skipped:
+            return
+        perf = node.perf
+        log = self.signal_log
+        ticks = []
+        sample = None
+        for now, reader in skipped:
+            # The skipped read itself, at its own instant: integrals, marks
+            # and reading come out exactly as if it had run on time.
+            reading = perf.read_kelp(reader, node.accel_socket, node.hi_subdomain, now)
+            if reader == FLEET_READER:
+                sample = (now, reading)
+                if log is not None:
+                    log.append(self._make_signals(now, reading, park.profile, 0, 0, 0))
+            else:
+                ticks.append((now, reading))
+        if sample is not None:
+            self._last_signals = (
+                log[-1]
+                if log is not None
+                else self._make_signals(*sample, park.profile, 0, 0, 0)
+            )
+        if ticks:
+            self.policy.loop.elide(ticks, park.fields)
 
     def _offline_signals(self) -> NodeSignals:
         """An all-quiet snapshot for members that die before any sample."""

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -113,6 +114,11 @@ class FleetResult:
     windows: tuple[dict, ...] = ()
     #: Per-window fleet rows (pooled yield + saturation), ditto.
     window_fleet: tuple[dict, ...] = ()
+    #: Member control ticks that ran, and that parked members skipped.
+    #: Their sum is the tick count of an eager run; neither enters
+    #: :meth:`summary`, so parking never changes a compared artifact.
+    ticks_run: int = 0
+    ticks_elided: int = 0
 
     def summary(self) -> dict:
         """A JSON-clean summary — the artifact determinism tests compare."""
@@ -187,7 +193,9 @@ class FleetOrchestrator:
         #: dict rows only at finalize (at 256 nodes over a day this is
         #: millions of rows — building the dicts per tick was the hidden
         #: cost of every replay, hooks or not).
-        self._telemetry_signals: list[NodeSignals] = []
+        #: A parked member's skipped sample is stored as the member itself
+        #: and resolved from its signal log at finalize.
+        self._telemetry_signals: list[NodeSignals | FleetMember] = []
         #: (window index, tenant index) -> admission-bucketed SLO counters.
         self._windows: dict[tuple[int, int], WindowAccount] = {}
         #: Deferred completion-side window bucketing: parallel buffers of
@@ -249,21 +257,7 @@ class FleetOrchestrator:
         config = self.config
         sim = Simulator()
         self._sim = sim
-        self.members = [
-            FleetMember(
-                index=i,
-                sim=sim,
-                factory=self._factory,
-                policy_name=config.policy,
-                interval=config.interval,
-                warmup=config.warmup,
-                seed=_derive_seed(config.seed, _STREAM_NODE, i),
-                on_complete=self._on_complete,
-                sensors=config.sensors,
-                faults=config.faults,
-            )
-            for i in range(config.nodes)
-        ]
+        self.members = [self._build_member(i) for i in range(config.nodes)]
         self._node_completed = [0] * config.nodes
         self._node_latency = [StreamingPercentiles() for _ in range(config.nodes)]
         self._node_saturated = [0] * config.nodes
@@ -325,6 +319,26 @@ class FleetOrchestrator:
             label="fleet:control",
             priority=PRIORITY_OBSERVE,
         )
+
+    def _build_member(self, index: int) -> FleetMember:
+        """Member ``index``, seeded as in a ``config.nodes > index`` run."""
+        config = self.config
+        assert self._sim is not None
+        member = FleetMember(
+            index=index,
+            sim=self._sim,
+            factory=self._factory,
+            policy_name=config.policy,
+            interval=config.interval,
+            warmup=config.warmup,
+            seed=_derive_seed(config.seed, _STREAM_NODE, index),
+            on_complete=self._on_complete,
+            sensors=config.sensors,
+            faults=config.faults,
+        )
+        if self._collect_telemetry:
+            member.signal_log = deque()
+        return member
 
     def advance(self, until: float) -> None:
         """Run the live fleet's clock forward to ``until`` (absolute)."""
@@ -497,13 +511,19 @@ class FleetOrchestrator:
             # the filter is built only when the control plane retired
             # someone, so plain runs take the untouched fast path.
             members = [m for m in members if m.index not in self._retired]
+        collect = self._collect_telemetry
         for member in members:
+            if member.skip_sample():
+                # Parked: the skipped sample is neither saturated nor hot.
+                if collect:
+                    self._telemetry_signals.append(member)
+                continue
             signals = member.sample()
             if post_warmup:
                 if signals.saturated:
                     saturated += 1
                     self._node_saturated[member.index] += 1
-            if self._collect_telemetry:
+            if collect:
                 # Store the frozen signals object; the JSON-clean dict row
                 # is built once at finalize (see _telemetry_rows).
                 self._telemetry_signals.append(signals)
@@ -593,18 +613,7 @@ class FleetOrchestrator:
             self._rebuild_routing_index()
             return index
         index = len(self.members)
-        member = FleetMember(
-            index=index,
-            sim=self._sim,
-            factory=self._factory,
-            policy_name=self.config.policy,
-            interval=self.config.interval,
-            warmup=self.config.warmup,
-            seed=_derive_seed(self.config.seed, _STREAM_NODE, index),
-            on_complete=self._on_complete,
-            sensors=self.config.sensors,
-            faults=self.config.faults,
-        )
+        member = self._build_member(index)
         self.members.append(member)
         self._node_completed.append(0)
         self._node_latency.append(StreamingPercentiles())
@@ -815,6 +824,8 @@ class FleetOrchestrator:
             events_dispatched=events,
             requests_dropped=self.requests_dropped,
             batch_requeues=queue.stats.requeues,
+            ticks_run=sum(m.ticks_run for m in self.members),
+            ticks_elided=sum(m.ticks_elided for m in self.members),
             telemetry=self._telemetry_rows(),
             controller=self._controller_rows(),
             actuation=self._actuation_rows(),
@@ -887,8 +898,20 @@ class FleetOrchestrator:
 
         Same fields, same order, same row sequence as the dicts the control
         tick used to build inline — just 8.6k × nodes dict constructions
-        moved out of the replay loop and into one finalize pass.
+        moved out of the replay loop and into one finalize pass. Samples
+        parked members skipped are replayed first and take their places.
         """
+        if not self._collect_telemetry:
+            return ()
+        logs: dict[int, Iterator[NodeSignals]] = {}
+        for member in self.members:
+            member.wake()
+        self._telemetry_signals = [
+            entry
+            if isinstance(entry, NodeSignals)
+            else next(logs.setdefault(entry.index, iter(entry.signal_log)))
+            for entry in self._telemetry_signals
+        ]
         return tuple(
             {
                 "time": signals.time,

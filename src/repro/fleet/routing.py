@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.fleet.config import ROUTING_NAMES
+from repro.fleet.config import ROUTING_NAMES, pressure_bucket
 from repro.fleet.member import FleetMember
 
 
@@ -61,12 +61,6 @@ class LeastLoadedRouter(Router):
         return min(members, key=lambda m: (m.load, m.index))
 
 
-#: Pressure quantum for interference-aware routing. Telemetry is one control
-#: interval old; acting on raw float pressure would dump every arrival of an
-#: interval onto the single momentarily-coolest node (a thundering herd).
-#: Bucketing keeps stale near-ties from defeating live load balancing.
-PRESSURE_BUCKET = 0.05
-
 #: Effective-load inflation per pressure bucket. Pressure on a node stretches
 #: its service times, so a pressured node's queue represents proportionally
 #: more *work* than a clean node's; the router models that as a
@@ -86,7 +80,7 @@ class InterferenceAwareRouter(Router):
     The key is ``(load + 1) * (1 + PRESSURE_WEIGHT * pressure_bucket)`` —
     live queue depth inflated by the node's latest control-interval
     telemetry (:meth:`~repro.fleet.member.NodeSignals.pressure`, quantized
-    to :data:`PRESSURE_BUCKET` so stale float jitter cannot cause
+    to :data:`~repro.fleet.config.PRESSURE_BUCKET` so stale float jitter cannot cause
     thundering herds). Before the first telemetry tick every node reads as
     clean, so the router degrades to least-loaded — matching a production
     scheduler warming up its signals.
@@ -98,7 +92,7 @@ class InterferenceAwareRouter(Router):
     def _key(member: FleetMember) -> tuple[float, int]:
         signals = member.last_signals
         pressure = signals.pressure() if signals is not None else 0.0
-        bucket = int(pressure / PRESSURE_BUCKET)
+        bucket = pressure_bucket(pressure)
         effective = (member.load + 1) * (1.0 + PRESSURE_WEIGHT * bucket)
         return (effective, member.index)
 

@@ -86,7 +86,7 @@ class PerfCounters:
         )
 
     def read_kelp(
-        self, reader: str, socket: int, hi_subdomain: int
+        self, reader: str, socket: int, hi_subdomain: int, now: float | None = None
     ) -> tuple[float, float, float, float, float]:
         """The four Kelp scalars (plus elapsed) since the reader's last call.
 
@@ -100,9 +100,13 @@ class PerfCounters:
         is the hottest call in a day-long fleet replay. The reader's mark is
         a full snapshot, so mixing :meth:`read` and :meth:`read_kelp` on one
         reader name stays windowed correctly.
+
+        ``now`` defaults to the simulated clock; a parked fleet member
+        replaying a read it skipped passes that read's past instant.
         """
         telemetry = self._machine.telemetry
-        now = self._machine.sim.now
+        if now is None:
+            now = self._machine.sim.now
         telemetry.advance(now)
         current = telemetry.snapshot
         previous = self._marks.get(reader)
@@ -155,6 +159,48 @@ class PerfCounters:
             else 0.0
         )
         return socket_bw, socket_latency, saturation, hipri_bw, elapsed
+
+    def steady_kelp(
+        self, socket: int, hi_subdomain: int, window: float, until: float
+    ) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+        """The four Kelp scalars of the solve state in force, with bounds.
+
+        Returns ``(values, errors)``: ``values`` is ``(socket_bw,
+        socket_latency, saturation, hipri_bw)`` computed from the state's
+        per-controller signals, combined as :meth:`read_kelp` combines
+        them, and ``errors`` bounds how far any :meth:`read_kelp` window
+        read inside that state until ``until``, at least ``window`` long,
+        can round away from each (see ``TelemetryAccumulator.error_bounds``).
+        None when the state lacks one of the controllers.
+        """
+        telemetry = self._machine.telemetry
+        loads = self._machine.state.mc_loads
+        subdomains = self._socket_subdomains[socket][1]
+        if hi_subdomain not in loads or any(m not in loads for m in subdomains):
+            return None
+        socket_bw = 0
+        socket_latency = saturation = None
+        for m in subdomains:
+            load = loads[m]
+            socket_bw += load.delivered_gbps
+            if socket_latency is None or load.latency_factor > socket_latency:
+                socket_latency = load.latency_factor
+            if saturation is None or load.saturation > saturation:
+                saturation = load.saturation
+        hipri_bw = loads[hi_subdomain].delivered_gbps
+        bw_error, latency_error, saturation_error = telemetry.error_bounds(
+            subdomains, window, until
+        )
+        hipri_error = telemetry.error_bounds((hi_subdomain,), window, until)[0]
+        return (
+            (socket_bw, socket_latency, saturation, hipri_bw),
+            (bw_error, latency_error, saturation_error, hipri_error),
+        )
+
+    def mark_time(self, reader: str) -> float:
+        """When ``reader`` last read (0.0 before its first read)."""
+        mark = self._marks.get(reader)
+        return 0.0 if mark is None else mark.time
 
     def reset(self, reader: str = "default") -> None:
         """Forget a reader's mark; its next read starts a fresh window."""

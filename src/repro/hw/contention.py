@@ -34,15 +34,15 @@ pass and the per-way LLC allocation instead of recomputing from scratch.
 
 Cache observability flows through :class:`SolverStats` (per solver and the
 module-level aggregate), surfaced via ``Machine.solver_stats`` and the
-experiment harness. Set ``REPRO_SOLVER_CACHE=0`` (or call
-:func:`set_cache_default`) to disable all solver caching; the cached and
-uncached paths are numerically identical, which the test suite asserts.
+experiment harness. Reference mode (``REPRO_REFERENCE=1``, see
+:mod:`repro.reference`) or :func:`set_cache_default` disables all solver
+caching; the cached and uncached paths are numerically identical, which the
+test suite asserts.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -57,6 +57,7 @@ from repro.hw.memory import McLoad, MemoryControllerModel, idle_load
 from repro.hw.prefetcher import PrefetchProfile, PrefetcherBank
 from repro.hw.spec import MachineSpec
 from repro.hw.topology import Topology
+from repro.reference import reference_mode
 from repro.units import clamp
 
 #: Cross-subdomain (same socket) access latency penalty when SNC is on.
@@ -67,9 +68,6 @@ DEFAULT_SOLVE_CACHE_SIZE = 256
 #: Bound on each per-component static-factor memo (LLC / SMT / prefetch).
 _STATIC_CACHE_SIZE = 512
 
-#: Environment switch: ``REPRO_SOLVER_CACHE=0`` disables all solver caching.
-_CACHE_ENV = "REPRO_SOLVER_CACHE"
-
 _cache_default_enabled: bool | None = None
 
 
@@ -77,11 +75,12 @@ def cache_default_enabled() -> bool:
     """Whether new solvers are built with caching enabled."""
     if _cache_default_enabled is not None:
         return _cache_default_enabled
-    return os.environ.get(_CACHE_ENV, "1") != "0"
+    return not reference_mode()
 
 
 def set_cache_default(enabled: bool | None) -> None:
-    """Override the process-wide cache default (``None`` = follow the env).
+    """Override the process-wide cache default (``None`` = caching on
+    unless reference mode is set).
 
     Only affects solvers constructed afterwards; used by the equivalence
     tests and the benchmark harness to A/B the cached and uncached paths.

@@ -9,8 +9,13 @@ runtime samples real counters: read, wait, read again, divide by elapsed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.hw.contention import SolveResult
+
+#: Rounding slack granted to one windowed average, relative to the scale of
+#: the signal and its integral (see :meth:`TelemetryAccumulator.error_bounds`).
+ROUNDING_SLACK = 2.0**-48
 
 
 @dataclass
@@ -74,6 +79,14 @@ class TelemetryAccumulator:
         #: ``Machine.solver_stats`` this shows how much work the signature
         #: short-circuit is avoiding: skipped re-solves never land here.
         self.state_changes = 0
+        #: When the state in force was installed: any window starting at or
+        #: after this instant integrates that one state only.
+        self.state_since = 0.0
+        #: While set, called at the start of every :meth:`advance`, whatever
+        #: its cause; a parked fleet member hooks its replay here (and
+        #: unhooks it there), so no read or state change can see integrals
+        #: that skip its elided reads.
+        self.on_advance: Callable[[], None] | None = None
 
     @property
     def snapshot(self) -> TelemetrySnapshot:
@@ -84,6 +97,7 @@ class TelemetryAccumulator:
         """Switch to a new constant state, integrating the previous one."""
         self.advance(now)
         self._state = state
+        self.state_since = now
         memo = self._rows_memo.get(id(state))
         if memo is not None and memo[0] is state:
             self._mc_rows = memo[1]
@@ -115,6 +129,8 @@ class TelemetryAccumulator:
 
     def advance(self, now: float) -> None:
         """Integrate the current state up to ``now``."""
+        if self.on_advance is not None:
+            self.on_advance()
         dt = now - self._last_time
         if dt <= 0:
             # Time did not move (or moved backwards, which integrates as
@@ -134,6 +150,36 @@ class TelemetryAccumulator:
                 socket_throttle[socket_id] += throttle * dt
         self._last_time = now
         self._snapshot.time = now
+
+    def error_bounds(
+        self, mc_ids: tuple[int, ...], window: float, until: float
+    ) -> tuple[float, float, float]:
+        """Rounding bounds on windowed averages of the current state.
+
+        Returns bounds for ``(bandwidth, latency, saturation)`` averages
+        over the controllers ``mc_ids``, summed or maxed across them, read
+        no later than ``until`` over windows at least ``window`` seconds
+        long with at most two integration steps each. A window average is
+        ``(I1 - I0) / (t1 - t0)``, where each integral ``I`` was built by
+        ``I += v * dt`` steps. For one controller it differs from ``v`` by
+        at most ``2u * M / window + 5u * |v|``, where ``u = 2**-53`` is the
+        unit roundoff and ``M`` bounds the integral's magnitude; a sum over
+        ``k <= 8`` controllers adds at most ``k * u`` per unit of value. A
+        signal that is exactly zero integrates exactly and has no error.
+        Each bound is ``2**-48 * (|v| + M / window)`` summed over the
+        nonzero signals: at least twice what the analysis needs.
+        """
+        rows = {mc_id: row for mc_id, *row in self._mc_rows}
+        snap = self._snapshot
+        span = max(until - self._last_time, 0.0)
+        bounds = [0.0, 0.0, 0.0]
+        for mc_id in mc_ids:
+            integrals = (snap.mc_bytes, snap.mc_latency, snap.mc_saturation)
+            for kind, rate in enumerate(rows[mc_id]):
+                if rate:
+                    reach = abs(integrals[kind][mc_id]) + abs(rate) * span
+                    bounds[kind] += ROUNDING_SLACK * (abs(rate) + reach / window)
+        return bounds[0], bounds[1], bounds[2]
 
     def window_since(self, previous: TelemetrySnapshot, now: float) -> TelemetryWindow:
         """Averages between a previously-copied snapshot and ``now``.

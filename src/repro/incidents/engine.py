@@ -100,8 +100,9 @@ class IncidentEngine(FleetHooks):
         self._sim: "Simulator | None" = None
         self._expected_router: Router | None = None
         self._intruders: dict[str, OpenLoopGenerator] = {}
-        #: Per-node incremental journal scan state: (offset, failed count).
-        self._journal_cursor: list[tuple[int, int]] = []
+        #: Per-node incremental journal scan state: (offset, failed count),
+        #: keyed by member index so members added mid-run start at zero.
+        self._journal_cursor: dict[int, tuple[int, int]] = {}
         self._intruder_name = "intruder"
         for spec in schedule.incidents:
             if spec.kind == "noisy-neighbor":
@@ -112,7 +113,7 @@ class IncidentEngine(FleetHooks):
         self._orch = orchestrator
         self._sim = sim
         self._expected_router = orchestrator.router
-        self._journal_cursor = [(0, 0)] * len(orchestrator.members)
+        self._journal_cursor = {}
         self._bank = DetectorBank(
             interval=orchestrator.config.interval,
             config=self._detector_config,
@@ -267,7 +268,7 @@ class IncidentEngine(FleetHooks):
         for member in orchestrator.members:
             signals = member.last_signals
             assert signals is not None  # sampled earlier this tick
-            offset, failed = self._journal_cursor[member.index]
+            offset, failed = self._journal_cursor.get(member.index, (0, 0))
             journal = member.policy.control_plane.journal
             while offset < len(journal):
                 if journal[offset].status == "failed":

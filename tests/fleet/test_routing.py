@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.fleet.config import PRESSURE_BUCKET
 from repro.fleet.member import NodeSignals
 from repro.fleet.routing import (
     InterferenceAwareRouter,
     LeastLoadedRouter,
-    PRESSURE_BUCKET,
     PRESSURE_WEIGHT,
     RandomRouter,
     make_router,

@@ -7,7 +7,8 @@ including ties, which both sides break on the lowest member index. The
 property test drives randomized event sequences over stub members
 (including pressure values parked exactly on ``PRESSURE_BUCKET``
 boundaries, where quantized keys tie); the golden test replays a real
-trace fleet with the index enabled and disabled and compares summaries.
+trace fleet with the index enabled and disabled (reference mode) and
+compares summaries.
 """
 
 from __future__ import annotations
@@ -18,19 +19,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.index import (
-    INDEX_ENV,
-    RoutingIndex,
-    index_enabled,
-    make_routing_index,
-)
+from repro.fleet.config import PRESSURE_BUCKET
+from repro.fleet.index import RoutingIndex, make_routing_index
 from repro.fleet.member import NodeSignals
 from repro.fleet.routing import (
-    PRESSURE_BUCKET,
     InterferenceAwareRouter,
     LeastLoadedRouter,
     make_router,
 )
+from repro.reference import REFERENCE_ENV
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _index_enabled():
+    """These tests exercise the index itself, even when the suite runs in
+    reference mode."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(REFERENCE_ENV, raising=False)
+        yield
 
 
 def _signals(index: int, saturation: float) -> NodeSignals:
@@ -174,15 +180,17 @@ class TestMakeRoutingIndex:
         assert make_routing_index(router, []) is None
 
     def test_env_knob_disables(self, monkeypatch) -> None:
-        monkeypatch.setenv(INDEX_ENV, "0")
-        assert not index_enabled()
+        """Reference mode builds no index, for either indexable router."""
+        monkeypatch.setenv(REFERENCE_ENV, "1")
         assert make_routing_index(LeastLoadedRouter(), []) is None
-        monkeypatch.setenv(INDEX_ENV, "1")
-        assert index_enabled()
+        assert make_routing_index(InterferenceAwareRouter(), []) is None
+        monkeypatch.delenv(REFERENCE_ENV)
+        assert make_routing_index(LeastLoadedRouter(), []) is not None
 
 
 class TestGoldenEquivalence:
-    """A real trace fleet, index on vs off: summaries are bit-identical."""
+    """A real trace fleet, index on vs reference mode: summaries are
+    bit-identical."""
 
     @pytest.mark.parametrize("routing", ["least-loaded", "interference-aware"])
     def test_trace_replay_summary_identical(self, routing, monkeypatch) -> None:
@@ -197,11 +205,11 @@ class TestGoldenEquivalence:
         )
         config = fleet_config_for_trace(trace, nodes=3, routing=routing)
         summaries = {}
-        for knob in ("1", "0"):
-            monkeypatch.setenv(INDEX_ENV, knob)
+        for reference in (False, True):
+            if reference:
+                monkeypatch.setenv(REFERENCE_ENV, "1")
             orch = FleetOrchestrator(config, trace=trace)
             result = orch.run()
-            expected = knob == "1"
-            assert (orch._routing_index is not None) is expected
-            summaries[knob] = result.summary()
-        assert summaries["1"] == summaries["0"]
+            assert (orch._routing_index is None) is reference
+            summaries[reference] = result.summary()
+        assert summaries[False] == summaries[True]

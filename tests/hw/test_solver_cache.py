@@ -17,6 +17,7 @@ from repro.hw.contention import (
     ContentionSolver,
     Priority,
     TrafficSource,
+    cache_default_enabled,
     set_cache_default,
 )
 from repro.hw.llc import LlcModel
@@ -24,6 +25,7 @@ from repro.hw.machine import Machine
 from repro.hw.prefetcher import PrefetcherBank
 from repro.hw.spec import MachineSpec
 from repro.hw.topology import Topology
+from repro.reference import REFERENCE_ENV
 from repro.sim import Simulator
 
 POLICIES = ("BL", "CT", "KP-SD", "KP", "MBA", "HW-QOS")
@@ -216,6 +218,21 @@ def _run_policy(policy: str) -> common_mod.ColocationResult:
             warmup=2.0,
         )
     )
+
+
+class TestReferenceMode:
+    def test_reference_mode_turns_caching_off(self, monkeypatch) -> None:
+        monkeypatch.setenv(REFERENCE_ENV, "1")
+        assert not cache_default_enabled()
+        assert not Machine(MachineSpec(), Simulator()).solver.cache_enabled
+        monkeypatch.delenv(REFERENCE_ENV)
+        assert cache_default_enabled()
+        assert Machine(MachineSpec(), Simulator()).solver.cache_enabled
+
+    def test_explicit_default_wins(self, monkeypatch) -> None:
+        monkeypatch.setenv(REFERENCE_ENV, "1")
+        set_cache_default(True)
+        assert cache_default_enabled()
 
 
 class TestEndToEndEquivalence:

@@ -95,3 +95,38 @@ class TestFaultedRun:
         result2 = run_fleet(config, trace=trace, hooks=engine2)
         assert engine.export() == engine2.export()
         assert _summary(result) == _summary(result2)
+
+
+class TestMembershipGrowth:
+    def test_autoscaler_grows_past_starting_size(self) -> None:
+        """Members added past the starting fleet size get a journal cursor
+        of their own (the engine used to size it once, at start)."""
+        from repro.serve import AutoscalerConfig, FleetService
+
+        trace = generate_trace(
+            TraceGenConfig(seed=3, duration_s=20.0, rate_qps=400.0)
+        )
+        config = fleet_config_for_trace(trace, seed=1, nodes=1)
+        schedule = default_schedule(
+            20.0, nodes=1, seed=1, classes=("stuck-actuator",)
+        )
+        engine = IncidentEngine(schedule, remediate=True)
+        service = FleetService(
+            config,
+            trace=trace,
+            hooks=engine,
+            autoscaler=AutoscalerConfig(
+                min_nodes=1, max_nodes=3, epochs_up=1, cooldown_epochs=0
+            ),
+            epoch_s=1.0,
+        )
+        service.start()
+        service.run_to_end()
+        result = service.finish()
+        assert len(service.orchestrator.members) > 1
+        assert any(
+            command.startswith("autoscale-grow:")
+            for _, command in service.commands
+        )
+        assert len(engine.ticks) > 0
+        assert result.offered_total > 0
