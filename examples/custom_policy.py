@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from repro import MixConfig, Node, Simulator, run_colocation, standalone_performance
 from repro.node import HI_SUBDOMAIN, LO_SUBDOMAIN
+from repro.control.records import ControlTickRecord
 from repro.core.policies.base import (
     CpuTaskPlan,
     IsolationPolicy,
-    ParameterSample,
     ROLE_LO,
 )
 from repro.core.policies.base import ML_CLOS
@@ -68,7 +68,7 @@ class StaticHalfPolicy(IsolationPolicy):
     def tick(self) -> None:
         """Static: nothing to do."""
 
-    def parameter_history(self) -> list[ParameterSample]:
+    def parameter_history(self) -> list[ControlTickRecord]:
         return []
 
 

@@ -37,7 +37,6 @@ from repro.experiments import common as common_mod  # noqa: E402
 from repro.experiments.common import MixConfig, run_colocation  # noqa: E402
 from repro.experiments.suite import run_suite  # noqa: E402
 from repro.hw.contention import (  # noqa: E402
-    KnobVariant,
     clear_shared_cache,
     global_stats,
     reset_global_stats,
@@ -380,63 +379,6 @@ def _timed_serve() -> dict:
     }
 
 
-def _timed_batch_probe(variants: int = 64) -> dict:
-    """Vectorized what-if vs the scalar reference over one live source set.
-
-    Builds a small colocated machine, then scores ``variants`` MBA-cap
-    candidates twice — once through :meth:`ContentionSolver.solve_variant`
-    (the scalar semantic reference) and once through the numpy batch fixed
-    point — and reports both walls plus the solver's ``batch_points``
-    counter. The two paths agree bit-for-bit on solver outputs; this probe
-    only times them.
-    """
-    from repro.hw.machine import Machine
-    from repro.hw.placement import Placement
-    from repro.hw.spec import MachineSpec
-    from repro.sim import Simulator
-    from repro.workloads.cpu.base import BatchTask
-    from repro.workloads.cpu.catalog import cpu_workload
-
-    set_cache_default(True)
-    _fresh_state()
-    machine = Machine(MachineSpec(), Simulator())
-    BatchTask(
-        "probe-a",
-        machine,
-        Placement(cores=frozenset(range(0, 8)), mem_weights={0: 0.7, 1: 0.3}),
-        cpu_workload("stream", 8),
-    ).start()
-    BatchTask(
-        "probe-b",
-        machine,
-        Placement(cores=frozenset(range(8, 16)), mem_weights={2: 1.0}),
-        cpu_workload("dram", "H"),
-    ).start()
-    grid = [
-        KnobVariant(mba_caps=((0, 0.1 + 0.9 * i / max(variants - 1, 1)),))
-        for i in range(variants)
-    ]
-    sources = [
-        source for task in machine.tasks() for source in task.traffic_sources()
-    ]
-    solver = machine.solver
-    started = time.perf_counter()
-    for variant in grid:
-        solver.solve_variant(sources, variant)
-    scalar_wall = time.perf_counter() - started
-    started = time.perf_counter()
-    machine.what_if(grid)
-    batch_wall = time.perf_counter() - started
-    stats = solver.stats.as_dict()
-    return {
-        "variants": variants,
-        "scalar_wall_s": round(scalar_wall, 4),
-        "batch_wall_s": round(batch_wall, 4),
-        "speedup_batch": round(scalar_wall / max(batch_wall, 1e-9), 3),
-        "batch_points": stats["batch_points"],
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -473,7 +415,6 @@ def main(argv: list[str] | None = None) -> int:
     suite_parallel_on = (
         _timed_suite(jobs=jobs, cache=True) if run_parallel else None
     )
-    batch_probe = _timed_batch_probe()
     mix_on = _timed_mix(cache=True)
     mix_off = _timed_mix(cache=False)
     fleet_on = _timed_fleet(cache=True)
@@ -520,7 +461,6 @@ def main(argv: list[str] | None = None) -> int:
                 else None
             ),
         },
-        "solver_fast_paths": batch_probe,
         "mix": {
             "config": {
                 "ml": MIX.ml, "policy": MIX.policy, "cpu": MIX.cpu,
@@ -564,12 +504,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     else:
         print(f"suite: parallel pass skipped ({cpu_count} cpu); speedup null")
-    print(
-        f"batch: {batch_probe['variants']} variants scalar "
-        f"{batch_probe['scalar_wall_s']}s vs batch "
-        f"{batch_probe['batch_wall_s']}s "
-        f"({batch_probe['speedup_batch']}x)"
-    )
     print(
         f"mix:   cache-on {mix_on['wall_s']}s, cache-off {mix_off['wall_s']}s, "
         f"hit-rate {hit_rate:.2%}, events {mix_on['events_dispatched']}"

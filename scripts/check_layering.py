@@ -20,10 +20,7 @@ package imports a layer it must not know about:
 * ``repro.serve`` — the serving control plane — sits directly below
   ``repro.experiments``: it may import ``repro.fleet``, ``repro.control``,
   ``repro.traces`` and ``repro.obs``, but nothing below the experiments
-  layer may import ``repro.serve`` back;
-* nothing in the modern stack may import the ``repro.cluster`` or
-  ``repro.distributed`` deprecation shims — those exist only for
-  out-of-tree callers and re-export from the modern homes.
+  layer may import ``repro.serve`` back.
 
 Exit status: 0 when clean, 1 with one ``file:line`` diagnostic per
 violation.
@@ -42,22 +39,18 @@ from pathlib import Path
 
 #: layer -> packages it must never import (checked transitively over every
 #: module file below the layer's directory).
-#: The seed-era compatibility shims; only out-of-tree code may import them.
-_SHIMS = frozenset({"cluster", "distributed"})
-
 FORBIDDEN: dict[str, frozenset[str]] = {
-    "hw": frozenset({"core", "control", "serve"}) | _SHIMS,
-    "control": frozenset({"experiments", "fleet", "incidents", "serve"})
-    | _SHIMS,
-    "hostif": frozenset({"core", "serve"}) | _SHIMS,
-    "fleet": frozenset({"incidents", "serve"}) | _SHIMS,
-    "obs": frozenset({"incidents", "serve"}) | _SHIMS,
-    "sim": frozenset({"serve"}) | _SHIMS,
-    "traces": frozenset({"serve"}) | _SHIMS,
-    "workloads": frozenset({"serve"}) | _SHIMS,
-    "core": frozenset({"serve"}) | _SHIMS,
-    "incidents": frozenset({"serve"}) | _SHIMS,
-    "serve": frozenset({"experiments", "incidents"}) | _SHIMS,
+    "hw": frozenset({"core", "control", "serve"}),
+    "control": frozenset({"experiments", "fleet", "incidents", "serve"}),
+    "hostif": frozenset({"core", "serve"}),
+    "fleet": frozenset({"incidents", "serve"}),
+    "obs": frozenset({"incidents", "serve"}),
+    "sim": frozenset({"serve"}),
+    "traces": frozenset({"serve"}),
+    "workloads": frozenset({"serve"}),
+    "core": frozenset({"serve"}),
+    "incidents": frozenset({"serve"}),
+    "serve": frozenset({"experiments", "incidents"}),
 }
 
 _PACKAGE = "repro"

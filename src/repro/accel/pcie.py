@@ -16,7 +16,7 @@ from repro.sim.work import FluidWork
 
 if TYPE_CHECKING:
     from repro.sim import Simulator
-    from repro.sim.events import EventHandle
+    from repro.sim.events import Event
 
 
 class _Transfer:
@@ -25,7 +25,7 @@ class _Transfer:
     def __init__(self, work: FluidWork, on_complete: Callable[[], None]) -> None:
         self.work = work
         self.on_complete = on_complete
-        self.handle: "EventHandle | None" = None
+        self.handle: "Event | None" = None
         #: Completion callback, built once so rebalances don't allocate a
         #: fresh closure for every in-flight transfer they reschedule.
         self.finisher: Callable[[], None] | None = None

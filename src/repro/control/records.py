@@ -1,9 +1,8 @@
 """Unified control-plane records: controller ticks and actuation writes.
 
-Historically every policy kept its own history shape — ``KelpTickRecord``
-for the Algorithm-1 runtime, ``ParameterSample`` for CT/MBA — and every
-consumer (fig 11/12, the obs JSONL export, the fleet member) had to know
-which one it was holding. :class:`ControlTickRecord` replaces both: one
+Every policy, the Algorithm-1 runtime included, records its history in
+one shape, so every consumer (fig 11/12, the obs JSONL export, the fleet
+member) reads the same rows. :class:`ControlTickRecord` is one
 frozen row per control interval with the measurements the governor saw, the
 actions it took, the knob values it settled on, and how many physical
 writes the actuation pass actually performed (0 on a NOP/NOP tick whose

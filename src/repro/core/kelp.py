@@ -12,8 +12,8 @@ kernel lives in :class:`~repro.control.governors.KelpGovernor`, sensing in a
 :class:`~repro.control.loop.ControlLoop`. :class:`KelpRuntime` wires the
 four together with the historical constructor signature and per-tick
 behaviour (under perfect sensors and no actuation faults it is bit-identical
-to the pre-refactor implementation), and ``KelpTickRecord`` is now an alias
-of the unified :class:`~repro.control.records.ControlTickRecord`.
+to the pre-refactor implementation); its history is the unified
+:class:`~repro.control.records.ControlTickRecord` stream.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from repro.control.records import ControlTickRecord
 from repro.control.sensors import SensorSuite, build_sensor_suite
 from repro.core.actions import HiPriorityPlan, LoPriorityPlan
 from repro.core.watermarks import QosProfile
-
-#: Backwards-compatible name for the unified control tick record.
-KelpTickRecord = ControlTickRecord
 
 
 class KelpRuntime:

@@ -8,7 +8,6 @@ from repro.control.sensors import SensorConfig
 from repro.core.policies.base import (
     CpuTaskPlan,
     IsolationPolicy,
-    ParameterSample,
     ROLE_BACKFILL,
     ROLE_LO,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "HwQosPolicy",
     "IsolationPolicy",
     "KelpPolicy",
-    "ParameterSample",
     "ROLE_BACKFILL",
     "ROLE_LO",
     "SubdomainPolicy",

@@ -13,8 +13,7 @@ facade all its knob writes go through — and managed policies drive a
 (optionally degraded via :class:`~repro.control.sensors.SensorConfig`) and a
 policy-specific :class:`~repro.control.governors.Governor`. ``tick``,
 ``tick_history`` and ``parameter_history`` all default to the loop's
-unified :class:`~repro.control.records.ControlTickRecord` stream;
-``ParameterSample`` remains as a backwards-compatible alias of that record.
+unified :class:`~repro.control.records.ControlTickRecord` stream.
 """
 
 from __future__ import annotations
@@ -40,12 +39,6 @@ ML_DEDICATED_WAYS = 6
 #: Roles a CPU task can occupy on the node.
 ROLE_LO = "lo"
 ROLE_BACKFILL = "backfill"
-
-#: Backwards-compatible name for the unified control tick record
-#: (``ParameterSample`` rows are now full tick records; the Fig 11/12
-#: consumers only read the ``time``/``lo_cores``/``lo_prefetchers``/
-#: ``backfill_cores`` attributes, which are unchanged).
-ParameterSample = ControlTickRecord
 
 
 @dataclass(frozen=True)
@@ -139,8 +132,9 @@ class IsolationPolicy(abc.ABC):
     def parameter_history(self) -> list[ControlTickRecord]:
         """Knob values over time, for the Fig 11/12 plots.
 
-        Same records as :meth:`tick_history` — the knob fields double as
-        the historical ``ParameterSample`` attributes.
+        Same records as :meth:`tick_history`; the Fig 11/12 consumers read
+        the ``time``/``lo_cores``/``lo_prefetchers``/``backfill_cores``
+        knob fields.
         """
         return self.tick_history()
 

@@ -13,8 +13,9 @@ from typing import TYPE_CHECKING
 
 from repro.node import Node
 from repro.control.actuators import ActuationFaultConfig
+from repro.control.records import ControlTickRecord
 from repro.control.sensors import SensorConfig
-from repro.core.policies import IsolationPolicy, ParameterSample, make_policy
+from repro.core.policies import IsolationPolicy, make_policy
 from repro.core.policies.base import ROLE_BACKFILL, ROLE_LO
 from repro.errors import ExperimentError
 from repro.sim import Simulator
@@ -73,7 +74,7 @@ class ColocationResult:
     #: Aggregate CPU throughput, work units/s (0 when no CPU workload).
     cpu_throughput: float
     #: Controller knob history (empty for BL / HW-QOS).
-    params: list[ParameterSample] = field(default_factory=list)
+    params: list[ControlTickRecord] = field(default_factory=list)
     #: Simulator events dispatched during the run (perf observability).
     events_dispatched: int = 0
     #: Snapshot of the machine's :class:`~repro.hw.contention.SolverStats`

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.parallel import run_points
 from repro.experiments.report import format_table
 from repro.experiments.sensitivity import run_sensitivity
 from repro.metrics.slowdown import arithmetic_mean
+from repro.parallel import run_points
 
 WORKLOADS = ("rnn1", "cnn1", "cnn2", "cnn3")
 

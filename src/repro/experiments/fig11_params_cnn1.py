@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.policies import ParameterSample
+from repro.control.records import ControlTickRecord
 from repro.experiments.common import MixConfig, run_colocation
 from repro.experiments.report import format_series
 
@@ -31,7 +31,7 @@ class ParamSweepResult:
     kp_cores: list[float]
 
 
-def _steady_state(params: list[ParameterSample], knob: str) -> float:
+def _steady_state(params: list[ControlTickRecord], knob: str) -> float:
     """Average of a knob over the last half of the run (post-convergence)."""
     if not params:
         return 0.0

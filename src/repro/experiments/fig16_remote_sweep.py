@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.parallel import run_points
 from repro.experiments.report import format_series
 from repro.experiments.sensitivity import run_sensitivity
+from repro.parallel import run_points
 
 DATA_FRACTIONS = (0.0, 0.25, 0.5, 1.0)
 THREAD_FRACTIONS = (0.0, 0.25, 0.5, 1.0)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.experiments.parallel import maybe_profiled, resolve_jobs, run_points
 from repro.experiments.registry import OBS_AWARE, experiment_ids, run_experiment
+from repro.parallel import maybe_profiled, resolve_jobs, run_points
 
 if TYPE_CHECKING:
     from repro.obs.recorder import RunObserver
@@ -85,7 +85,7 @@ def run_suite(
     """Execute the registry (or a subset) and collect formatted outputs.
 
     ``jobs`` > 1 fans the independent experiment points out over a process
-    pool (see :mod:`repro.experiments.parallel`); results are identical to
+    pool (see :mod:`repro.parallel`); results are identical to
     the serial run and come back in registry order.
 
     An enabled ``observer`` records per-experiment wall-clock spans and

@@ -63,7 +63,7 @@ class ResctrlFs:
         self._require_group(clos)
         if not 10 <= percent <= 100:
             raise HostInterfaceError("MB percent must be within [10, 100]")
-        self._machine.solver.mba_caps[clos] = percent / 100.0
+        self._machine.solver.set_mba_cap(clos, percent / 100.0)
         self._machine.notify_change()
 
     def assign(self, task: PlaceableTask, clos: int) -> None:
@@ -94,7 +94,9 @@ class ResctrlFs:
         """Return every socket's LLC to the default single-group state."""
         for llc in self._machine.llcs.values():
             llc.reset()
-        self._machine.solver.mba_caps.clear()
+        solver = self._machine.solver
+        for clos in list(solver.mba_caps):
+            solver.set_mba_cap(clos, None)
         self._groups = {0}
         self._machine.notify_change()
 

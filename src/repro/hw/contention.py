@@ -15,39 +15,37 @@ Performance layer
 -----------------
 
 Workloads cycle through a small recurring set of source configurations, so
-the solver keeps a bounded LRU memo keyed on a canonical *solve signature*
-(see :meth:`ContentionSolver.solve_signature`). The signature covers every
-input the solve reads:
+solves are memoized on a canonical *solve signature* (see
+:meth:`ContentionSolver.solve_signature`). The signature covers every input
+the solve reads:
 
 * the ordered, canonicalized active source set (all profile fields),
 * per-source prefetcher-bank state (the enabled fraction over its cores),
 * the solver knobs (``snc_enabled``, ``priority_mode``,
-  ``qos_aware_prefetch``, the per-CLOS ``mba_caps``), and
+  ``qos_aware_prefetch``, the per-CLOS MBA caps), and
 * the per-socket LLC CAT mask state.
 
 Anything that can change a solve's outcome MUST be part of the signature —
 adding a solver knob without extending the signature produces stale-cache
-bugs (see docs/model.md §"Solve signature invariants"). Per-source
-prefetch/LLC/SMT *static factors* are additionally memoized independently,
-so partial state changes (e.g. only an MBA cap moved) skip the O(n²) SMT
-pass and the per-way LLC allocation instead of recomputing from scratch.
+bugs (see docs/model.md §"Solve signature invariants").
 
-Cache observability flows through :class:`SolverStats` (per solver and the
-module-level aggregate), surfaced via ``Machine.solver_stats`` and the
-experiment harness. Reference mode (``REPRO_REFERENCE=1``, see
-:mod:`repro.reference`) or :func:`set_cache_default` disables all solver
-caching; the cached and uncached paths are numerically identical, which the
-test suite asserts.
+There is one memo: a process-wide dict per :class:`MachineSpec`, keyed on
+the signature and shared by every solver built from an equal spec. The
+machine's recompute loop skips the solve entirely when the signature has
+not changed (``Machine.notify_change``). Cache observability flows through
+:class:`SolverStats` (per solver and the module-level aggregate), surfaced
+via ``Machine.solver_stats`` and the experiment harness. Reference mode
+(``REPRO_REFERENCE=1``, see :mod:`repro.reference`) or
+:func:`set_cache_default` disables the memo; the cached and uncached paths
+are numerically identical, which the test suite asserts.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+import types
+from dataclasses import dataclass, field, fields
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 from repro.hw.backpressure import SocketPressure, socket_pressure
@@ -63,10 +61,9 @@ from repro.units import clamp
 #: Cross-subdomain (same socket) access latency penalty when SNC is on.
 _SNC_CROSS_PENALTY = 1.05
 
-#: Default bound on the per-solver solve-result memo.
-DEFAULT_SOLVE_CACHE_SIZE = 256
-#: Bound on each per-component static-factor memo (LLC / SMT / prefetch).
-_STATIC_CACHE_SIZE = 512
+#: Entries a per-spec solve memo holds before it is cleared. The largest
+#: benchmark working set is under 800 signatures.
+_SOLVE_MEMO_SIZE = 4096
 
 _cache_default_enabled: bool | None = None
 
@@ -102,7 +99,7 @@ class SolverStats:
 
     #: Total :meth:`ContentionSolver.solve` calls (including cached ones).
     solves: int = 0
-    #: Solves answered from the solve-result memo.
+    #: Solves answered from the solve memo.
     cache_hits: int = 0
     #: Solves that had to run the full fixed point.
     cache_misses: int = 0
@@ -110,16 +107,9 @@ class SolverStats:
     signature_short_circuits: int = 0
     #: Total fixed-point resolve passes executed across all full solves.
     fixed_point_rounds: int = 0
-    #: Static-factor sub-results (LLC / SMT / prefetch) served from memo.
-    static_reuse: int = 0
-    #: Cache misses answered by the *incremental* delta path: the previous
-    #: solve's static factors were reused because only the MBA cap,
-    #: prefetcher state, or cpuset component of the signature changed.
+    #: Always 0; kept only because ``bench/workloads.py`` reads them.
     incremental_solves: int = 0
-    #: Cache misses answered from the process-wide shared memo (warm pool
-    #: workers reuse solves across sweep points this way).
     shared_hits: int = 0
-    #: Candidate states evaluated through :meth:`ContentionSolver.solve_batch`.
     batch_points: int = 0
 
     @property
@@ -130,64 +120,39 @@ class SolverStats:
 
     def as_dict(self) -> dict[str, float]:
         """A plain-dict snapshot (for telemetry/JSON reporting)."""
-        return {
-            "solves": self.solves,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
-            "signature_short_circuits": self.signature_short_circuits,
-            "fixed_point_rounds": self.fixed_point_rounds,
-            "static_reuse": self.static_reuse,
-            "incremental_solves": self.incremental_solves,
-            "shared_hits": self.shared_hits,
-            "batch_points": self.batch_points,
+        snapshot: dict[str, float] = {
+            f.name: getattr(self, f.name) for f in fields(self)
         }
-
-    def add(self, other: "SolverStats") -> None:
-        """Accumulate ``other`` into this instance."""
-        self.solves += other.solves
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.signature_short_circuits += other.signature_short_circuits
-        self.fixed_point_rounds += other.fixed_point_rounds
-        self.static_reuse += other.static_reuse
-        self.incremental_solves += other.incremental_solves
-        self.shared_hits += other.shared_hits
-        self.batch_points += other.batch_points
+        snapshot["hit_rate"] = self.hit_rate
+        return snapshot
 
     def reset(self) -> None:
         """Zero every counter."""
-        self.solves = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.signature_short_circuits = 0
-        self.fixed_point_rounds = 0
-        self.static_reuse = 0
-        self.incremental_solves = 0
-        self.shared_hits = 0
-        self.batch_points = 0
+        for f in fields(self):
+            setattr(self, f.name, 0)
 
 
 #: Process-wide aggregate over every solver (fleet-level observability).
 GLOBAL_STATS = SolverStats()
 
-#: Bound on the process-wide shared solve memo (see :data:`_SHARED_CACHE`).
-_SHARED_CACHE_SIZE = 4096
-
-#: Process-wide solve memo shared by every solver, keyed on
-#: ``(MachineSpec, solve signature)``. Sweep points build a fresh
-#: ``Machine`` (and hence a fresh solver with a cold per-instance memo)
-#: each time; this cache survives across points within one process, so a
-#: warm pool worker reproduces the near-perfect hit rate a long serial run
-#: observes. The signature covers every solve input and ``MachineSpec`` is
-#: deep-frozen, so entries can never be served across distinct hardware
-#: configurations.
-_SHARED_CACHE: OrderedDict[tuple, "SolveResult"] = OrderedDict()
+#: The process-wide solve memo: one dict per :class:`MachineSpec`, keyed on
+#: the solve signature. Each solver binds its spec's dict when it is built,
+#: so sweep points (which build a fresh ``Machine`` each time) and the
+#: identical nodes of a fleet reuse each other's solves. The signature
+#: covers every solve input and ``MachineSpec`` is deep-frozen, so an entry
+#: is never served to a different hardware configuration. Process state,
+#: not model state: checkpoints leave it out (see
+#: :meth:`ContentionSolver.__getstate__`).
+_SOLVE_MEMO: dict[MachineSpec, dict[tuple, "SolveResult"]] = {}
 
 
 def clear_shared_cache() -> None:
-    """Drop the process-wide shared solve memo (benchmark/test hook)."""
-    _SHARED_CACHE.clear()
+    """Empty the process-wide solve memo (benchmark/test hook).
+
+    Clears each per-spec dict in place, so live solvers stay bound to it.
+    """
+    for memo in _SOLVE_MEMO.values():
+        memo.clear()
 
 
 def global_stats() -> SolverStats:
@@ -286,73 +251,6 @@ class TrafficSource:
         )
         object.__setattr__(self, "_ckey", key)
         return key
-
-
-#: Indices into :meth:`TrafficSource.canonical_key` used by the incremental
-#: delta classifier (keep in sync with the tuple above).
-_CKEY_CORES = 4
-#: Index of the prefetcher-enabled fraction appended by
-#: :meth:`ContentionSolver.source_signature`.
-_SIG_FRACTION = 15
-
-
-class _KnobDict(dict):
-    """A dict that reports in-place mutation to its owner.
-
-    Actuators and tests write ``solver.mba_caps[clos] = x`` directly; the
-    change callback bumps the solver's knob version so its memoized knob
-    signature invalidates without a setter API.
-    """
-
-    __slots__ = ("_on_change",)
-
-    def __init__(self, on_change: Callable[[], None]) -> None:
-        super().__init__()
-        self._on_change = on_change
-
-    def __setitem__(self, key: int, value: float) -> None:
-        super().__setitem__(key, value)
-        self._on_change()
-
-    def __delitem__(self, key: int) -> None:
-        super().__delitem__(key)
-        self._on_change()
-
-    def clear(self) -> None:
-        if self:
-            super().clear()
-            self._on_change()
-
-    def update(self, *args, **kwargs) -> None:
-        super().update(*args, **kwargs)
-        if args or kwargs:
-            self._on_change()
-
-    def pop(self, *args):
-        result = super().pop(*args)
-        self._on_change()
-        return result
-
-    def setdefault(self, key: int, default: float | None = None):
-        if key in self:
-            return self[key]
-        self[key] = default
-        return default
-
-
-@dataclass(frozen=True)
-class KnobVariant:
-    """One candidate knob setting for a batched what-if solve.
-
-    A variant overlays the solver's current state: ``mba_caps`` overrides
-    per-CLOS offered-demand caps, ``prefetch_fractions`` overrides the
-    prefetcher-enabled fraction seen by specific sources (by ``source_id``).
-    Unspecified knobs keep their live values, so ``KnobVariant()`` solves
-    the machine exactly as-is.
-    """
-
-    mba_caps: tuple[tuple[int, float], ...] = ()
-    prefetch_fractions: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -466,23 +364,6 @@ def empty_solve_result(spec: MachineSpec) -> SolveResult:
     )
 
 
-def _lru_get(cache: OrderedDict, key):
-    """Fetch + refresh an LRU entry (``None`` on miss)."""
-    value = cache.get(key)
-    if value is not None:
-        cache.move_to_end(key)
-    return value
-
-
-def _lru_put(cache: OrderedDict, key, value, cap: int) -> None:
-    """Insert an LRU entry, evicting the oldest beyond ``cap``."""
-    if cap <= 0:
-        return
-    cache[key] = value
-    while len(cache) > cap:
-        cache.popitem(last=False)
-
-
 class ContentionSolver:
     """Resolves traffic sources into rate factors for one machine."""
 
@@ -492,7 +373,6 @@ class ContentionSolver:
         topology: Topology,
         prefetchers: PrefetcherBank,
         llcs: dict[int, LlcModel],
-        cache_size: int | None = None,
     ) -> None:
         self.spec = spec
         self.topology = topology
@@ -504,8 +384,8 @@ class ContentionSolver:
         }
         self._upi = UpiModel(spec.upi)
         #: Bumped whenever any solver knob changes; versions the memoized
-        #: knob signature. Knob attributes are properties so direct writes
-        #: (actuators, tests) are tracked without a dedicated setter API.
+        #: knob signature. Knob attributes are properties (and MBA caps go
+        #: through :meth:`set_mba_cap`) so every write is tracked.
         self._knob_version = 0
         self._knob_sig: tuple | None = None
         #: Whole-signature memo for :meth:`solve_signature`, keyed by
@@ -513,35 +393,35 @@ class ContentionSolver:
         #: pin the source objects (see solve_signature).
         self._sig_memo: dict[tuple, tuple] = {}
         self._priority_mode = False
-        self._mba_caps: _KnobDict = _KnobDict(self._bump_knob_version)
+        self._mba_caps: dict[int, float] = {}
         self._snc_enabled = False
         self._qos_aware_prefetch = False
 
         # ------------------------------------------------ performance layer
-        #: Master switch for the solve memo and static-factor memos. When
-        #: off, every solve recomputes from scratch (the reference path).
+        #: Master switch for the solve memo. When off, every solve
+        #: recomputes from scratch (the reference path).
         self.cache_enabled = cache_default_enabled()
-        self.cache_size = (
-            DEFAULT_SOLVE_CACHE_SIZE if cache_size is None else cache_size
-        )
         self.stats = SolverStats()
-        self._solve_cache: dict[tuple, SolveResult] = {}
-        self._llc_cache: OrderedDict[tuple, dict[str, float]] = OrderedDict()
-        self._smt_cache: OrderedDict[tuple, dict[str, float]] = OrderedDict()
-        self._pf_cache: OrderedDict[tuple, tuple[float, float]] = OrderedDict()
+        self._memo = _SOLVE_MEMO.setdefault(spec, {})
         #: LLC membership is fixed at construction; keep the iteration order
         #: pre-sorted so the per-solve signature build avoids a sort.
         self._llc_sorted = sorted(llcs.items())
         self._empty_result: SolveResult | None = None
-        #: Inputs of the most recent full/incremental solve, kept for the
-        #: incremental delta path: (signature, pre-QoS static factor maps,
-        #: source→socket map). ``None`` until the first cached solve.
-        self._delta_state: tuple | None = None
+
+    def __getstate__(self) -> dict:
+        """Pickle the model, not the process: the memo is left out and
+        ``_sig_memo`` is emptied, because its ``id()`` keys would name
+        different objects once unpickled."""
+        state = self.__dict__.copy()
+        del state["_memo"]
+        state["_sig_memo"] = {}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = _SOLVE_MEMO.setdefault(self.spec, {})
 
     # -------------------------------------------------------------- knobs
-    def _bump_knob_version(self) -> None:
-        self._knob_version += 1
-
     @property
     def priority_mode(self) -> bool:
         """Request-level prioritization at the controllers (HW-QoS)."""
@@ -576,18 +456,22 @@ class ContentionSolver:
             self._knob_version += 1
 
     @property
-    def mba_caps(self) -> "_KnobDict":
+    def mba_caps(self) -> Mapping[int, float]:
         """Per-CLOS offered-demand caps (the resctrl MBA actuator), 0..1.
 
-        A change-tracking dict: in-place mutation bumps the knob version so
-        the memoized knob signature invalidates.
+        A read-only view; write through :meth:`set_mba_cap`.
         """
-        return self._mba_caps
+        return types.MappingProxyType(self._mba_caps)
 
-    @mba_caps.setter
-    def mba_caps(self, value: Mapping[int, float]) -> None:
-        self._mba_caps.clear()
-        self._mba_caps.update(value)
+    def set_mba_cap(self, clos: int, cap: float | None) -> None:
+        """Cap ``clos``'s offered demand at ``cap`` (``None`` uncaps it)."""
+        if self._mba_caps.get(clos) == cap:
+            return
+        if cap is None:
+            del self._mba_caps[clos]
+        else:
+            self._mba_caps[clos] = cap
+        self._knob_version += 1
 
     # ------------------------------------------------------------ caching
     def _knob_signature(self) -> tuple:
@@ -663,15 +547,6 @@ class ContentionSolver:
         memo[key] = (list(sources), bank, sig)
         return sig
 
-    def clear_caches(self) -> None:
-        """Drop all memoized state (solve results and static factors)."""
-        self._solve_cache.clear()
-        self._llc_cache.clear()
-        self._smt_cache.clear()
-        self._pf_cache.clear()
-        self._delta_state = None
-        self._sig_memo.clear()
-
     def note_short_circuit(self) -> None:
         """Record that a machine-level re-solve was skipped entirely."""
         self.stats.signature_short_circuits += 1
@@ -690,50 +565,12 @@ class ContentionSolver:
         return {self.topology.subdomain_of_core(c) for c in source.cores}
 
     # ------------------------------------------------------ static factors
-    # The three per-source "static" factor families (prefetch, LLC, SMT) do
-    # not depend on the fixed point, only on slices of the source set and
-    # hardware state. Each family is memoized on exactly the state it reads,
-    # so a solve whose signature differs only in, say, an MBA cap reuses all
-    # three instead of redoing the per-way LLC split and the O(n²) SMT pass.
-
-    def _prefetch_factors(self, source: TrafficSource) -> tuple[float, float]:
-        """(demand_factor, speed_factor) for one source's prefetch state."""
-        enabled = self.prefetchers.enabled_fraction(source.cores)
-        if not self.cache_enabled:
-            return (
-                source.prefetch.demand_factor(enabled),
-                source.prefetch.speed_factor(enabled),
-            )
-        key = (source.prefetch, enabled)
-        hit = _lru_get(self._pf_cache, key)
-        if hit is not None:
-            self.stats.static_reuse += 1
-            GLOBAL_STATS.static_reuse += 1
-            return hit
-        value = (
-            source.prefetch.demand_factor(enabled),
-            source.prefetch.speed_factor(enabled),
-        )
-        _lru_put(self._pf_cache, key, value, _STATIC_CACHE_SIZE)
-        return value
-
     def _llc_hit_fractions(
         self, by_socket: dict[int, list[TrafficSource]]
     ) -> dict[str, float]:
-        """Per-source LLC hit fractions, memoized per socket."""
+        """Per-source LLC hit fractions, resolved per socket."""
         llc_hit: dict[str, float] = {}
         for socket_id, socket_sources in by_socket.items():
-            request_key = tuple(
-                (s.source_id, s.working_set_mb, s.clos, s.llc_intensity)
-                for s in socket_sources
-            )
-            key = (socket_id, self.llcs[socket_id].state_key(), request_key)
-            cached = _lru_get(self._llc_cache, key) if self.cache_enabled else None
-            if cached is not None:
-                self.stats.static_reuse += 1
-                GLOBAL_STATS.static_reuse += 1
-                llc_hit.update(cached)
-                continue
             requests = [
                 LlcRequest(
                     task_id=s.source_id,
@@ -743,25 +580,11 @@ class ContentionSolver:
                 )
                 for s in socket_sources
             ]
-            fractions = self.llcs[socket_id].hit_fractions(requests)
-            if self.cache_enabled:
-                _lru_put(self._llc_cache, key, fractions, _STATIC_CACHE_SIZE)
-            llc_hit.update(fractions)
+            llc_hit.update(self.llcs[socket_id].hit_fractions(requests))
         return llc_hit
 
     def _smt_factors(self, sources: list[TrafficSource]) -> dict[str, float]:
-        """SMT sibling-pressure factors, memoized on the overlap-relevant
-        slice of the source set (cores + SMT coefficients)."""
-        key = tuple(
-            (s.source_id, tuple(sorted(s.cores)), s.smt_aggression, s.smt_sensitivity)
-            for s in sources
-        )
-        if self.cache_enabled:
-            cached = _lru_get(self._smt_cache, key)
-            if cached is not None:
-                self.stats.static_reuse += 1
-                GLOBAL_STATS.static_reuse += 1
-                return cached
+        """SMT sibling-pressure factors from core overlap."""
         smt: dict[str, float] = {}
         for source in sources:
             worst = 0.0
@@ -776,33 +599,7 @@ class ContentionSolver:
             smt[source.source_id] = clamp(
                 1.0 - source.smt_sensitivity * worst, 0.05, 1.0
             )
-        if self.cache_enabled:
-            _lru_put(self._smt_cache, key, smt, _STATIC_CACHE_SIZE)
         return smt
-
-    def _static_factors(
-        self, sources: list[TrafficSource]
-    ) -> tuple[dict[str, float], dict[str, float], dict[str, float], dict[str, float]]:
-        """Per-source factors that do not depend on the fixed point.
-
-        Returns (prefetch_demand, prefetch_speed, llc_hit, smt_factor) maps.
-        The prefetch maps are freshly built per call (the QoS-aware-prefetch
-        branch mutates them); LLC and SMT maps may be memo-shared and must
-        not be mutated.
-        """
-        pf_demand: dict[str, float] = {}
-        pf_speed: dict[str, float] = {}
-        for source in sources:
-            demand, speed = self._prefetch_factors(source)
-            pf_demand[source.source_id] = demand
-            pf_speed[source.source_id] = speed
-
-        by_socket: dict[int, list[TrafficSource]] = {}
-        for source in sources:
-            by_socket.setdefault(self._socket_of_source(source), []).append(source)
-        llc_hit = self._llc_hit_fractions(by_socket)
-        smt = self._smt_factors(sources)
-        return pf_demand, pf_speed, llc_hit, smt
 
     def _routing_latency_adjust(self, source: TrafficSource, subdomain: int) -> float:
         """SNC locality bonus/penalty for traffic to ``subdomain``."""
@@ -833,168 +630,44 @@ class ContentionSolver:
             if self._empty_result is None:
                 self._empty_result = empty_solve_result(self.spec)
             return self._empty_result
+        if not self.cache_enabled:
+            return self._solve(sources)
 
-        if self.cache_enabled:
-            if signature is None:
-                signature = self.solve_signature(sources)
-            # The local memo is a flat dict cleared when full rather than a
-            # true LRU: steady-state working sets are a handful of
-            # signatures (far below the cap), and a plain ``get`` hashes
-            # the nested signature tuple once per solve instead of twice.
-            # Recency-aware eviction lives in the process-wide shared cache.
-            cache = self._solve_cache
-            cached = cache.get(signature)
-            if cached is None:
-                shared = _lru_get(_SHARED_CACHE, (self.spec, signature))
-                if shared is not None:
-                    self.stats.shared_hits += 1
-                    GLOBAL_STATS.shared_hits += 1
-                    self._cache_put(signature, shared)
-                    cached = shared
-            if cached is not None:
-                self.stats.cache_hits += 1
-                GLOBAL_STATS.cache_hits += 1
-                return cached
-            self.stats.cache_misses += 1
-            GLOBAL_STATS.cache_misses += 1
-
-        result = self._solve(sources, signature=signature)
-        if self.cache_enabled and signature is not None:
-            self._cache_put(signature, result)
-            _lru_put(
-                _SHARED_CACHE, (self.spec, signature), result, _SHARED_CACHE_SIZE
-            )
+        if signature is None:
+            signature = self.solve_signature(sources)
+        memo = self._memo
+        result = memo.get(signature)
+        if result is not None:
+            self.stats.cache_hits += 1
+            GLOBAL_STATS.cache_hits += 1
+            return result
+        self.stats.cache_misses += 1
+        GLOBAL_STATS.cache_misses += 1
+        result = self._solve(sources)
+        if len(memo) >= _SOLVE_MEMO_SIZE:
+            memo.clear()
+        memo[signature] = result
         return result
 
-    def _cache_put(self, signature: tuple, result: SolveResult) -> None:
-        """Insert into the flat local memo (clear-on-full, see solve())."""
-        if self.cache_size <= 0:
-            return
-        cache = self._solve_cache
-        if len(cache) >= self.cache_size:
-            cache.clear()
-        cache[signature] = result
-
-    # --------------------------------------------------- incremental deltas
-    def _classify_delta(self, signature: tuple) -> tuple | None:
-        """Reusable static factors when ``signature`` is a small knob delta.
-
-        Control ticks change one knob at a time: an MBA cap (knob
-        signature), prefetcher MSRs (per-source enabled fraction), or a
-        cpuset (per-source cores). For those deltas the previous solve's
-        per-source static factors are still valid — recomputing them would
-        produce identical values — so they are reused wholesale and only the
-        fixed point reruns. Returns ``(pf_demand, pf_speed, llc_hit, smt,
-        source_socket, changed_sources)`` or ``None`` when the delta is not
-        one of the recognized shapes (full recompute).
-        """
-        if self._delta_state is None:
-            return None
-        (p_src_sigs, p_knob, p_llc), statics, p_socket = self._delta_state
-        src_sigs, knob_sig, llc_sig = signature
-        if llc_sig != p_llc or len(src_sigs) != len(p_src_sigs):
-            return None
-        if knob_sig != p_knob:
-            # Only the MBA-cap component may differ; snc / priority-mode /
-            # qos-aware-prefetch flips change the solve structure itself.
-            if knob_sig[:3] != p_knob[:3]:
-                return None
-        pf_demand, pf_speed, llc_hit, smt = statics
-        changed: list[int] = []
-        cores_changed = False
-        for index, (old, new) in enumerate(zip(p_src_sigs, src_sigs)):
-            if old == new:
-                continue
-            for pos, (a, b) in enumerate(zip(old, new)):
-                if a == b:
-                    continue
-                if pos == _CKEY_CORES:
-                    cores_changed = True
-                elif pos != _SIG_FRACTION:
-                    return None  # some other profile field moved: full solve
-            changed.append(index)
-        return pf_demand, pf_speed, llc_hit, smt, p_socket, changed, cores_changed
-
-    def _solve_incremental(
-        self, sources: list[TrafficSource], signature: tuple
-    ) -> SolveResult | None:
-        """Try the delta path; ``None`` means the caller must solve fully."""
-        delta = self._classify_delta(signature)
-        if delta is None:
-            return None
-        pf_demand, pf_speed, llc_hit, smt, source_socket, changed, cores_changed = (
-            delta
-        )
-        if changed or cores_changed:
-            pf_demand = dict(pf_demand)
-            pf_speed = dict(pf_speed)
-            if cores_changed:
-                source_socket = dict(source_socket)
-            for index in changed:
-                source = sources[index]
-                if cores_changed:
-                    # A cpuset move on the same socket keeps the per-socket
-                    # LLC grouping (and hence the reused hit fractions)
-                    # valid; a cross-socket move needs a full solve.
-                    if self._socket_of_source(source) != source_socket.get(
-                        source.source_id
-                    ):
-                        return None
-                demand, speed = self._prefetch_factors(source)
-                pf_demand[source.source_id] = demand
-                pf_speed[source.source_id] = speed
-            if cores_changed:
-                smt = self._smt_factors(sources)
-        self.stats.incremental_solves += 1
-        GLOBAL_STATS.incremental_solves += 1
-        self._delta_state = (
-            signature,
-            (dict(pf_demand), dict(pf_speed), llc_hit, smt),
-            source_socket,
-        )
-        return self._solve_core(
-            sources, pf_demand, pf_speed, llc_hit, smt, source_socket
-        )
-
-    def _solve(
-        self, sources: list[TrafficSource], signature: tuple | None = None
-    ) -> SolveResult:
+    def _solve(self, sources: list[TrafficSource]) -> SolveResult:
         """The full fixed-point computation (reference path, cache-free)."""
-        if signature is not None:
-            incremental = self._solve_incremental(sources, signature)
-            if incremental is not None:
-                return incremental
-        pf_demand, pf_speed, llc_hit, smt = self._static_factors(sources)
-        source_socket = {s.source_id: self._socket_of_source(s) for s in sources}
-        if signature is not None:
-            self._delta_state = (
-                signature,
-                (dict(pf_demand), dict(pf_speed), llc_hit, smt),
-                source_socket,
-            )
-        return self._solve_core(
-            sources, pf_demand, pf_speed, llc_hit, smt, source_socket
-        )
-
-    def _solve_core(
-        self,
-        sources: list[TrafficSource],
-        pf_demand: dict[str, float],
-        pf_speed: dict[str, float],
-        llc_hit: dict[str, float],
-        smt: dict[str, float],
-        source_socket: dict[str, int],
-        mba_caps: Mapping[int, float] | None = None,
-        fraction_of: Callable[[TrafficSource], float] | None = None,
-    ) -> SolveResult:
-        """The fixed point given precomputed static factors.
-
-        ``mba_caps`` / ``fraction_of`` override the live knob state for
-        what-if (variant) solves; by default the solver's own state is read.
-        ``pf_demand`` / ``pf_speed`` may be mutated (the QoS-aware-prefetch
-        branch rewrites them), so callers pass throwaway dicts.
-        """
-        caps = self.mba_caps if mba_caps is None else mba_caps
+        # Per-source factors that do not depend on the fixed point.
+        # ``pf_demand``/``pf_speed`` are rewritten by the QoS-aware-prefetch
+        # branch below.
+        pf_demand: dict[str, float] = {}
+        pf_speed: dict[str, float] = {}
+        source_socket: dict[str, int] = {}
+        by_socket: dict[int, list[TrafficSource]] = {}
+        for source in sources:
+            enabled = self.prefetchers.enabled_fraction(source.cores)
+            pf_demand[source.source_id] = source.prefetch.demand_factor(enabled)
+            pf_speed[source.source_id] = source.prefetch.speed_factor(enabled)
+            socket_id = self._socket_of_source(source)
+            source_socket[source.source_id] = socket_id
+            by_socket.setdefault(socket_id, []).append(source)
+        llc_hit = self._llc_hit_fractions(by_socket)
+        smt = self._smt_factors(sources)
+        caps = self._mba_caps
 
         def offered_demand(source: TrafficSource) -> float:
             # Offered demand is the *queue pressure* a source exerts on the
@@ -1080,11 +753,7 @@ class ContentionSolver:
                 if source.priority == Priority.HIGH:
                     continue
                 sat = pressures[source_socket[source.source_id]].saturation
-                enabled = (
-                    fraction_of(source)
-                    if fraction_of is not None
-                    else self.prefetchers.enabled_fraction(source.cores)
-                )
+                enabled = self.prefetchers.enabled_fraction(source.cores)
                 effective = enabled * (1.0 - sat)
                 pf_demand[source.source_id] = source.prefetch.demand_factor(
                     effective
@@ -1168,417 +837,3 @@ class ContentionSolver:
             upi_loads=upi_loads,
             source_rates=source_rates,
         )
-
-    # ------------------------------------------------------- what-if solves
-    def _variant_inputs(
-        self, sources: list[TrafficSource], variant: KnobVariant
-    ) -> tuple[dict[int, float], dict[str, float]]:
-        """Materialize a variant's effective MBA caps and fraction overrides."""
-        caps = dict(self.mba_caps)
-        caps.update(dict(variant.mba_caps))
-        overrides = dict(variant.prefetch_fractions)
-        return caps, overrides
-
-    def solve_variant(
-        self, sources: list[TrafficSource], variant: KnobVariant
-    ) -> SolveResult:
-        """Scalar what-if solve under a knob overlay (the batch reference).
-
-        Runs the exact scalar fixed point with the variant's MBA caps and
-        per-source prefetcher fractions substituted for the live ones; the
-        machine's state is never touched and nothing is cached.
-        """
-        self.stats.solves += 1
-        GLOBAL_STATS.solves += 1
-        if not sources:
-            if self._empty_result is None:
-                self._empty_result = empty_solve_result(self.spec)
-            return self._empty_result
-        caps, overrides = self._variant_inputs(sources, variant)
-
-        def fraction_of(source: TrafficSource) -> float:
-            override = overrides.get(source.source_id)
-            if override is not None:
-                return override
-            return self.prefetchers.enabled_fraction(source.cores)
-
-        pf_demand: dict[str, float] = {}
-        pf_speed: dict[str, float] = {}
-        for source in sources:
-            fraction = fraction_of(source)
-            pf_demand[source.source_id] = source.prefetch.demand_factor(fraction)
-            pf_speed[source.source_id] = source.prefetch.speed_factor(fraction)
-        by_socket: dict[int, list[TrafficSource]] = {}
-        for source in sources:
-            by_socket.setdefault(self._socket_of_source(source), []).append(source)
-        llc_hit = self._llc_hit_fractions(by_socket)
-        smt = self._smt_factors(sources)
-        source_socket = {s.source_id: self._socket_of_source(s) for s in sources}
-        return self._solve_core(
-            sources,
-            pf_demand,
-            pf_speed,
-            llc_hit,
-            smt,
-            source_socket,
-            mba_caps=caps,
-            fraction_of=fraction_of,
-        )
-
-    def solve_batch(
-        self, sources: list[TrafficSource], variants: Sequence[KnobVariant]
-    ) -> list[SolveResult]:
-        """Vectorized what-if solve over many knob variants at once.
-
-        Evaluates the bandwidth-contention fixed point for every variant in
-        one set of numpy array passes — the per-controller latency/grant
-        curves, UPI link state, socket distress pressure, and per-source
-        rate assembly are all batched over the variant axis. The source
-        *structure* (placements, working sets, priorities) is shared; only
-        knobs vary, which is exactly the fig05/fig13/fig16 what-if shape.
-
-        The scalar :meth:`solve_variant` is the semantic reference: results
-        agree to floating-point round-off with identical fixed-point round
-        counts (asserted by the property suite).
-        """
-        variants = list(variants)
-        if not variants:
-            return []
-        self.stats.solves += len(variants)
-        GLOBAL_STATS.solves += len(variants)
-        self.stats.batch_points += len(variants)
-        GLOBAL_STATS.batch_points += len(variants)
-        if not sources:
-            if self._empty_result is None:
-                self._empty_result = empty_solve_result(self.spec)
-            return [self._empty_result] * len(variants)
-
-        topo = self.topology
-        n_var = len(variants)
-        n_src = len(sources)
-        mc_ids = list(self._mc_models)
-        mc_index = {mc_id: j for j, mc_id in enumerate(mc_ids)}
-        n_mc = len(mc_ids)
-
-        # ---------------------------------------------- variant-independent
-        by_socket: dict[int, list[TrafficSource]] = {}
-        for source in sources:
-            by_socket.setdefault(self._socket_of_source(source), []).append(source)
-        llc_hit = self._llc_hit_fractions(by_socket)
-        smt = self._smt_factors(sources)
-        source_socket = {s.source_id: self._socket_of_source(s) for s in sources}
-        source_index = {s.source_id: i for i, s in enumerate(sources)}
-
-        base_demand = np.array([s.demand_gbps for s in sources])
-        miss_inflation = np.array(
-            [
-                1.0 + s.llc_miss_traffic_gain * (1.0 - llc_hit[s.source_id])
-                for s in sources
-            ]
-        )
-        cpu_share = np.array(
-            [min(1.0, len(s.cores) / s.threads) for s in sources]
-        )
-        hi_mask = np.array(
-            [s.priority == Priority.HIGH for s in sources], dtype=float
-        )
-        lo_mask = 1.0 - hi_mask
-        pf_gain = np.array([s.prefetch.traffic_gain for s in sources])
-        pf_off_demand = np.array([s.prefetch.off_demand for s in sources])
-        pf_off_speed = np.array([s.prefetch.off_speed for s in sources])
-
-        # Routing structure: per-source slice weights onto controllers (with
-        # the cross-socket coherence amplification folded in) and onto the
-        # ordered UPI socket pairs.
-        weights = np.zeros((n_src, n_mc))
-        pair_index: dict[tuple[int, int], int] = {}
-        pair_of_slice: dict[tuple[int, int], int] = {}  # (src, mc) -> pair
-        for si, source in enumerate(sources):
-            home = source_socket[source.source_id]
-            for subdomain, weight in source.mem_weights.items():
-                j = mc_index[subdomain]
-                target = topo.socket_of_subdomain(subdomain)
-                slice_weight = weight
-                if target != home:
-                    slice_weight *= 1.0 + self.spec.upi.coherence_overhead
-                    pair = (home, target)
-                    if pair not in pair_index:
-                        pair_index[pair] = len(pair_index)
-                    pair_of_slice[(si, j)] = pair_index[pair]
-                weights[si, j] = slice_weight
-        n_pair = len(pair_index)
-        upi_weights = np.zeros((n_src, n_pair))
-        for (si, j), p in pair_of_slice.items():
-            upi_weights[si, p] += weights[si, j]
-
-        # ------------------------------------------------- variant overlays
-        base_fraction = np.array(
-            [self.prefetchers.enabled_fraction(s.cores) for s in sources]
-        )
-        fraction = np.tile(base_fraction, (n_var, 1))
-        caps_bs = np.ones((n_var, n_src))
-        for b, variant in enumerate(variants):
-            caps, overrides = self._variant_inputs(sources, variant)
-            for source_id, value in overrides.items():
-                si = source_index.get(source_id)
-                if si is not None:
-                    fraction[b, si] = value
-            for si, source in enumerate(sources):
-                caps_bs[b, si] = caps.get(source.clos, 1.0)
-
-        def pf_factors(frac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            f = np.clip(frac, 0.0, 1.0)
-            return (
-                pf_off_demand + f * (pf_gain - pf_off_demand),
-                pf_off_speed + f * (1.0 - pf_off_speed),
-            )
-
-        pf_demand, pf_speed = pf_factors(fraction)
-
-        sockets = range(topo.num_sockets)
-        socket_mc_cols = {
-            sk: [mc_index[m] for m in topo.subdomains_of_socket(sk)]
-            for sk in sockets
-        }
-        strength = np.array(
-            [self.spec.sockets[sk].backpressure_strength for sk in sockets]
-        )
-
-        def resolve_pass(pf_demand: np.ndarray) -> dict[str, np.ndarray]:
-            demand = base_demand * pf_demand * miss_inflation * cpu_share * caps_bs
-            demand_hi = (demand * hi_mask) @ weights
-            demand_lo = (demand * lo_mask) @ weights
-            out = {
-                "demand": demand_hi + demand_lo,
-                "delivered": np.empty((n_var, n_mc)),
-                "grant": np.empty((n_var, n_mc)),
-                "hi_grant": np.empty((n_var, n_mc)),
-                "lo_grant": np.empty((n_var, n_mc)),
-                "util": np.empty((n_var, n_mc)),
-                "lat": np.empty((n_var, n_mc)),
-                "hi_lat": np.empty((n_var, n_mc)),
-                "sat": np.empty((n_var, n_mc)),
-            }
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for j, mc_id in enumerate(mc_ids):
-                    spec = self._mc_models[mc_id].spec
-                    peak = spec.peak_bw_gbps
-
-                    def curve(util: np.ndarray) -> np.ndarray:
-                        u = np.clip(util, 0.0, 0.999)
-                        factor = 1.0 + spec.latency_curve_a * (
-                            u ** spec.latency_curve_b
-                        ) / (1.0 - u)
-                        return np.minimum(factor, spec.latency_factor_cap)
-
-                    def distress(ratio: np.ndarray) -> np.ndarray:
-                        return np.clip(
-                            (ratio - spec.distress_start) / spec.distress_span,
-                            0.0,
-                            1.0,
-                        )
-
-                    hi_d = demand_hi[:, j]
-                    lo_d = demand_lo[:, j]
-                    total = hi_d + lo_d
-                    if self.priority_mode:
-                        hi_del = np.minimum(hi_d, peak)
-                        hi_grant = np.where(
-                            hi_d <= peak, 1.0, peak / np.maximum(hi_d, 1e-300)
-                        )
-                        residual = peak - hi_del
-                        lo_del = np.minimum(lo_d, residual)
-                        lo_grant = np.where(
-                            lo_d <= residual,
-                            1.0,
-                            lo_del / np.maximum(lo_d, 1e-300),
-                        )
-                        delivered = hi_del + lo_del
-                        grant = np.where(
-                            total > 0, delivered / np.maximum(total, 1e-300), 1.0
-                        )
-                        sat = distress(delivered / peak)
-                        hi_eff = np.minimum(
-                            0.999, (hi_del + 0.15 * lo_del) / peak
-                        )
-                        hi_lat = curve(hi_eff)
-                    else:
-                        delivered = np.minimum(total, peak)
-                        grant = np.where(
-                            total <= peak, 1.0, peak / np.maximum(total, 1e-300)
-                        )
-                        hi_grant = lo_grant = grant
-                        sat = distress(total / peak)
-                        hi_lat = None
-                    util = delivered / peak
-                    lat = curve(util)
-                    out["delivered"][:, j] = delivered
-                    out["grant"][:, j] = grant
-                    out["hi_grant"][:, j] = hi_grant
-                    out["lo_grant"][:, j] = lo_grant
-                    out["util"][:, j] = util
-                    out["lat"][:, j] = lat
-                    out["hi_lat"][:, j] = lat if hi_lat is None else hi_lat
-                    out["sat"][:, j] = sat
-
-                demand = base_demand * pf_demand * miss_inflation
-                demand = demand * cpu_share * caps_bs
-                upi_demand = demand @ upi_weights  # [n_var, n_pair]
-                upi_peak = self.spec.upi.peak_bw_gbps
-                upi_delivered = np.minimum(upi_demand, upi_peak)
-                out["upi_demand"] = upi_demand
-                out["upi_util"] = upi_delivered / upi_peak
-                out["upi_grant"] = np.where(
-                    upi_demand <= upi_peak,
-                    1.0,
-                    upi_peak / np.maximum(upi_demand, 1e-300),
-                )
-                u = np.clip(out["upi_util"], 0.0, 0.999)
-                out["upi_rlat"] = np.minimum(
-                    1.25 + 0.6 * (u ** 2) / (1.0 - u), 8.0
-                )
-
-            sat_socket = np.zeros((n_var, topo.num_sockets))
-            for sk in sockets:
-                cols = socket_mc_cols[sk]
-                if cols:
-                    sat_socket[:, sk] = np.clip(
-                        out["sat"][:, cols].max(axis=1), 0.0, 1.0
-                    )
-            out["sat_socket"] = sat_socket
-            out["throttle"] = 1.0 - strength[np.newaxis, :] * sat_socket
-            return out
-
-        state = resolve_pass(pf_demand)
-        rounds = n_var
-        if self.qos_aware_prefetch:
-            triggered = state["sat_socket"].max(axis=1) > 0.0
-            if triggered.any():
-                rounds += int(triggered.sum())
-                home_sat = state["sat_socket"][
-                    :, [source_socket[s.source_id] for s in sources]
-                ]
-                effective = fraction * (1.0 - home_sat)
-                qos_rows = triggered[:, np.newaxis] & (lo_mask > 0)[np.newaxis, :]
-                new_fraction = np.where(qos_rows, effective, fraction)
-                pf_demand, pf_speed = pf_factors(new_fraction)
-                state = resolve_pass(pf_demand)
-        self.stats.fixed_point_rounds += rounds
-        GLOBAL_STATS.fixed_point_rounds += rounds
-
-        # Home-socket latency injection from inbound coherence traffic.
-        injection = np.zeros((n_var, topo.num_sockets))
-        for (_, target), p in pair_index.items():
-            u = np.clip(state["upi_util"][:, p], 0.0, 1.0)
-            injection[:, target] += (
-                self.spec.upi.latency_injection
-                * self.spec.remote_sensitivity
-                * (u ** 1.5)
-            )
-
-        # ------------------------------------------------- rate assembly
-        grant_bs = np.zeros((n_var, n_src))
-        latency_bs = np.zeros((n_var, n_src))
-        for si, source in enumerate(sources):
-            home = source_socket[source.source_id]
-            grants = (
-                state["hi_grant"]
-                if source.priority == Priority.HIGH
-                else state["lo_grant"]
-            )
-            mc_lat = (
-                state["hi_lat"]
-                if source.priority == Priority.HIGH
-                else state["lat"]
-            )
-            for subdomain, weight in source.mem_weights.items():
-                j = mc_index[subdomain]
-                target = topo.socket_of_subdomain(subdomain)
-                slice_grant = grants[:, j].copy()
-                slice_latency = mc_lat[:, j] * self._routing_latency_adjust(
-                    source, subdomain
-                )
-                if self.snc_enabled:
-                    for sibling in topo.sibling_subdomains(subdomain):
-                        slice_latency = slice_latency + (
-                            self.spec.mesh_coupling
-                            * state["util"][:, mc_index[sibling]] ** 3
-                        )
-                slice_latency = slice_latency + injection[:, target]
-                if target != home:
-                    p = pair_of_slice.get((si, j))
-                    if p is not None:
-                        slice_grant *= state["upi_grant"][:, p]
-                        slice_latency = slice_latency * state["upi_rlat"][:, p]
-                grant_bs[:, si] += weight * slice_grant
-                latency_bs[:, si] += weight * slice_latency
-
-        grant_bs = np.clip(grant_bs, 1e-9, 1.0)
-        latency_bs = np.maximum(latency_bs, 0.5)
-        llc_speed = {
-            s.source_id: clamp(
-                1.0
-                - s.llc_speed_sensitivity * (1.0 - llc_hit[s.source_id]),
-                0.05,
-                1.0,
-            )
-            for s in sources
-        }
-
-        # ------------------------------------------- per-variant re-assembly
-        results: list[SolveResult] = []
-        for b in range(n_var):
-            mc_loads = {
-                mc_id: McLoad(
-                    demand_gbps=float(state["demand"][b, j]),
-                    delivered_gbps=float(state["delivered"][b, j]),
-                    grant_ratio=float(state["grant"][b, j]),
-                    utilization=float(state["util"][b, j]),
-                    latency_factor=float(state["lat"][b, j]),
-                    saturation=float(state["sat"][b, j]),
-                    hi_latency_factor=float(state["hi_lat"][b, j]),
-                )
-                for j, mc_id in enumerate(mc_ids)
-            }
-            pressures = {
-                sk: SocketPressure(
-                    saturation=float(state["sat_socket"][b, sk]),
-                    core_throttle=float(state["throttle"][b, sk]),
-                )
-                for sk in sockets
-            }
-            upi_loads = {
-                pair: UpiLoad(
-                    demand_gbps=float(state["upi_demand"][b, p]),
-                    utilization=float(state["upi_util"][b, p]),
-                    grant_ratio=float(state["upi_grant"][b, p]),
-                    remote_latency_factor=float(state["upi_rlat"][b, p]),
-                )
-                for pair, p in pair_index.items()
-            }
-            source_rates = {}
-            for si, source in enumerate(sources):
-                cap = float(caps_bs[b, si])
-                source_rates[source.source_id] = SourceRates(
-                    bw_grant=float(grant_bs[b, si]),
-                    latency_factor=float(latency_bs[b, si]),
-                    core_throttle=float(
-                        state["throttle"][b, source_socket[source.source_id]]
-                    ),
-                    prefetch_speed=float(pf_speed[b, si]),
-                    llc_hit=llc_hit[source.source_id],
-                    llc_speed=llc_speed[source.source_id],
-                    smt_factor=smt[source.source_id],
-                    cpu_share=float(cpu_share[si]),
-                    mba_core_factor=0.45 + 0.55 * cap,
-                    mba_issue=cap,
-                )
-            results.append(
-                SolveResult(
-                    mc_loads=mc_loads,
-                    socket_pressures=pressures,
-                    upi_loads=upi_loads,
-                    source_rates=source_rates,
-                )
-            )
-        return results

@@ -9,12 +9,11 @@ all tasks at the old rates, re-solves contention, and pushes new rates.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, Protocol
 
 from repro.errors import SimulationError, TopologyError
 from repro.hw.contention import (
     ContentionSolver,
-    KnobVariant,
     SolveResult,
     SolverStats,
     TrafficSource,
@@ -168,18 +167,6 @@ class Machine:
         if self._hold == 0 and self._deferred:
             self._deferred = False
             self.notify_change()
-
-    def what_if(self, variants: Sequence[KnobVariant]) -> list[SolveResult]:
-        """Evaluate knob variants against the current source set, batched.
-
-        Runs the solver's vectorized batch fixed point over the live traffic
-        sources without touching machine state — the what-if primitive sweep
-        experiments use to score many candidate knob settings at once.
-        """
-        sources: list[TrafficSource] = []
-        for task in self._tasks.values():
-            sources.extend(task.traffic_sources())
-        return self.solver.solve_batch(sources, variants)
 
     def notify_change(self) -> None:
         """Re-solve contention after any state change.

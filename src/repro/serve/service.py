@@ -40,7 +40,7 @@ if TYPE_CHECKING:
     from repro.traces.schema import Trace
 
 #: Checkpoint container format tag; bump on any incompatible change.
-CHECKPOINT_FORMAT = "repro-serve-checkpoint/v1"
+CHECKPOINT_FORMAT = "repro-serve-checkpoint/v2"
 
 
 class FleetService:

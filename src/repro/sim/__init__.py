@@ -19,7 +19,7 @@ Public surface:
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 from repro.sim.gantt import render_gantt
 from repro.sim.rng import RngStreams
 from repro.sim.tracing import TimelineTracer, TraceInterval
@@ -27,7 +27,6 @@ from repro.sim.work import FluidWork
 
 __all__ = [
     "Event",
-    "EventHandle",
     "FluidWork",
     "RngStreams",
     "Simulator",

@@ -6,7 +6,7 @@ import heapq
 from typing import Callable, Iterable
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 
 #: Event priority for controller/runtime actions (run after phase updates).
 PRIORITY_CONTROL = 10
@@ -129,7 +129,7 @@ class Simulator:
         *,
         label: str = "",
         priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``."""
         if time < self._now:
             raise SimulationError(
@@ -146,7 +146,7 @@ class Simulator:
         *,
         label: str = "",
         priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` after a relative ``delay`` (>= 0).
 
         Inlines :meth:`at` — this is the hottest scheduling entry point

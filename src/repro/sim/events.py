@@ -83,9 +83,3 @@ class Event:
             f"sequence={self.sequence!r}, label={self.label!r}, "
             f"cancelled={self.cancelled!r})"
         )
-
-
-#: Historical name for the cancellable reference :meth:`Simulator.at`
-#: returns. Events now carry their own ``cancel``; the alias keeps type
-#: hints and imports working.
-EventHandle = Event

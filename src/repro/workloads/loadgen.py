@@ -15,7 +15,7 @@ from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.sim import Simulator
-    from repro.sim.events import EventHandle
+    from repro.sim.events import Event
     from repro.workloads.ml.base import InferenceServerTask
 
 
@@ -38,7 +38,7 @@ class OpenLoopGenerator:
         self._rng = rng
         self._deterministic = deterministic
         self._stopped = True
-        self._pending: "EventHandle | None" = None
+        self._pending: "Event | None" = None
         self.generated = 0
 
     def start(self) -> None:
@@ -117,7 +117,7 @@ class TraceReplayGenerator:
             raise ConfigurationError("trace arrivals must be non-decreasing")
         self.submit = submit
         self._stopped = True
-        self._pending: "EventHandle | None" = None
+        self._pending: "Event | None" = None
         self._next = 0
         self.generated = 0
 

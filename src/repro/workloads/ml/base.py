@@ -33,7 +33,7 @@ from repro.hw.machine import Machine
 from repro.hw.placement import Placement
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.throughput import ThroughputMeter
-from repro.sim.events import EventHandle
+from repro.sim.events import Event
 from repro.sim.tracing import TimelineTracer
 from repro.sim.work import FluidWork
 from repro.workloads.base import HostPhaseProfile, Task, phase_speed
@@ -104,7 +104,7 @@ class TrainingTask(Task):
         self._barrier = barrier
         self._host_work: FluidWork | None = None
         self._host_profile: HostPhaseProfile | None = None
-        self._host_handle: EventHandle | None = None
+        self._host_handle: Event | None = None
         self._host_on_complete: Callable[[], None] = _noop
         self._host_speed = 1.0
         self._accel_pending = False
@@ -371,7 +371,7 @@ class _Lane:
     demand: float = 1.0
     iteration: int = 0
     work: FluidWork | None = None
-    handle: EventHandle | None = None
+    handle: Event | None = None
     #: Completion callback, built once per lane so rate-change reschedules
     #: don't allocate a fresh closure each time.
     finisher: Callable[[], None] | None = None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.control.records import ControlTickRecord
 from repro.experiments.fig07_backpressure import format_fig07, run_fig07
 from repro.experiments.fig09_cnn1_stitch import format_fig09, run_fig09
 from repro.experiments.fig10_rnn1_cpuml import format_fig10, run_fig10
@@ -17,7 +18,6 @@ from repro.experiments.fig11_params_cnn1 import (
     format_params,
     run_param_sweep,
 )
-from repro.core.policies.base import ParameterSample
 
 
 class TestFig07Driver:
@@ -56,8 +56,8 @@ class TestFig10Driver:
 class TestParamSweep:
     def test_steady_state_uses_second_half(self) -> None:
         params = [
-            ParameterSample(time=float(i), lo_cores=c, lo_prefetchers=0,
-                            backfill_cores=0)
+            ControlTickRecord(time=float(i), lo_cores=c, lo_prefetchers=0,
+                              backfill_cores=0)
             for i, c in enumerate([10, 9, 8, 4, 4, 4])
         ]
         assert _steady_state(params, "lo_cores") == pytest.approx(4.0)

@@ -156,7 +156,7 @@ class TestPriorityMode:
     def test_mba_cap_reduces_demand(self, solver) -> None:
         src = source(demand=50.0, threads=2)
         baseline = solver.solve([src]).mc_loads[0].demand_gbps
-        solver.mba_caps[0] = 0.5
+        solver.set_mba_cap(0, 0.5)
         capped = solver.solve([src]).mc_loads[0].demand_gbps
         assert capped == pytest.approx(0.5 * baseline)
 

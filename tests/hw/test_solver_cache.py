@@ -9,21 +9,25 @@ and off, across every paper policy).
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.experiments import common as common_mod
 from repro.experiments.common import MixConfig, run_colocation
+from repro.hw import contention
 from repro.hw.contention import (
     ContentionSolver,
     Priority,
     TrafficSource,
     cache_default_enabled,
+    clear_shared_cache,
     set_cache_default,
 )
 from repro.hw.llc import LlcModel
 from repro.hw.machine import Machine
 from repro.hw.prefetcher import PrefetcherBank
-from repro.hw.spec import MachineSpec
+from repro.hw.spec import MachineSpec, cloud_tpu_host_spec
 from repro.hw.topology import Topology
 from repro.reference import REFERENCE_ENV
 from repro.sim import Simulator
@@ -33,13 +37,15 @@ POLICIES = ("BL", "CT", "KP-SD", "KP", "MBA", "HW-QOS")
 
 @pytest.fixture(autouse=True)
 def _restore_cache_default():
-    """Every test leaves the process-wide cache default untouched."""
+    """Every test starts from an empty process-wide solve memo and leaves
+    the process-wide cache default untouched."""
+    clear_shared_cache()
     yield
     set_cache_default(None)
 
 
-def _solver(cache: bool = True) -> ContentionSolver:
-    spec = MachineSpec()
+def _solver(cache: bool = True, spec: MachineSpec | None = None) -> ContentionSolver:
+    spec = MachineSpec() if spec is None else spec
     topo = Topology(spec)
     solver = ContentionSolver(
         spec,
@@ -109,7 +115,7 @@ class TestSolveMemo:
         solver = _solver()
         sources = _sources()
         sig = solver.solve_signature(sources)
-        solver.mba_caps[0] = 0.4
+        solver.set_mba_cap(0, 0.4)
         assert solver.solve_signature(sources) != sig
 
     def test_signature_covers_snc_and_priority_and_qos(self) -> None:
@@ -144,7 +150,7 @@ class TestSolveMemo:
         solver = _solver()
         sources = _sources()
         before = solver.solve(sources)
-        solver.mba_caps[0] = 0.3
+        solver.set_mba_cap(0, 0.3)
         after = solver.solve(sources)
         assert after.source_rates["cpu"] != before.source_rates["cpu"]
 
@@ -155,6 +161,95 @@ class TestSolveMemo:
         sig_rev = solver.solve_signature(list(reversed(sources)))
         # Order-sensitivity guarantees bit-identical float summation on hits.
         assert sig_fwd != sig_rev
+
+
+class TestMbaCapSetter:
+    def test_view_rejects_in_place_mutation(self) -> None:
+        solver = _solver()
+        solver.set_mba_cap(1, 0.5)
+        caps = solver.mba_caps
+        with pytest.raises(TypeError):
+            caps[1] = 0.2
+        with pytest.raises(TypeError):
+            del caps[1]
+        for mutator in ("popitem", "pop", "clear", "update", "setdefault"):
+            assert not hasattr(caps, mutator)
+        with pytest.raises(TypeError):
+            solver.mba_caps |= {2: 0.5}
+        assert dict(solver.mba_caps) == {1: 0.5}
+
+    def test_cached_matches_uncached_after_each_set(self) -> None:
+        cached = _solver(cache=True)
+        uncached = _solver(cache=False)
+        sources = _sources()
+        # Cap, re-cap, repeat a value, uncap (removing a cap must also
+        # invalidate the cached solve), uncap again.
+        writes = [(0, 0.3), (0, 0.6), (1, 0.5), (1, 0.5), (0, None), (0, None)]
+        assert cached.solve(sources) == uncached.solve(sources)
+        for clos, cap in writes:
+            cached.set_mba_cap(clos, cap)
+            uncached.set_mba_cap(clos, cap)
+            assert dict(cached.mba_caps) == dict(uncached.mba_caps)
+            assert cached.solve(sources) == uncached.solve(sources)
+        assert cached.stats.cache_hits > 0
+        rates = cached.solve(sources).source_rates["cpu"]
+        assert rates.mba_issue == 1.0  # CLOS 0 is uncapped again
+
+    def test_knob_version_moves_only_on_change(self) -> None:
+        solver = _solver()
+        version = solver._knob_version
+        solver.set_mba_cap(0, None)  # already uncapped
+        solver.set_mba_cap(2, 0.4)
+        solver.set_mba_cap(2, 0.4)  # same value
+        assert solver._knob_version == version + 1
+
+
+class TestSharedMemo:
+    def test_equal_specs_share_the_memo(self) -> None:
+        first, second = _solver(), _solver()
+        assert first.spec is not second.spec and first.spec == second.spec
+        result = first.solve(_sources())
+        assert second.solve(_sources()) is result
+        assert second.stats.cache_hits == 1
+        assert second.stats.cache_misses == 0
+
+    def test_distinct_specs_do_not_share(self) -> None:
+        first = _solver()
+        other = _solver(spec=cloud_tpu_host_spec())
+        assert other.spec != first.spec
+        result = first.solve(_sources())
+        assert other.solve(_sources()) is not result
+        assert other.stats.cache_hits == 0
+        assert other.stats.cache_misses == 1
+
+    def test_clear_shared_cache_empties_a_live_solver(self) -> None:
+        solver = _solver()
+        sources = _sources()
+        solver.solve(sources)
+        assert len(solver._memo) == 1
+        clear_shared_cache()
+        assert len(solver._memo) == 0
+        solver.solve(sources)
+        assert solver.stats.cache_misses == 2
+        assert solver._memo is contention._SOLVE_MEMO[solver.spec]
+
+    def test_pickled_machine_leaves_the_memo_behind(self) -> None:
+        machine = Machine(MachineSpec(), Simulator())
+        machine.solver.cache_enabled = True
+        machine.attach(_StaticTask())
+        assert machine.solver._memo and machine.solver._sig_memo
+        blob = pickle.dumps(machine)
+        clear_shared_cache()
+        restored = pickle.loads(blob)
+        solver = restored.solver
+        assert solver._sig_memo == {}
+        assert solver._memo is contention._SOLVE_MEMO[solver.spec]
+        assert len(solver._memo) == 0  # nothing rode along in the pickle
+        sources = restored.task("static").traffic_sources()
+        misses = solver.stats.cache_misses
+        result = solver.solve(sources)
+        assert solver.stats.cache_misses == misses + 1  # solved afresh
+        assert result == machine.solver.solve(sources)
 
 
 class _StaticTask:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 
+from repro.control.records import ControlTickRecord
 from repro.core.actions import Action
-from repro.core.kelp import KelpTickRecord
 from repro.core.measurements import KelpMeasurements
 from repro.obs.trace import ChromeTraceBuilder
 from repro.sim.tracing import TimelineTracer
@@ -15,8 +15,8 @@ def make_tick(
     time: float = 1.0,
     action_hi: Action = Action.NOP,
     action_lo: Action = Action.THROTTLE,
-) -> KelpTickRecord:
-    return KelpTickRecord(
+) -> ControlTickRecord:
+    return ControlTickRecord(
         time=time,
         measurements=KelpMeasurements(
             socket_bw=10.0, socket_latency=1.2, saturation=0.05,

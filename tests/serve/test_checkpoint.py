@@ -17,7 +17,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fleet.orchestrator import fleet_config_for_trace
-from repro.serve import AutoscalerConfig, FleetService, checkpoint_meta
+from repro.serve import (
+    CHECKPOINT_FORMAT,
+    AutoscalerConfig,
+    FleetService,
+    checkpoint_meta,
+)
 from repro.traces import TraceGenConfig, generate_trace
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
@@ -170,6 +175,32 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="not a"):
             FleetService.restore(str(path))
         with pytest.raises(ConfigurationError, match="not a"):
+            checkpoint_meta(str(path))
+
+    def test_rejects_v1_checkpoint_before_unpickling(
+        self, config, trace, tmp_path
+    ) -> None:
+        path = tmp_path / "ckpt.bin"
+        service = FleetService(config, trace=trace, epoch_s=1.0)
+        service.start()
+        service.step()
+        service.save(str(path))
+        blob = pickle.loads(path.read_bytes())
+        assert blob["format"] == CHECKPOINT_FORMAT == "repro-serve-checkpoint/v2"
+        blob["format"] = "repro-serve-checkpoint/v1"
+        path.write_bytes(pickle.dumps(blob))
+        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v2"):
+            FleetService.restore(str(path), trace=trace)
+        # A real v1 payload names classes that no longer exist; the format
+        # check must refuse it before ``pickle.loads`` can hit them.
+        stale = b"crepro.hw.contention\n_KnobDict\n."
+        with pytest.raises(AttributeError):
+            pickle.loads(stale)
+        blob["payload"] = stale
+        path.write_bytes(pickle.dumps(blob))
+        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v2"):
+            FleetService.restore(str(path), trace=trace)
+        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v2"):
             checkpoint_meta(str(path))
 
     def test_rejects_missing_or_corrupt_file(self, tmp_path) -> None:

@@ -62,26 +62,6 @@ def test_checker_detects_serve_inversion(checker, tmp_path: Path) -> None:
     ) == 1
 
 
-def test_checker_detects_shim_imports(checker, tmp_path: Path) -> None:
-    # The seed-era cluster/distributed shims are for out-of-tree callers;
-    # the modern stack (serve included) must import the real homes.
-    (tmp_path / "serve").mkdir()
-    (tmp_path / "serve" / "bad.py").write_text(
-        "from repro.cluster.node import Node\n", encoding="utf-8"
-    )
-    (tmp_path / "fleet").mkdir()
-    (tmp_path / "fleet" / "bad.py").write_text(
-        "import repro.distributed.sync\n", encoding="utf-8"
-    )
-    violations = checker.check_layering(tmp_path)
-    assert sum(
-        "'serve' must not import 'repro.cluster'" in v for v in violations
-    ) == 1
-    assert sum(
-        "'fleet' must not import 'repro.distributed'" in v for v in violations
-    ) == 1
-
-
 def test_serve_may_import_its_substrate(checker, tmp_path: Path) -> None:
     # Positive control: serve importing fleet/control/traces/obs is fine.
     (tmp_path / "serve").mkdir()
