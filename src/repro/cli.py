@@ -8,6 +8,12 @@ Usage::
     python -m repro run fig07 --ml cnn1
     python -m repro mix --ml cnn1 --policy KP --cpu stitch --intensity 4
 
+Every subcommand but ``list`` runs inside one frame (:func:`main`): the
+frame builds the run observer, profiles the handler under
+``REPRO_PROFILE=1``, turns a :class:`~repro.errors.ReproError` into a
+one-line ``<name>: <message>`` on stderr with exit status 2, prints the
+lines the handler returns, and writes the observability outputs.
+
 Observability: ``--trace-out DIR`` writes a Perfetto-loadable
 ``trace.json`` plus a run manifest into ``DIR``; ``--metrics-out FILE``
 writes the JSONL metric/record stream. The ``REPRO_TRACE`` environment
@@ -20,10 +26,22 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
+from dataclasses import fields
 
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.common import MixConfig, run_colocation
-from repro.experiments.registry import experiment_ids, run_experiment
+from repro.experiments.registry import accepts, experiment_ids, run_experiment
 from repro.parallel import maybe_profiled
+
+#: JSONL rows buffered per incremental flush. The written file is
+#: byte-identical to an unbuffered write (see ``RunObserver``).
+_METRICS_FLUSH_ROWS = 8192
+
+
+def _intensity(text: str) -> int | str:
+    """Instances or threads as an int; an aggressor level string as-is."""
+    return int(text) if text.isdigit() else text
 
 
 def _add_control_plane_arguments(parser: argparse.ArgumentParser) -> None:
@@ -50,7 +68,7 @@ def _add_control_plane_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _control_plane_configs(args: argparse.Namespace, seed: int):
+def _control_plane_configs(args: argparse.Namespace):
     """Materialize (SensorConfig | None, ActuationFaultConfig | None)."""
     from repro.control import ActuationFaultConfig, SensorConfig
 
@@ -60,12 +78,13 @@ def _control_plane_configs(args: argparse.Namespace, seed: int):
             staleness_period=args.sensor_staleness,
             noise_sigma=args.sensor_noise,
             dropout_prob=args.sensor_dropout,
-            seed=seed,
+            seed=args.seed,
         )
     faults = None
     if args.fault_rate or args.fault_defer:
         faults = ActuationFaultConfig(
-            fail_prob=args.fault_rate, defer_prob=args.fault_defer, seed=seed
+            fail_prob=args.fault_rate, defer_prob=args.fault_defer,
+            seed=args.seed,
         )
     return sensors, faults
 
@@ -78,6 +97,67 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics-out", default=None, metavar="FILE",
         help="write the JSONL metrics/records stream to FILE",
+    )
+
+
+def _add_trace_source_arguments(
+    parser: argparse.ArgumentParser, horizon: float
+) -> None:
+    """Where a replay's trace comes from: a file, or the generator."""
+    parser.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="trace file to replay (.jsonl or .jsonl.gz; see docs/traces.md; "
+             "default: a generated trace)",
+    )
+    parser.add_argument(
+        "--trace-duration", type=float, default=horizon, metavar="SECONDS",
+        help=f"generated trace horizon (default: {horizon:g})",
+    )
+    parser.add_argument(
+        "--trace-rate", type=float, default=40.0, metavar="QPS",
+        help="generated long-run mean arrival rate across tenants",
+    )
+    parser.add_argument(
+        "--trace-seed", type=int, default=None,
+        help="generator seed (default: --seed)",
+    )
+
+
+def _add_fleet_arguments(
+    parser: argparse.ArgumentParser,
+    trials: str,
+    nodes: int = 4,
+    routing: str = "least-loaded",
+) -> None:
+    """Fleet shape, trials and seeding, shared by the fleet commands."""
+    parser.add_argument("--nodes", type=int, default=nodes, help="fleet size")
+    parser.add_argument(
+        "--policy", default="KP", help="per-node policy: BL | CT | KP-SD | KP"
+    )
+    parser.add_argument(
+        "--routing", default=routing,
+        help="random | least-loaded | interference-aware",
+    )
+    parser.add_argument("--ml", default="rnn1", help="served inference workload")
+    parser.add_argument("--trials", type=int, default=1, help=trials)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes for the trial sweep; results are identical "
+             "to a serial run (default REPRO_JOBS or 1)",
+    )
+
+
+def _add_horizon_arguments(parser: argparse.ArgumentParser) -> None:
+    """Replay horizon knobs; unset ones scale with the trace."""
+    parser.add_argument(
+        "--duration", type=float, default=None,
+        help="replay horizon, seconds (default: the trace duration)",
+    )
+    parser.add_argument("--warmup", type=float, default=None)
+    parser.add_argument(
+        "--interval", type=float, default=None,
+        help="fleet control interval (default scales with the horizon)",
     )
 
 
@@ -94,6 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiment ids")
 
     run = sub.add_parser("run", help="run one experiment and print its table")
+    run.set_defaults(handler=_run)
     run.add_argument("experiment", help="experiment id (see 'list')")
     run.add_argument("--ml", help="workload for per-workload experiments")
     run.add_argument(
@@ -102,14 +183,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for experiments with internal sweeps "
-             "(fig02/fig05/fig16); default REPRO_JOBS or 1",
+        help="worker processes for experiments with internal sweeps; "
+             "default REPRO_JOBS or 1",
     )
-    _add_obs_arguments(run)
 
     report = sub.add_parser(
         "report", help="run every experiment and write one report"
     )
+    report.set_defaults(handler=_report)
     report.add_argument(
         "--out", default="report.md", help="output path (markdown)"
     )
@@ -123,21 +204,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for the experiment sweep; results are "
              "identical to a serial run (default REPRO_JOBS or 1)",
     )
-    _add_obs_arguments(report)
 
     fleet = sub.add_parser(
         "fleet-sim",
         help="run the fleet orchestrator (nodes x policy x routing)",
     )
-    fleet.add_argument("--nodes", type=int, default=8, help="fleet size")
-    fleet.add_argument(
-        "--policy", default="KP", help="per-node policy: BL | CT | KP-SD | KP"
+    fleet.set_defaults(handler=_fleet_sim)
+    _add_fleet_arguments(
+        fleet, "independent fleet replications (aggregated)",
+        nodes=8, routing="interference-aware",
     )
-    fleet.add_argument(
-        "--routing", default="interference-aware",
-        help="random | least-loaded | interference-aware",
-    )
-    fleet.add_argument("--ml", default="rnn1", help="served inference workload")
     fleet.add_argument(
         "--load", type=float, default=None,
         help="aggregate per-node offered load fraction (default 0.50)",
@@ -145,36 +221,23 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--duration", type=float, default=8.0)
     fleet.add_argument("--warmup", type=float, default=2.0)
     fleet.add_argument(
-        "--trials", type=int, default=1,
-        help="independent fleet replications (aggregated)",
-    )
-    fleet.add_argument(
         "--batch-jobs", type=int, default=0,
         help="best-effort batch jobs submitted to the cluster queue",
     )
     fleet.add_argument("--batch-workload", default="stream")
-    fleet.add_argument("--batch-intensity", default="8")
+    fleet.add_argument("--batch-intensity", type=_intensity, default="8")
     fleet.add_argument(
         "--no-eviction", action="store_true",
         help="pin batch jobs where first placed (no watermark eviction)",
     )
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the trial sweep; results are identical "
-             "to a serial run (default REPRO_JOBS or 1)",
-    )
     _add_control_plane_arguments(fleet)
-    _add_obs_arguments(fleet)
 
     trace = sub.add_parser(
         "fleet-trace",
         help="replay a workload trace over the fleet (time-of-day curves)",
     )
-    trace.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="trace file to replay (.jsonl or .jsonl.gz; see docs/traces.md)",
-    )
+    trace.set_defaults(handler=_fleet_trace)
+    _add_trace_source_arguments(trace, horizon=86400.0)
     trace.add_argument(
         "--trace-gen", action="store_true",
         help="synthesize the trace instead (the default when --trace is "
@@ -184,18 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--save-trace", default=None, metavar="PATH",
         help="write the replayed trace to PATH (.gz suffix gzips)",
     )
-    trace.add_argument(
-        "--trace-duration", type=float, default=86400.0, metavar="SECONDS",
-        help="generated trace horizon (default: one day)",
-    )
-    trace.add_argument(
-        "--trace-rate", type=float, default=40.0, metavar="QPS",
-        help="generated long-run mean arrival rate across tenants",
-    )
-    trace.add_argument(
-        "--trace-seed", type=int, default=None,
-        help="generator seed (default: --seed)",
-    )
+    # Each shape flag's dest is the TraceGenConfig field it sets.
     trace.add_argument(
         "--diurnal-amplitude", type=float, default=0.4,
         help="peak-to-mean diurnal swing in [0, 1); 0 disables",
@@ -208,95 +260,46 @@ def _build_parser() -> argparse.ArgumentParser:
         "--burst-multiplier", type=float, default=4.0,
         help="rate multiplier while a tenant bursts; 1 disables",
     )
-    trace.add_argument("--burst-on", type=float, default=30.0, metavar="SECONDS")
-    trace.add_argument("--burst-off", type=float, default=570.0, metavar="SECONDS")
+    trace.add_argument("--burst-on", dest="burst_on_s", type=float,
+                       default=30.0, metavar="SECONDS")
+    trace.add_argument("--burst-off", dest="burst_off_s", type=float,
+                       default=570.0, metavar="SECONDS")
     trace.add_argument(
-        "--churn-active", type=float, default=4 * 3600.0, metavar="SECONDS",
+        "--churn-active", dest="churn_active_s", type=float,
+        default=4 * 3600.0, metavar="SECONDS",
         help="mean active period before a tenant departs",
     )
     trace.add_argument(
-        "--churn-idle", type=float, default=0.0, metavar="SECONDS",
+        "--churn-idle", dest="churn_idle_s", type=float, default=0.0,
+        metavar="SECONDS",
         help="mean idle period before a departed tenant returns; 0 disables",
     )
-    trace.add_argument("--nodes", type=int, default=4, help="fleet size")
-    trace.add_argument(
-        "--policy", default="KP", help="per-node policy: BL | CT | KP-SD | KP"
+    _add_fleet_arguments(
+        trace, "independent replays under different orchestrator seeds"
     )
-    trace.add_argument(
-        "--routing", default="least-loaded",
-        help="random | least-loaded | interference-aware",
-    )
-    trace.add_argument("--ml", default="rnn1", help="served inference workload")
-    trace.add_argument(
-        "--duration", type=float, default=None,
-        help="replay horizon, seconds (default: the trace duration)",
-    )
-    trace.add_argument("--warmup", type=float, default=None)
-    trace.add_argument(
-        "--interval", type=float, default=None,
-        help="fleet control interval (default scales with the horizon)",
-    )
+    _add_horizon_arguments(trace)
     trace.add_argument(
         "--window", type=float, default=None, metavar="SECONDS",
         help="accounting window for the time-of-day curves "
              "(default: horizon / 24)",
     )
     trace.add_argument(
-        "--trials", type=int, default=1,
-        help="independent replays under different orchestrator seeds",
-    )
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the trial sweep; results are identical "
-             "to a serial run (default REPRO_JOBS or 1)",
-    )
-    trace.add_argument(
         "--no-telemetry", action="store_true",
         help="skip per-interval telemetry collection (large replays)",
     )
     _add_control_plane_arguments(trace)
-    _add_obs_arguments(trace)
 
     serve = sub.add_parser(
         "fleet-serve",
         help="drive a trace through the epoch-stepped serving control "
              "plane (live commands, autoscaling, checkpoint/restore)",
     )
-    serve.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="trace file to serve (.jsonl or .jsonl.gz; default: generated)",
+    serve.set_defaults(handler=_fleet_serve)
+    _add_trace_source_arguments(serve, horizon=120.0)
+    _add_fleet_arguments(
+        serve, "independent serves under different orchestrator seeds"
     )
-    serve.add_argument(
-        "--trace-duration", type=float, default=120.0, metavar="SECONDS",
-        help="generated trace horizon (default: two minutes)",
-    )
-    serve.add_argument(
-        "--trace-rate", type=float, default=40.0, metavar="QPS",
-        help="generated long-run mean arrival rate across tenants",
-    )
-    serve.add_argument(
-        "--trace-seed", type=int, default=None,
-        help="generator seed (default: --seed)",
-    )
-    serve.add_argument("--nodes", type=int, default=4, help="fleet size")
-    serve.add_argument(
-        "--policy", default="KP", help="per-node policy: BL | CT | KP-SD | KP"
-    )
-    serve.add_argument(
-        "--routing", default="least-loaded",
-        help="random | least-loaded | interference-aware",
-    )
-    serve.add_argument("--ml", default="rnn1", help="served inference workload")
-    serve.add_argument(
-        "--duration", type=float, default=None,
-        help="serving horizon, seconds (default: the trace duration)",
-    )
-    serve.add_argument("--warmup", type=float, default=None)
-    serve.add_argument(
-        "--interval", type=float, default=None,
-        help="fleet control interval (default scales with the horizon)",
-    )
+    _add_horizon_arguments(serve)
     serve.add_argument(
         "--window", type=float, default=None, metavar="SECONDS",
         help="accounting window (default: horizon / 24)",
@@ -343,26 +346,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the per-trial summaries and epoch snapshots as JSON",
     )
     serve.add_argument(
-        "--trials", type=int, default=1,
-        help="independent serves under different orchestrator seeds",
-    )
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the trial sweep; results are identical "
-             "to a serial run (default REPRO_JOBS or 1)",
-    )
-    serve.add_argument(
         "--no-telemetry", action="store_true",
         help="skip per-interval telemetry collection (large serves)",
     )
-    _add_obs_arguments(serve)
 
     incidents = sub.add_parser(
         "fleet-incidents",
         help="inject a fault scenario into a trace replay, detect, "
              "localize, remediate, and score the SLO damage avoided",
     )
+    incidents.set_defaults(handler=_fleet_incidents)
     incidents.add_argument(
         "--scenario", default=None, metavar="PATH",
         help="incident scenario file (JSON; see docs/incidents.md); "
@@ -393,440 +386,263 @@ def _build_parser() -> argparse.ArgumentParser:
         "--drop-fraction", type=float, default=0.5,
         help="fraction of arrivals null-routed during routing-misconfig",
     )
-    incidents.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="trace file to replay (.jsonl or .jsonl.gz)",
+    _add_trace_source_arguments(incidents, horizon=86400.0)
+    _add_fleet_arguments(
+        incidents, "independent scenario replays (three fleet runs each)"
     )
-    incidents.add_argument(
-        "--trace-duration", type=float, default=86400.0, metavar="SECONDS",
-        help="generated trace horizon (default: one day)",
-    )
-    incidents.add_argument(
-        "--trace-rate", type=float, default=40.0, metavar="QPS",
-        help="generated long-run mean arrival rate across tenants",
-    )
-    incidents.add_argument(
-        "--trace-seed", type=int, default=None,
-        help="generator seed (default: --seed)",
-    )
-    incidents.add_argument("--nodes", type=int, default=4, help="fleet size")
-    incidents.add_argument(
-        "--policy", default="KP", help="per-node policy: BL | CT | KP-SD | KP"
-    )
-    incidents.add_argument(
-        "--routing", default="least-loaded",
-        help="random | least-loaded | interference-aware",
-    )
-    incidents.add_argument(
-        "--ml", default="rnn1", help="served inference workload"
-    )
-    incidents.add_argument(
-        "--duration", type=float, default=None,
-        help="replay horizon, seconds (default: the trace duration)",
-    )
-    incidents.add_argument("--warmup", type=float, default=None)
-    incidents.add_argument(
-        "--interval", type=float, default=None,
-        help="fleet control interval (default scales with the horizon)",
-    )
-    incidents.add_argument(
-        "--trials", type=int, default=1,
-        help="independent scenario replays (three fleet runs each)",
-    )
-    incidents.add_argument("--seed", type=int, default=0)
-    incidents.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the run sweep; results are identical "
-             "to a serial run (default REPRO_JOBS or 1)",
-    )
+    _add_horizon_arguments(incidents)
     incidents.add_argument(
         "--telemetry", action="store_true",
         help="also collect per-interval fleet telemetry rows",
     )
-    _add_obs_arguments(incidents)
 
     mix = sub.add_parser("mix", help="run a single colocation mix")
+    mix.set_defaults(handler=_mix)
     mix.add_argument("--ml", required=True, help="rnn1 | cnn1 | cnn2 | cnn3")
     mix.add_argument("--policy", default="BL", help="BL | CT | KP-SD | KP | HW-QOS")
     mix.add_argument("--cpu", default=None, help="stream | stitch | cpuml | ...")
-    mix.add_argument("--intensity", default="1", help="instances/threads/level")
+    mix.add_argument(
+        "--intensity", type=_intensity, default="1",
+        help="instances/threads/level",
+    )
     mix.add_argument("--duration", type=float, default=40.0)
     mix.add_argument("--seed", type=int, default=0)
     _add_control_plane_arguments(mix)
-    _add_obs_arguments(mix)
+
+    for name, command in sub.choices.items():
+        if name != "list":
+            _add_obs_arguments(command)
     return parser
 
 
-#: JSONL rows buffered per incremental flush for streaming commands.
-_METRICS_FLUSH_ROWS = 8192
+def _trace_gen(args: argparse.Namespace):
+    """The ``--trace-*`` generator config; ``None`` when ``--trace`` is set."""
+    from repro.traces import TraceGenConfig
 
-#: Commands whose record volume scales with the trace horizon: stream
-#: their JSONL rows to disk incrementally instead of holding them all.
-_STREAMING_COMMANDS = frozenset(
-    {"fleet-trace", "fleet-serve", "fleet-incidents"}
-)
-
-
-def _make_observer(args: argparse.Namespace, name: str):
-    """Build a RunObserver from the CLI flags (and ``REPRO_TRACE``)."""
-    from repro.obs import ObsConfig, RunObserver
-
-    config = ObsConfig.from_env(
-        trace_out=getattr(args, "trace_out", None),
-        metrics_out=getattr(args, "metrics_out", None),
+    if args.trace is not None:
+        return None
+    # fleet-trace's shape flags store under the TraceGenConfig field they set.
+    shape = {
+        f.name: getattr(args, f.name)
+        for f in fields(TraceGenConfig)
+        if f.name != "seed" and hasattr(args, f.name)
+    }
+    return TraceGenConfig(
+        seed=args.trace_seed if args.trace_seed is not None else args.seed,
+        duration_s=args.trace_duration,
+        rate_qps=args.trace_rate,
+        **shape,
     )
-    flush_every = _METRICS_FLUSH_ROWS if name in _STREAMING_COMMANDS else None
-    return RunObserver(config, name=name, flush_every=flush_every)
 
 
-def _finalize_observer(observer, command: str) -> None:
-    """Write any configured outputs and echo their paths."""
-    for path in observer.finalize(command=command):
-        print(f"wrote {path}")
+def _replay_kwargs(args: argparse.Namespace, observer) -> dict:
+    """The keywords every trace-replay runner takes from the shared flags."""
+    return dict(
+        trace_path=args.trace, gen=_trace_gen(args), nodes=args.nodes,
+        policy=args.policy, routing=args.routing, ml=args.ml,
+        duration=args.duration, warmup=args.warmup, interval=args.interval,
+        trials=args.trials, seed=args.seed, jobs=args.jobs, observer=observer,
+    )
+
+
+def _run(args: argparse.Namespace, observer) -> list[str]:
+    takes = accepts(args.experiment)
+    kwargs: dict = {}
+    if args.ml:
+        kwargs["ml"] = args.ml
+    if args.duration is not None:
+        kwargs["duration"] = args.duration
+    if args.jobs is not None and "jobs" in takes:
+        kwargs["jobs"] = args.jobs
+    if "observer" in takes:
+        kwargs["observer"] = observer
+    _, text = run_experiment(args.experiment, **kwargs)
+    observer.note_config(
+        experiment=args.experiment, ml=args.ml, duration=args.duration
+    )
+    return [text]
+
+
+def _report(args: argparse.Namespace, observer) -> list[str]:
+    from repro.experiments.suite import format_suite, run_suite
+
+    entries = run_suite(
+        experiments=args.only, duration=args.duration, jobs=args.jobs,
+        observer=observer,
+    )
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(format_suite(entries))
+    return [f"wrote {args.out} ({len(entries)} experiments)"]
+
+
+def _fleet_sim(args: argparse.Namespace, observer) -> list[str]:
+    from repro.experiments.fleet_sim import format_fleet_sim, run_fleet_sim
+
+    sensors, faults = _control_plane_configs(args)
+    result = run_fleet_sim(
+        nodes=args.nodes, policy=args.policy, routing=args.routing,
+        ml=args.ml, load=args.load, duration=args.duration,
+        warmup=args.warmup, batch_jobs=args.batch_jobs,
+        batch_workload=args.batch_workload,
+        batch_intensity=args.batch_intensity,
+        batch_eviction=not args.no_eviction, trials=args.trials,
+        seed=args.seed, jobs=args.jobs, observer=observer,
+        sensors=sensors, faults=faults,
+    )
+    observer.note_seed("fleet.seed", args.seed)
+    return [format_fleet_sim(result)]
+
+
+def _fleet_trace(args: argparse.Namespace, observer) -> list[str]:
+    from repro.experiments.fleet_trace import format_fleet_trace, run_fleet_trace
+    from repro.traces import save_trace
+
+    if args.trace is not None and args.trace_gen:
+        raise ConfigurationError("pass either --trace or --trace-gen, not both")
+    sensors, faults = _control_plane_configs(args)
+    result = run_fleet_trace(
+        **_replay_kwargs(args, observer), window_s=args.window,
+        sensors=sensors, faults=faults,
+        collect_telemetry=not args.no_telemetry,
+    )
+    lines = [format_fleet_trace(result)]
+    if args.save_trace:
+        save_trace(result.trace, args.save_trace)
+        lines.append(f"wrote {args.save_trace}")
+    observer.note_seed("fleet.seed", args.seed)
+    return lines
+
+
+def _fleet_serve(args: argparse.Namespace, observer) -> list[str]:
+    import json
+
+    from repro.experiments.fleet_serve import format_fleet_serve, run_fleet_serve
+    from repro.serve import AutoscalerConfig
+
+    autoscaler = (
+        AutoscalerConfig(min_nodes=args.min_nodes, max_nodes=args.max_nodes)
+        if args.autoscale else None
+    )
+    result = run_fleet_serve(
+        **_replay_kwargs(args, observer), window_s=args.window,
+        epoch_s=args.epoch, commands=args.serve_commands,
+        autoscaler=autoscaler, save_path=args.save,
+        save_at_epoch=args.save_at, restore_path=args.restore,
+        collect_telemetry=not args.no_telemetry,
+    )
+    lines = [format_fleet_serve(result)]
+    if args.save:
+        lines.append(f"wrote {args.save}")
+    if args.summary_json:
+        payload = {
+            "summaries": list(result.summaries),
+            "snapshots": list(result.snapshots),
+            "commands": [list(row) for row in result.commands],
+            "epochs": result.epochs,
+            "epoch_s": result.epoch_s,
+        }
+        with open(args.summary_json, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        lines.append(f"wrote {args.summary_json}")
+    observer.note_seed("fleet.seed", args.seed)
+    return lines
+
+
+def _fleet_incidents(args: argparse.Namespace, observer) -> list[str]:
+    from repro.experiments.fleet_incidents import (
+        format_fleet_incidents,
+        run_fleet_incidents,
+    )
+    from repro.incidents.faults import INCIDENT_KINDS, save_scenario
+
+    if args.scenario is not None and (
+        args.classes is not None or args.incident_seed is not None
+    ):
+        raise ConfigurationError(
+            "--scenario replays a saved schedule; it cannot be combined "
+            "with --classes or --incident-seed"
+        )
+    classes = INCIDENT_KINDS
+    if args.classes is not None:
+        classes = tuple(k.strip() for k in args.classes.split(",") if k.strip())
+    result = run_fleet_incidents(
+        **_replay_kwargs(args, observer), scenario_path=args.scenario,
+        classes=classes, incident_seed=args.incident_seed,
+        intruder_rate_qps=args.intruder_rate,
+        intruder_demand=args.intruder_demand,
+        drop_fraction=args.drop_fraction, collect_telemetry=args.telemetry,
+    )
+    lines = [format_fleet_incidents(result)]
+    if args.save_scenario:
+        save_scenario(result.schedule, args.save_scenario)
+        lines.append(f"wrote {args.save_scenario}")
+    observer.note_seed("fleet.seed", args.seed)
+    return lines
+
+
+def _mix(args: argparse.Namespace, observer) -> list[str]:
+    from repro.sim.tracing import TimelineTracer
+
+    sensors, faults = _control_plane_configs(args)
+    result = run_colocation(
+        MixConfig(
+            ml=args.ml, policy=args.policy, cpu=args.cpu,
+            intensity=args.intensity, duration=args.duration,
+            seed=args.seed, sensors=sensors, faults=faults,
+        ),
+        tracer=TimelineTracer() if observer.enabled else None,
+        observer=observer,
+        label=f"mix:{args.ml}+{args.cpu or 'none'}:{args.policy}",
+    )
+    lines = [f"ml_perf_norm     {result.ml_perf_norm:.3f}"]
+    if result.ml_tail_norm is not None:
+        lines.append(f"ml_tail_norm     {result.ml_tail_norm:.3f}")
+    lines.append(f"cpu_throughput   {result.cpu_throughput:.3f}")
+    if result.params:
+        last = result.params[-1]
+        lines.append(
+            f"controller       lo_cores={last.lo_cores} "
+            f"lo_prefetchers={last.lo_prefetchers} "
+            f"backfill_cores={last.backfill_cores}"
+        )
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
+    from repro.obs import ObsConfig, RunObserver
+
     args = _build_parser().parse_args(argv)
-
     if args.command == "list":
-        for exp_id in experiment_ids():
-            print(exp_id)
+        print("\n".join(experiment_ids()))
         return 0
 
-    if args.command == "run":
-        from repro.experiments.registry import JOBS_AWARE, OBS_AWARE
-
-        observer = _make_observer(args, args.experiment)
-        kwargs = {}
-        if args.ml:
-            kwargs["ml"] = args.ml
-        if args.duration is not None:
-            kwargs["duration"] = args.duration
-        if args.jobs is not None and args.experiment in JOBS_AWARE:
-            kwargs["jobs"] = args.jobs
-        if observer.enabled and args.experiment in OBS_AWARE:
-            kwargs["observer"] = observer
-        started = time.perf_counter()
-        # REPRO_PROFILE=1 dumps <experiment>.prof (and run_points forces
-        # itself serial so the profile sees the work in-process).
-        with maybe_profiled(args.experiment):
-            _, text = run_experiment(args.experiment, **kwargs)
-        print(text)
-        if observer.enabled:
-            wall = time.perf_counter() - started
-            observer.add_span(
-                "cli", "experiments", args.experiment, 0.0, wall,
-            )
-            observer.note_config(
-                experiment=args.experiment, ml=args.ml, duration=args.duration,
-            )
-            _finalize_observer(observer, f"repro run {args.experiment}")
-        return 0
-
-    if args.command == "report":
-        from repro.experiments.suite import format_suite, run_suite
-
-        observer = _make_observer(args, "report")
-        entries = run_suite(
-            experiments=args.only, duration=args.duration, jobs=args.jobs,
-            observer=observer if observer.enabled else None,
-        )
-        text = format_suite(entries)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.out} ({len(entries)} experiments)")
-        if observer.enabled:
-            _finalize_observer(observer, "repro report")
-        return 0
-
-    if args.command == "fleet-sim":
-        from repro.experiments.fleet_sim import format_fleet_sim, run_fleet_sim
-
-        observer = _make_observer(args, "fleet-sim")
-        intensity: int | str = args.batch_intensity
-        if isinstance(intensity, str) and intensity.isdigit():
-            intensity = int(intensity)
-        sensors, faults = _control_plane_configs(args, args.seed)
-        started = time.perf_counter()
-        result = run_fleet_sim(
-            nodes=args.nodes,
-            policy=args.policy,
-            routing=args.routing,
-            ml=args.ml,
-            load=args.load,
-            duration=args.duration,
-            warmup=args.warmup,
-            batch_jobs=args.batch_jobs,
-            batch_workload=args.batch_workload,
-            batch_intensity=intensity,
-            batch_eviction=not args.no_eviction,
-            trials=args.trials,
-            seed=args.seed,
-            jobs=args.jobs,
-            observer=observer if observer.enabled else None,
-            sensors=sensors,
-            faults=faults,
-        )
-        print(format_fleet_sim(result))
-        if observer.enabled:
-            wall = time.perf_counter() - started
-            observer.add_span("cli", "experiments", "fleet-sim", 0.0, wall)
-            observer.note_seed("fleet.seed", args.seed)
-            _finalize_observer(observer, "repro fleet-sim")
-        return 0
-
-    if args.command == "fleet-trace":
-        from repro.errors import ReproError
-        from repro.experiments.fleet_trace import (
-            format_fleet_trace,
-            run_fleet_trace,
-        )
-        from repro.traces import TraceGenConfig, save_trace
-
-        observer = _make_observer(args, "fleet-trace")
-        if args.trace is not None and args.trace_gen:
-            print("pass either --trace or --trace-gen, not both", file=sys.stderr)
-            return 2
-        gen = None
-        if args.trace is None:
-            gen = TraceGenConfig(
-                seed=args.trace_seed if args.trace_seed is not None else args.seed,
-                duration_s=args.trace_duration,
-                rate_qps=args.trace_rate,
-                diurnal_amplitude=args.diurnal_amplitude,
-                diurnal_peak_hour=args.diurnal_peak_hour,
-                burst_multiplier=args.burst_multiplier,
-                burst_on_s=args.burst_on,
-                burst_off_s=args.burst_off,
-                churn_active_s=args.churn_active,
-                churn_idle_s=args.churn_idle,
-            )
-        sensors, faults = _control_plane_configs(args, args.seed)
-        started = time.perf_counter()
-        try:
-            # REPRO_PROFILE=1 dumps fleet-trace.prof (and forces trials
-            # serial so the profile sees the replay itself).
-            with maybe_profiled("fleet-trace"):
-                result = run_fleet_trace(
-                    trace_path=args.trace,
-                    gen=gen,
-                    nodes=args.nodes,
-                    policy=args.policy,
-                    routing=args.routing,
-                    ml=args.ml,
-                    duration=args.duration,
-                    warmup=args.warmup,
-                    interval=args.interval,
-                    window_s=args.window,
-                    trials=args.trials,
-                    seed=args.seed,
-                    jobs=args.jobs,
-                    observer=observer if observer.enabled else None,
-                    sensors=sensors,
-                    faults=faults,
-                    collect_telemetry=not args.no_telemetry,
-                )
-        except ReproError as exc:
-            print(f"fleet-trace: {exc}", file=sys.stderr)
-            return 2
-        print(format_fleet_trace(result))
-        if args.save_trace:
-            save_trace(result.trace, args.save_trace)
-            print(f"wrote {args.save_trace}")
-        if observer.enabled:
-            wall = time.perf_counter() - started
-            observer.add_span("cli", "experiments", "fleet-trace", 0.0, wall)
-            observer.note_seed("fleet.seed", args.seed)
-            _finalize_observer(observer, "repro fleet-trace")
-        return 0
-
-    if args.command == "fleet-serve":
-        import json
-
-        from repro.errors import ReproError
-        from repro.experiments.fleet_serve import (
-            format_fleet_serve,
-            run_fleet_serve,
-        )
-        from repro.serve import AutoscalerConfig
-        from repro.traces import TraceGenConfig
-
-        observer = _make_observer(args, "fleet-serve")
-        gen = None
-        if args.trace is None:
-            gen = TraceGenConfig(
-                seed=args.trace_seed if args.trace_seed is not None else args.seed,
-                duration_s=args.trace_duration,
-                rate_qps=args.trace_rate,
-            )
-        autoscaler = None
-        if args.autoscale:
-            autoscaler = AutoscalerConfig(
-                min_nodes=args.min_nodes, max_nodes=args.max_nodes
-            )
-        started = time.perf_counter()
-        try:
-            with maybe_profiled("fleet-serve"):
-                result = run_fleet_serve(
-                    trace_path=args.trace,
-                    gen=gen,
-                    nodes=args.nodes,
-                    policy=args.policy,
-                    routing=args.routing,
-                    ml=args.ml,
-                    duration=args.duration,
-                    warmup=args.warmup,
-                    interval=args.interval,
-                    window_s=args.window,
-                    epoch_s=args.epoch,
-                    commands=args.serve_commands,
-                    autoscaler=autoscaler,
-                    save_path=args.save,
-                    save_at_epoch=args.save_at,
-                    restore_path=args.restore,
-                    trials=args.trials,
-                    seed=args.seed,
-                    jobs=args.jobs,
-                    observer=observer if observer.enabled else None,
-                    collect_telemetry=not args.no_telemetry,
-                )
-        except ReproError as exc:
-            print(f"fleet-serve: {exc}", file=sys.stderr)
-            return 2
-        print(format_fleet_serve(result))
-        if args.save:
-            print(f"wrote {args.save}")
-        if args.summary_json:
-            payload = {
-                "summaries": list(result.summaries),
-                "snapshots": list(result.snapshots),
-                "commands": [list(row) for row in result.commands],
-                "epochs": result.epochs,
-                "epoch_s": result.epoch_s,
-            }
-            with open(args.summary_json, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {args.summary_json}")
-        if observer.enabled:
-            wall = time.perf_counter() - started
-            observer.add_span("cli", "experiments", "fleet-serve", 0.0, wall)
-            observer.note_seed("fleet.seed", args.seed)
-            _finalize_observer(observer, "repro fleet-serve")
-        return 0
-
-    if args.command == "fleet-incidents":
-        from repro.errors import ReproError
-        from repro.experiments.fleet_incidents import (
-            format_fleet_incidents,
-            run_fleet_incidents,
-        )
-        from repro.incidents.faults import INCIDENT_KINDS, save_scenario
-        from repro.traces import TraceGenConfig
-
-        if args.scenario is not None and (
-            args.classes is not None or args.incident_seed is not None
-        ):
-            print(
-                "fleet-incidents: --scenario replays a saved schedule; "
-                "it cannot be combined with --classes or --incident-seed",
-                file=sys.stderr,
-            )
-            return 2
-        observer = _make_observer(args, "fleet-incidents")
-        gen = None
-        if args.trace is None:
-            gen = TraceGenConfig(
-                seed=args.trace_seed if args.trace_seed is not None else args.seed,
-                duration_s=args.trace_duration,
-                rate_qps=args.trace_rate,
-            )
-        classes = INCIDENT_KINDS
-        if args.classes is not None:
-            classes = tuple(
-                k.strip() for k in args.classes.split(",") if k.strip()
-            )
-        started = time.perf_counter()
-        try:
-            result = run_fleet_incidents(
-                trace_path=args.trace,
-                gen=gen,
-                scenario_path=args.scenario,
-                classes=classes,
-                incident_seed=args.incident_seed,
-                intruder_rate_qps=args.intruder_rate,
-                intruder_demand=args.intruder_demand,
-                drop_fraction=args.drop_fraction,
-                nodes=args.nodes,
-                policy=args.policy,
-                routing=args.routing,
-                ml=args.ml,
-                duration=args.duration,
-                warmup=args.warmup,
-                interval=args.interval,
-                trials=args.trials,
-                seed=args.seed,
-                jobs=args.jobs,
-                observer=observer if observer.enabled else None,
-                collect_telemetry=args.telemetry,
-            )
-        except ReproError as exc:
-            print(f"fleet-incidents: {exc}", file=sys.stderr)
-            return 2
-        print(format_fleet_incidents(result))
-        if args.save_scenario:
-            save_scenario(result.schedule, args.save_scenario)
-            print(f"wrote {args.save_scenario}")
-        if observer.enabled:
-            wall = time.perf_counter() - started
-            observer.add_span(
-                "cli", "experiments", "fleet-incidents", 0.0, wall
-            )
-            observer.note_seed("fleet.seed", args.seed)
-            _finalize_observer(observer, "repro fleet-incidents")
-        return 0
-
-    if args.command == "mix":
-        from repro.sim.tracing import TimelineTracer
-
-        observer = _make_observer(args, "mix")
-        tracer = TimelineTracer() if observer.enabled else None
-        intensity: int | str = args.intensity
-        if isinstance(intensity, str) and intensity.isdigit():
-            intensity = int(intensity)
-        sensors, faults = _control_plane_configs(args, args.seed)
-        result = run_colocation(
-            MixConfig(
-                ml=args.ml,
-                policy=args.policy,
-                cpu=args.cpu,
-                intensity=intensity,
-                duration=args.duration,
-                seed=args.seed,
-                sensors=sensors,
-                faults=faults,
-            ),
-            tracer=tracer,
-            observer=observer if observer.enabled else None,
-            label=f"mix:{args.ml}+{args.cpu or 'none'}:{args.policy}",
-        )
-        print(f"ml_perf_norm     {result.ml_perf_norm:.3f}")
-        if result.ml_tail_norm is not None:
-            print(f"ml_tail_norm     {result.ml_tail_norm:.3f}")
-        print(f"cpu_throughput   {result.cpu_throughput:.3f}")
-        if result.params:
-            last = result.params[-1]
-            print(
-                f"controller       lo_cores={last.lo_cores} "
-                f"lo_prefetchers={last.lo_prefetchers} "
-                f"backfill_cores={last.backfill_cores}"
-            )
-        if observer.enabled:
-            _finalize_observer(observer, "repro mix")
-        return 0
-
-    return 1
+    running = args.command == "run"
+    name = args.experiment if running else args.command
+    observer = RunObserver(
+        ObsConfig.from_env(trace_out=args.trace_out, metrics_out=args.metrics_out),
+        name=name,
+        flush_every=_METRICS_FLUSH_ROWS,
+    )
+    # REPRO_PROFILE=1 dumps <name>.prof; the report suite dumps one per entry.
+    profiled = nullcontext() if args.command == "report" else maybe_profiled(name)
+    started = time.perf_counter()
+    try:
+        with profiled:
+            lines = args.handler(args, observer)
+    except ReproError as exc:
+        print(f"{name}: {exc}", file=sys.stderr)
+        return 2
+    for line in lines:
+        print(line)
+    observer.add_span(
+        "cli", "experiments", name, 0.0, time.perf_counter() - started
+    )
+    command = f"repro run {name}" if running else f"repro {name}"
+    for path in observer.finalize(command=command):
+        print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

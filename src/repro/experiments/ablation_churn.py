@@ -52,38 +52,40 @@ class ChurnResult:
 
 
 def run_ablation_churn(
-    policy_name: str = "KP",
+    policy: str = "KP",
     ml: str = "cnn1",
     quiet: float = 20.0,
     burst: float = 25.0,
     recovery: float = 25.0,
     warmup: float = 5.0,
 ) -> ChurnResult:
-    """Run the quiet -> burst -> recovered timeline under ``policy_name``."""
+    """Run the quiet -> burst -> recovered timeline under ``policy``."""
     factory = ml_workload(ml)
     sim = Simulator()
     node = Node.create(factory.host_spec(), sim)
-    policy: IsolationPolicy = make_policy(
-        policy_name, node, ml_cores=factory.default_cores()
+    isolation: IsolationPolicy = make_policy(
+        policy, node, ml_cores=factory.default_cores()
     )
-    policy.prepare()
-    instance = factory.build(node.machine, policy.ml_placement(), warmup_until=warmup)
+    isolation.prepare()
+    instance = factory.build(
+        node.machine, isolation.ml_placement(), warmup_until=warmup
+    )
     instance.start()
-    if policy.has_control_loop:
-        sim.every(policy.interval, policy.tick, label="policy:tick",
+    if isolation.has_control_loop:
+        sim.every(isolation.interval, isolation.tick, label="policy:tick",
                   priority=PRIORITY_CONTROL)
 
     burst_tasks: list[BatchTask] = []
 
     def start_burst() -> None:
         roles: dict[str, list[BatchTask]] = {ROLE_LO: [], ROLE_BACKFILL: []}
-        for plan in policy.plan_cpu(cpu_workload("stitch", 5)):
+        for plan in isolation.plan_cpu(cpu_workload("stitch", 5)):
             task = BatchTask(
                 plan.task_id, node.machine, plan.placement, plan.profile
             )
             burst_tasks.append(task)
             roles.setdefault(plan.role, []).append(task)
-        policy.register(roles)
+        isolation.register(roles)
         for task in burst_tasks:
             task.start()
 
@@ -123,7 +125,7 @@ def run_ablation_churn(
                 lo_prefetchers_at_end=prefetchers,
             )
         )
-    return ChurnResult(policy=policy_name, phases=phases)
+    return ChurnResult(policy=policy, phases=phases)
 
 
 def _progress(instance) -> float:

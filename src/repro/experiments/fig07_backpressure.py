@@ -101,7 +101,7 @@ def _run_point(
 
 
 def run_fig07(
-    ml: str, duration: float = 40.0, warmup: float = 6.0,
+    ml: str = "cnn1", duration: float = 40.0, warmup: float = 6.0,
     fractions: tuple[float, ...] = DISABLED_FRACTIONS,
 ) -> Fig07Result:
     """Sweep prefetchers-disabled fraction x aggressor level for ``ml``."""

@@ -48,7 +48,7 @@ def _fig16_point(point: tuple[str, float | None, float | None, float]) -> float:
 
 
 def run_fig16(
-    ml: str,
+    ml: str = "cnn1",
     duration: float = 40.0,
     data_fractions: tuple[float, ...] = DATA_FRACTIONS,
     thread_fractions: tuple[float, ...] = THREAD_FRACTIONS,

@@ -20,9 +20,13 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.errors import ExperimentError
-from repro.experiments.fleet_trace import _format_hours, _resolve_trace
+from repro.experiments.fleet_trace import (
+    _format_hours,
+    _resolve_trace,
+    _trace_fleet_config,
+)
 from repro.fleet.config import FleetConfig
-from repro.fleet.orchestrator import fleet_config_for_trace, run_fleet
+from repro.fleet.orchestrator import run_fleet
 from repro.incidents.detect import DetectorConfig
 from repro.incidents.engine import IncidentEngine
 from repro.incidents.faults import (
@@ -211,21 +215,11 @@ def run_fleet_incidents(
     resolved_trace, source = _resolve_trace(
         trace, trace_path, gen, duration, seed
     )
-    overrides: dict = {
-        "nodes": nodes,
-        "policy": policy,
-        "routing": routing,
-        "ml": ml,
-    }
-    if duration is not None:
-        overrides["duration"] = min(duration, resolved_trace.duration_s)
-    if warmup is not None:
-        overrides["warmup"] = warmup
-    if interval is not None:
-        overrides["interval"] = interval
-    if window_s is not None:
-        overrides["window_s"] = window_s
-    base = fleet_config_for_trace(resolved_trace, seed=seed, **overrides)
+    base = _trace_fleet_config(
+        resolved_trace, nodes=nodes, policy=policy, routing=routing, ml=ml,
+        duration=duration, warmup=warmup, interval=interval,
+        window_s=window_s, seed=seed,
+    )
     resolved_schedule, scenario_source = _resolve_schedule(
         schedule,
         scenario_path,

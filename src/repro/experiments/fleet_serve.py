@@ -23,10 +23,15 @@ from typing import TYPE_CHECKING, Sequence
 from repro.control.actuators import ActuationFaultConfig
 from repro.control.sensors import SensorConfig
 from repro.errors import ExperimentError
-from repro.experiments.fleet_sim import TenantSummary, _aggregate_tenants
-from repro.experiments.fleet_trace import _resolve_trace
+from repro.experiments.fleet_sim import (
+    TenantSummary,
+    _aggregate_tenants,
+    _record_tenants,
+    _tenant_table,
+)
+from repro.experiments.fleet_trace import _resolve_trace, _trace_fleet_config
 from repro.fleet.config import FleetConfig
-from repro.fleet.orchestrator import FleetResult, fleet_config_for_trace
+from repro.fleet.orchestrator import FleetResult
 from repro.parallel import point_seed, run_points, sweep_context
 from repro.serve import AutoscalerConfig, FleetService
 from repro.traces import Trace, TraceGenConfig
@@ -227,23 +232,11 @@ def run_fleet_serve(
     schedule = parse_schedule(commands)
 
     resolved, source = _resolve_trace(trace, trace_path, gen, duration, seed)
-    overrides: dict = {
-        "nodes": nodes,
-        "policy": policy,
-        "routing": routing,
-        "ml": ml,
-    }
-    if duration is not None:
-        overrides["duration"] = min(duration, resolved.duration_s)
-    if warmup is not None:
-        overrides["warmup"] = warmup
-    if interval is not None:
-        overrides["interval"] = interval
-    if window_s is not None:
-        overrides["window_s"] = window_s
-    base = fleet_config_for_trace(resolved, seed=seed, **overrides)
-    if sensors is not None or faults is not None:
-        base = replace(base, sensors=sensors, faults=faults)
+    base = _trace_fleet_config(
+        resolved, nodes=nodes, policy=policy, routing=routing, ml=ml,
+        duration=duration, warmup=warmup, interval=interval,
+        window_s=window_s, seed=seed, sensors=sensors, faults=faults,
+    )
 
     if restore_path is not None:
         service = FleetService.restore(restore_path, trace=resolved)
@@ -343,16 +336,7 @@ def _observe(
             "windows", "window_fleet",
         )}
         observer.record("serve_run", trial=trial, **row)
-    for row in result.tenant_rows:
-        observer.record(
-            "serve_tenant",
-            tenant=row.name,
-            slo_p99_ms=row.slo_p99_ms,
-            attainment=row.attainment,
-            goodput_qps=row.goodput_qps,
-            p99_ms=row.p99_ms,
-            slo_met_all_trials=row.slo_met_all_trials,
-        )
+    _record_tenants(observer, "serve_tenant", result.tenant_rows)
     for row in result.snapshots[:_MAX_SNAPSHOT_ROWS]:
         observer.record("serve_epoch", trial=0, **row)
     for epoch, command in result.commands:
@@ -378,16 +362,8 @@ def format_fleet_serve(result: FleetServeResult) -> str:
             f" | trace source: {result.source}"
         ),
         "",
-        f"{'tenant':<10} {'slo_p99':>8} {'p99':>9} {'attain':>7} "
-        f"{'goodput':>9}  slo_met",
+        *_tenant_table(result.tenant_rows),
     ]
-    for row in result.tenant_rows:
-        p99 = f"{row.p99_ms:.1f}ms" if row.p99_ms is not None else "-"
-        lines.append(
-            f"{row.name:<10} {row.slo_p99_ms:>6.1f}ms {p99:>9} "
-            f"{row.attainment:>6.1%} {row.goodput_qps:>6.1f}qps  "
-            f"{'yes' if row.slo_met_all_trials else 'NO'}"
-        )
     if result.commands:
         lines += ["", "commands applied (trial 0):"]
         for epoch, command in result.commands:

@@ -194,16 +194,7 @@ def _observe(result: FleetSimResult, observer: "RunObserver | None") -> None:
     for trial, summary in enumerate(result.summaries):
         observer.note_seed(f"fleet.trial{trial}.seed", int(summary["seed"]))
         observer.record("fleet_run", trial=trial, **summary)
-    for row in result.tenant_rows:
-        observer.record(
-            "fleet_tenant",
-            tenant=row.name,
-            slo_p99_ms=row.slo_p99_ms,
-            attainment=row.attainment,
-            goodput_qps=row.goodput_qps,
-            p99_ms=row.p99_ms,
-            slo_met_all_trials=row.slo_met_all_trials,
-        )
+    _record_tenants(observer, "fleet_tenant", result.tenant_rows)
     for sample in result.results[0].telemetry[:_MAX_TELEMETRY_ROWS]:
         observer.record("fleet_telemetry", trial=0, **sample)
     for row in result.results[0].controller[:_MAX_CONTROLLER_ROWS]:
@@ -224,6 +215,38 @@ def _observe(result: FleetSimResult, observer: "RunObserver | None") -> None:
         ).observe(row.attainment)
 
 
+def _record_tenants(
+    observer: "RunObserver", kind: str, rows: tuple[TenantSummary, ...]
+) -> None:
+    """Export one ``kind`` record per aggregated tenant row."""
+    for row in rows:
+        observer.record(
+            kind,
+            tenant=row.name,
+            slo_p99_ms=row.slo_p99_ms,
+            attainment=row.attainment,
+            goodput_qps=row.goodput_qps,
+            p99_ms=row.p99_ms,
+            slo_met_all_trials=row.slo_met_all_trials,
+        )
+
+
+def _tenant_table(rows: tuple[TenantSummary, ...]) -> list[str]:
+    """The per-tenant SLO table of the fleet families' reports."""
+    lines = [
+        f"{'tenant':<10} {'slo_p99':>8} {'p99':>9} {'attain':>7} "
+        f"{'goodput':>9}  slo_met",
+    ]
+    for row in rows:
+        p99 = f"{row.p99_ms:.1f}ms" if row.p99_ms is not None else "-"
+        lines.append(
+            f"{row.name:<10} {row.slo_p99_ms:>6.1f}ms {p99:>9} "
+            f"{row.attainment:>6.1%} {row.goodput_qps:>6.1f}qps  "
+            f"{'yes' if row.slo_met_all_trials else 'NO'}"
+        )
+    return lines
+
+
 def format_fleet_sim(result: FleetSimResult) -> str:
     """Render the fleet-sim outcome as the CLI table."""
     lines = [
@@ -233,17 +256,7 @@ def format_fleet_sim(result: FleetSimResult) -> str:
             f"trials={result.trials}"
         ),
         "",
-        f"{'tenant':<10} {'slo_p99':>8} {'p99':>9} {'attain':>7} "
-        f"{'goodput':>9}  slo_met",
-    ]
-    for row in result.tenant_rows:
-        p99 = f"{row.p99_ms:.1f}ms" if row.p99_ms is not None else "-"
-        lines.append(
-            f"{row.name:<10} {row.slo_p99_ms:>6.1f}ms {p99:>9} "
-            f"{row.attainment:>6.1%} {row.goodput_qps:>6.1f}qps  "
-            f"{'yes' if row.slo_met_all_trials else 'NO'}"
-        )
-    lines += [
+        *_tenant_table(result.tenant_rows),
         "",
         f"fraction saturated   {result.fraction_saturated:.1%}",
         f"serving yield        {result.serving_yield:.1%}",

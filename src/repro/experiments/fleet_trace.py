@@ -24,7 +24,12 @@ from typing import TYPE_CHECKING
 from repro.control.actuators import ActuationFaultConfig
 from repro.control.sensors import SensorConfig
 from repro.errors import ExperimentError
-from repro.experiments.fleet_sim import TenantSummary, _aggregate_tenants
+from repro.experiments.fleet_sim import (
+    TenantSummary,
+    _aggregate_tenants,
+    _record_tenants,
+    _tenant_table,
+)
 from repro.fleet.config import FleetConfig
 from repro.fleet.orchestrator import (
     FleetResult,
@@ -106,6 +111,46 @@ def _resolve_trace(
     return generate_trace(gen), f"generated(seed={gen.seed})"
 
 
+def _trace_fleet_config(
+    trace: Trace,
+    *,
+    nodes: int,
+    policy: str,
+    routing: str,
+    ml: str,
+    duration: float | None,
+    warmup: float | None,
+    interval: float | None,
+    window_s: float | None,
+    seed: int,
+    sensors: SensorConfig | None = None,
+    faults: ActuationFaultConfig | None = None,
+) -> FleetConfig:
+    """The fleet shape for replaying ``trace``.
+
+    Horizon knobs left ``None`` keep :func:`fleet_config_for_trace`'s
+    trace-scaled defaults; ``duration`` is clipped to the trace horizon.
+    """
+    overrides: dict = {
+        "nodes": nodes,
+        "policy": policy,
+        "routing": routing,
+        "ml": ml,
+    }
+    if duration is not None:
+        overrides["duration"] = min(duration, trace.duration_s)
+    if warmup is not None:
+        overrides["warmup"] = warmup
+    if interval is not None:
+        overrides["interval"] = interval
+    if window_s is not None:
+        overrides["window_s"] = window_s
+    base = fleet_config_for_trace(trace, seed=seed, **overrides)
+    if sensors is not None or faults is not None:
+        base = replace(base, sensors=sensors, faults=faults)
+    return base
+
+
 def run_fleet_trace(
     trace: Trace | None = None,
     trace_path: str | None = None,
@@ -136,24 +181,11 @@ def run_fleet_trace(
     if trials < 1:
         raise ExperimentError("trials must be >= 1")
     resolved, source = _resolve_trace(trace, trace_path, gen, duration, seed)
-
-    overrides: dict = {
-        "nodes": nodes,
-        "policy": policy,
-        "routing": routing,
-        "ml": ml,
-    }
-    if duration is not None:
-        overrides["duration"] = min(duration, resolved.duration_s)
-    if warmup is not None:
-        overrides["warmup"] = warmup
-    if interval is not None:
-        overrides["interval"] = interval
-    if window_s is not None:
-        overrides["window_s"] = window_s
-    base = fleet_config_for_trace(resolved, seed=seed, **overrides)
-    if sensors is not None or faults is not None:
-        base = replace(base, sensors=sensors, faults=faults)
+    base = _trace_fleet_config(
+        resolved, nodes=nodes, policy=policy, routing=routing, ml=ml,
+        duration=duration, warmup=warmup, interval=interval,
+        window_s=window_s, seed=seed, sensors=sensors, faults=faults,
+    )
 
     configs = [
         replace(base, seed=point_seed(seed, trial)) for trial in range(trials)
@@ -218,16 +250,7 @@ def _observe(
             "windows", "window_fleet",
         )}
         observer.record("fleet_run", trial=trial, **row)
-    for row in result.tenant_rows:
-        observer.record(
-            "fleet_tenant",
-            tenant=row.name,
-            slo_p99_ms=row.slo_p99_ms,
-            attainment=row.attainment,
-            goodput_qps=row.goodput_qps,
-            p99_ms=row.p99_ms,
-            slo_met_all_trials=row.slo_met_all_trials,
-        )
+    _record_tenants(observer, "fleet_tenant", result.tenant_rows)
     for row in result.windows[:_MAX_WINDOW_ROWS]:
         observer.record("fleet_window", trial=0, scope="tenant", **row)
     for row in result.window_fleet[:_MAX_WINDOW_ROWS]:
@@ -260,16 +283,8 @@ def format_fleet_trace(result: FleetTraceResult) -> str:
         ),
         f"trace source: {result.source}",
         "",
-        f"{'tenant':<10} {'slo_p99':>8} {'p99':>9} {'attain':>7} "
-        f"{'goodput':>9}  slo_met",
+        *_tenant_table(result.tenant_rows),
     ]
-    for row in result.tenant_rows:
-        p99 = f"{row.p99_ms:.1f}ms" if row.p99_ms is not None else "-"
-        lines.append(
-            f"{row.name:<10} {row.slo_p99_ms:>6.1f}ms {p99:>9} "
-            f"{row.attainment:>6.1%} {row.goodput_qps:>6.1f}qps  "
-            f"{'yes' if row.slo_met_all_trials else 'NO'}"
-        )
     if result.window_fleet:
         lines += [
             "",

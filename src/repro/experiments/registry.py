@@ -1,280 +1,87 @@
-"""Registry mapping experiment ids to their drivers.
+"""Registry mapping experiment ids to their driver modules.
 
-Each entry is ``(runner, formatter)``: the runner produces a result object
-and the formatter renders the paper-style rows. ``run_experiment`` executes
-both and returns ``(result, text)``.
+Each id names a module of :mod:`repro.experiments` that defines
+``run_<id>`` and ``format_<id>``, with ``-`` mapped to ``_``: the runner
+produces a result object and the formatter renders the paper-style rows.
+The runner's keyword parameters are the experiment's contract.
+:func:`accepts` reads them from its signature, so callers pass ``jobs``,
+``observer`` or ``duration`` only where the runner takes them, and
+:func:`run_experiment` refuses any other keyword.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 from typing import Any, Callable
 
 from repro.errors import ExperimentError
 
-
-def _fig02():
-    from repro.experiments.fig02_fleet_bw import format_fig02, run_fig02
-
-    return run_fig02, format_fig02
-
-
-def _fig03():
-    from repro.experiments.fig03_timeline import format_fig03, run_fig03
-
-    return run_fig03, format_fig03
-
-
-def _fig05():
-    from repro.experiments.fig05_sensitivity import format_fig05, run_fig05
-
-    return run_fig05, format_fig05
-
-
-def _fig07():
-    from repro.experiments.fig07_backpressure import format_fig07, run_fig07
-
-    def run(ml: str = "cnn1", **kwargs):
-        return run_fig07(ml, **kwargs)
-
-    return run, format_fig07
-
-
-def _fig09():
-    from repro.experiments.fig09_cnn1_stitch import format_fig09, run_fig09
-
-    return run_fig09, format_fig09
-
-
-def _fig10():
-    from repro.experiments.fig10_rnn1_cpuml import format_fig10, run_fig10
-
-    return run_fig10, format_fig10
-
-
-def _fig11():
-    from repro.experiments.fig11_params_cnn1 import format_fig11, run_fig11
-
-    return run_fig11, format_fig11
-
-
-def _fig12():
-    from repro.experiments.fig12_params_rnn1 import format_fig12, run_fig12
-
-    return run_fig12, format_fig12
-
-
-def _fig13():
-    from repro.experiments.fig13_overall import format_fig13, run_fig13
-
-    return run_fig13, format_fig13
-
-
-def _fig14():
-    from repro.experiments.fig14_efficiency import format_fig14, run_fig14
-
-    return run_fig14, format_fig14
-
-
-def _fig15():
-    from repro.experiments.fig15_remote import format_fig15, run_fig15
-
-    return run_fig15, format_fig15
-
-
-def _fig16():
-    from repro.experiments.fig16_remote_sweep import format_fig16, run_fig16
-
-    def run(ml: str = "cnn1", **kwargs):
-        return run_fig16(ml, **kwargs)
-
-    return run, format_fig16
-
-
-def _fleet_sim():
-    from repro.experiments.fleet_sim import format_fleet_sim, run_fleet_sim
-
-    return run_fleet_sim, format_fleet_sim
-
-
-def _fleet_trace():
-    from repro.experiments.fleet_trace import (
-        format_fleet_trace,
-        run_fleet_trace,
-    )
-
-    return run_fleet_trace, format_fleet_trace
-
-
-def _fleet_serve():
-    from repro.experiments.fleet_serve import (
-        format_fleet_serve,
-        run_fleet_serve,
-    )
-
-    return run_fleet_serve, format_fleet_serve
-
-
-def _fleet_incidents():
-    from repro.experiments.fleet_incidents import (
-        format_fleet_incidents,
-        run_fleet_incidents,
-    )
-
-    return run_fleet_incidents, format_fleet_incidents
-
-
-def _table1():
-    from repro.experiments.table1_workloads import format_table1, run_table1
-
-    return run_table1, format_table1
-
-
-def _ablation_hwqos():
-    from repro.experiments.ablation_hwqos import (
-        format_ablation_hwqos,
-        run_ablation_hwqos,
-    )
-
-    return run_ablation_hwqos, format_ablation_hwqos
-
-
-def _ablation_backfill():
-    from repro.experiments.ablation_backfill import (
-        format_ablation_backfill,
-        run_ablation_backfill,
-    )
-
-    return run_ablation_backfill, format_ablation_backfill
-
-
-def _ablation_mba():
-    from repro.experiments.ablation_mba import (
-        format_ablation_mba,
-        run_ablation_mba,
-    )
-
-    return run_ablation_mba, format_ablation_mba
-
-
-def _ablation_infeed_ratio():
-    from repro.experiments.ablation_infeed_ratio import (
-        format_ablation_infeed_ratio,
-        run_ablation_infeed_ratio,
-    )
-
-    def run(ml: str = "cnn1", **kwargs):
-        return run_ablation_infeed_ratio(ml, **kwargs)
-
-    return run, format_ablation_infeed_ratio
-
-
-def _ablation_churn():
-    from repro.experiments.ablation_churn import (
-        format_ablation_churn,
-        run_ablation_churn,
-    )
-
-    def run(policy: str = "KP", **kwargs):
-        return run_ablation_churn(policy, **kwargs)
-
-    return run, format_ablation_churn
-
-
-def _ablation_hwprefetch():
-    from repro.experiments.ablation_hwprefetch import (
-        format_ablation_hwprefetch,
-        run_ablation_hwprefetch,
-    )
-
-    return run_ablation_hwprefetch, format_ablation_hwprefetch
-
-
-def _ablation_tail():
-    from repro.experiments.ablation_tail import (
-        format_ablation_tail,
-        run_ablation_tail,
-    )
-
-    return run_ablation_tail, format_ablation_tail
-
-
-def _ablation_sensor_noise():
-    from repro.experiments.ablation_sensor_noise import (
-        format_ablation_sensor_noise,
-        run_ablation_sensor_noise,
-    )
-
-    return run_ablation_sensor_noise, format_ablation_sensor_noise
-
-
-def _ablation_knee():
-    from repro.experiments.ablation_knee import (
-        format_ablation_knee,
-        run_ablation_knee,
-    )
-
-    return run_ablation_knee, format_ablation_knee
-
-
-_REGISTRY: dict[str, Callable[[], tuple[Callable, Callable]]] = {
-    "fig02": _fig02,
-    "fig03": _fig03,
-    "fig05": _fig05,
-    "fig07": _fig07,
-    "fig09": _fig09,
-    "fig10": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "fig13": _fig13,
-    "fig14": _fig14,
-    "fig15": _fig15,
-    "fig16": _fig16,
-    "table1": _table1,
-    "fleet-sim": _fleet_sim,
-    "fleet-trace": _fleet_trace,
-    "fleet-serve": _fleet_serve,
-    "fleet-incidents": _fleet_incidents,
-    "ablation-hwqos": _ablation_hwqos,
-    "ablation-backfill": _ablation_backfill,
-    "ablation-mba": _ablation_mba,
-    "ablation-infeed-ratio": _ablation_infeed_ratio,
-    "ablation-knee": _ablation_knee,
-    "ablation-churn": _ablation_churn,
-    "ablation-tail": _ablation_tail,
-    "ablation-hwprefetch": _ablation_hwprefetch,
-    "ablation-sensor-noise": _ablation_sensor_noise,
-}
-
-
-#: Experiments whose runners accept a ``jobs`` argument (internal sweeps
-#: that can fan out over a process pool; see :mod:`repro.parallel`).
-JOBS_AWARE = {
-    "fig02", "fig05", "fig16", "fleet-sim", "fleet-trace", "fleet-serve",
-    "fleet-incidents", "ablation-sensor-noise",
-}
-
-#: Experiments whose runners accept an ``observer`` argument (deep
-#: observability export; see :mod:`repro.obs`). Other experiments still get
-#: run-level spans and a manifest from the CLI wrapper.
-OBS_AWARE = {
-    "fig02", "fig03", "fig11", "fig12", "fig13", "fleet-sim", "fleet-trace",
-    "fleet-serve", "fleet-incidents", "ablation-sensor-noise",
+_MODULES: dict[str, str] = {
+    "fig02": "fig02_fleet_bw",
+    "fig03": "fig03_timeline",
+    "fig05": "fig05_sensitivity",
+    "fig07": "fig07_backpressure",
+    "fig09": "fig09_cnn1_stitch",
+    "fig10": "fig10_rnn1_cpuml",
+    "fig11": "fig11_params_cnn1",
+    "fig12": "fig12_params_rnn1",
+    "fig13": "fig13_overall",
+    "fig14": "fig14_efficiency",
+    "fig15": "fig15_remote",
+    "fig16": "fig16_remote_sweep",
+    "table1": "table1_workloads",
+    "fleet-sim": "fleet_sim",
+    "fleet-trace": "fleet_trace",
+    "fleet-serve": "fleet_serve",
+    "fleet-incidents": "fleet_incidents",
+    "ablation-hwqos": "ablation_hwqos",
+    "ablation-backfill": "ablation_backfill",
+    "ablation-mba": "ablation_mba",
+    "ablation-infeed-ratio": "ablation_infeed_ratio",
+    "ablation-knee": "ablation_knee",
+    "ablation-churn": "ablation_churn",
+    "ablation-tail": "ablation_tail",
+    "ablation-hwprefetch": "ablation_hwprefetch",
+    "ablation-sensor-noise": "ablation_sensor_noise",
 }
 
 
 def experiment_ids() -> list[str]:
     """All registered experiment ids, in figure order."""
-    return list(_REGISTRY)
+    return list(_MODULES)
+
+
+def _driver(exp_id: str) -> tuple[Callable, Callable]:
+    """Import the experiment's module; return ``(runner, formatter)``."""
+    if exp_id not in _MODULES:
+        raise ExperimentError(
+            f"unknown experiment {exp_id!r}; known: {experiment_ids()}"
+        )
+    module = importlib.import_module(f"repro.experiments.{_MODULES[exp_id]}")
+    stem = exp_id.replace("-", "_")
+    return getattr(module, f"run_{stem}"), getattr(module, f"format_{stem}")
+
+
+def accepts(exp_id: str) -> frozenset[str]:
+    """The keyword arguments the experiment's runner takes."""
+    runner, _ = _driver(exp_id)
+    return frozenset(
+        name
+        for name, param in inspect.signature(runner).parameters.items()
+        if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+    )
 
 
 def run_experiment(exp_id: str, **kwargs: Any) -> tuple[Any, str]:
     """Run one experiment and return ``(result, formatted_text)``."""
-    try:
-        loader = _REGISTRY[exp_id]
-    except KeyError:
+    takes = accepts(exp_id)
+    unknown = sorted(set(kwargs) - takes)
+    if unknown:
         raise ExperimentError(
-            f"unknown experiment {exp_id!r}; known: {experiment_ids()}"
-        ) from None
-    runner, formatter = loader()
+            f"{exp_id} takes no {', '.join(unknown)}; it takes "
+            f"{', '.join(sorted(takes)) or 'no arguments'}"
+        )
+    runner, formatter = _driver(exp_id)
     result = runner(**kwargs)
     return result, formatter(result)

@@ -50,6 +50,8 @@ def run_sensitivity(
     based on the remote socket; data on the ML-local socket crosses the
     inter-socket link.)
     """
+    if duration <= warmup:
+        raise ExperimentError("duration must exceed warmup")
     factory = ml_workload(ml)
     sim = Simulator()
     node = Node.create(factory.host_spec(), sim)

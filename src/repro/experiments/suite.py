@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.experiments.registry import OBS_AWARE, experiment_ids, run_experiment
+from repro.experiments.registry import accepts, experiment_ids, run_experiment
 from repro.parallel import maybe_profiled, resolve_jobs, run_points
 
 if TYPE_CHECKING:
@@ -23,9 +23,6 @@ _PER_WORKLOAD: dict[str, tuple[str, ...]] = {
     "fig07": ("rnn1", "cnn1", "cnn2"),
     "fig16": ("cnn1", "cnn2"),
 }
-
-#: Experiments that do not accept a duration override.
-_NO_DURATION = {"fig02", "table1", "ablation-churn", "ablation-hwprefetch"}
 
 
 @dataclass(frozen=True)
@@ -43,12 +40,13 @@ def _suite_point(
 ) -> SuiteEntry:
     """Evaluate one suite entry (module-level: runs inside pool workers)."""
     exp_id, ml, duration = point
+    takes = accepts(exp_id)
     kwargs: dict = {}
-    if exp_id not in _NO_DURATION:
+    if "duration" in takes:
         kwargs["duration"] = duration
     if ml is not None:
         kwargs["ml"] = ml
-    if observer is not None and exp_id in OBS_AWARE:
+    if observer is not None and "observer" in takes:
         kwargs["observer"] = observer
     name = exp_id if ml is None else f"{exp_id}:{ml}"
     started = time.perf_counter()
@@ -90,8 +88,8 @@ def run_suite(
 
     An enabled ``observer`` records per-experiment wall-clock spans and
     roll-up metrics. When running serially it is additionally threaded into
-    the obs-aware experiments (``OBS_AWARE``), exporting their full tick/
-    telemetry streams; parallel workers cannot share the parent's observer,
+    every experiment whose runner takes an ``observer``, exporting its full
+    tick/telemetry streams; parallel workers cannot share the parent's observer,
     so ``jobs`` > 1 keeps the suite-level view only.
     """
     points = suite_points(experiments, duration)

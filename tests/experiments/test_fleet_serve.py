@@ -11,12 +11,7 @@ from repro.experiments.fleet_serve import (
     run_fleet_serve,
 )
 from repro.experiments.fleet_trace import run_fleet_trace
-from repro.experiments.registry import (
-    JOBS_AWARE,
-    OBS_AWARE,
-    experiment_ids,
-    run_experiment,
-)
+from repro.experiments.registry import accepts, experiment_ids, run_experiment
 from repro.obs import ObsConfig, RunObserver
 from repro.serve import AutoscalerConfig
 from repro.traces import TraceGenConfig
@@ -140,8 +135,7 @@ class TestDeterminism:
 class TestWiring:
     def test_registry_entry(self):
         assert "fleet-serve" in experiment_ids()
-        assert "fleet-serve" in JOBS_AWARE
-        assert "fleet-serve" in OBS_AWARE
+        assert {"jobs", "observer"} <= accepts("fleet-serve")
 
     def test_run_experiment_smoke(self):
         result, text = run_experiment(

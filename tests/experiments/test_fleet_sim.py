@@ -6,12 +6,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.fleet_sim import format_fleet_sim, run_fleet_sim
-from repro.experiments.registry import (
-    JOBS_AWARE,
-    OBS_AWARE,
-    experiment_ids,
-    run_experiment,
-)
+from repro.experiments.registry import accepts, experiment_ids, run_experiment
 from repro.obs import ObsConfig, RunObserver
 
 
@@ -119,8 +114,7 @@ class TestFormatting:
 class TestWiring:
     def test_registered(self):
         assert "fleet-sim" in experiment_ids()
-        assert "fleet-sim" in JOBS_AWARE
-        assert "fleet-sim" in OBS_AWARE
+        assert {"jobs", "observer"} <= accepts("fleet-sim")
 
     def test_run_experiment_formats(self):
         result, text = run_experiment(

@@ -6,12 +6,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.fleet_trace import format_fleet_trace, run_fleet_trace
-from repro.experiments.registry import (
-    JOBS_AWARE,
-    OBS_AWARE,
-    experiment_ids,
-    run_experiment,
-)
+from repro.experiments.registry import accepts, experiment_ids, run_experiment
 from repro.obs import ObsConfig, RunObserver
 from repro.traces import TraceGenConfig, generate_trace, save_trace
 
@@ -107,8 +102,7 @@ class TestFormatting:
 class TestWiring:
     def test_registered(self):
         assert "fleet-trace" in experiment_ids()
-        assert "fleet-trace" in JOBS_AWARE
-        assert "fleet-trace" in OBS_AWARE
+        assert {"jobs", "observer"} <= accepts("fleet-trace")
 
     def test_run_experiment_formats(self):
         result, text = run_experiment("fleet-trace", duration=10.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments.registry import run_experiment
 from repro.experiments.sensitivity import run_sensitivity
 
 FAST = dict(duration=12.0, warmup=3.0)
@@ -13,6 +14,13 @@ FAST = dict(duration=12.0, warmup=3.0)
 class TestRunSensitivity:
     def test_baseline_positive(self) -> None:
         assert run_sensitivity("cnn1", None, **FAST) > 0
+
+    @pytest.mark.parametrize("exp_id", ["fig05", "fig15", "fig16"])
+    def test_horizon_within_warmup_rejected(self, exp_id: str) -> None:
+        # A horizon inside the 6 s warmup measures nothing: a 0.0 baseline
+        # that the figures would divide by.
+        with pytest.raises(ExperimentError, match="duration must exceed warmup"):
+            run_experiment(exp_id, duration=4.0)
 
     def test_dram_hurts_more_than_llc(self) -> None:
         base = run_sensitivity("cnn1", None, **FAST)

@@ -42,9 +42,31 @@ class TestCli:
         assert "fleet-sim: 2 nodes x KP (least-loaded routing)" in out
         assert "fleet efficiency" in out
 
+    def test_run_ignores_jobs_the_experiment_does_not_take(self, capsys) -> None:
+        assert main(["run", "table1", "--jobs", "2"]) == 0
+        assert "Table I" in capsys.readouterr().out
+
     def test_missing_command_errors(self) -> None:
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig02", "--duration", "3"],  # fig02 takes no duration
+            ["run", "fig09", "--ml", "cnn1"],  # fig09 takes no workload
+            ["run", "nosuch"],
+            ["run", "fig05", "--duration", "4"],  # horizon inside warmup
+        ],
+    )
+    def test_bad_run_exits_2_with_one_line(self, argv, capsys) -> None:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{argv[1]}: ")
+        assert "Traceback" not in captured.err
 
 
 class TestCliObservability:
@@ -76,6 +98,36 @@ class TestCliObservability:
         phases = {e["ph"] for e in trace["traceEvents"]}
         # Phase intervals, counters, metadata all present.
         assert {"X", "C", "M"} <= phases
+
+    def test_every_command_profiles_and_spans(
+        self, tmp_path, monkeypatch, capsys
+    ) -> None:
+        import json
+
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path / "prof"))
+        report = tmp_path / "r.md"
+        code = main([
+            "report", "--only", "table1", "--out", str(report),
+            "--trace-out", str(tmp_path / "report"),
+        ])
+        assert code == 0
+        code = main([
+            "mix", "--ml", "cnn2", "--duration", "12",
+            "--trace-out", str(tmp_path / "mix"),
+        ])
+        assert code == 0
+        # report's suite dumps one profile per entry; the frame adds none.
+        assert sorted(p.name for p in (tmp_path / "prof").iterdir()) == [
+            "mix.prof", "table1.prof",
+        ]
+        for run in ("report", "mix"):
+            trace = json.loads((tmp_path / run / "trace.json").read_text())
+            spans = [
+                e for e in trace["traceEvents"]
+                if e["ph"] == "X" and e["name"] == run
+            ]
+            assert len(spans) == 1, run
 
     def test_trace_env_var_default(self, tmp_path, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "envout"))
