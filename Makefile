@@ -13,7 +13,7 @@ layering:
 	$(PYTHON) scripts/check_layering.py
 
 bench:
-	$(PYTHON) scripts/bench_smoke.py
+	$(PYTHON) bench/run.py
 
 report:
 	$(PYTHON) -m repro report --jobs $(or $(JOBS),4)

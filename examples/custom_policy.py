@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from repro import MixConfig, Node, Simulator, run_colocation, standalone_performance
 from repro.node import HI_SUBDOMAIN, LO_SUBDOMAIN
-from repro.control.records import ControlTickRecord
 from repro.core.policies.base import (
     CpuTaskPlan,
     IsolationPolicy,
@@ -67,9 +66,6 @@ class StaticHalfPolicy(IsolationPolicy):
 
     def tick(self) -> None:
         """Static: nothing to do."""
-
-    def parameter_history(self) -> list[ControlTickRecord]:
-        return []
 
 
 def run_static(intensity: int) -> tuple[float, float]:

@@ -28,7 +28,7 @@ class ControlTickRecord:
     This is the single tick-record type of the control plane: policies built
     on :class:`~repro.control.loop.ControlLoop` expose a stream of these via
     ``tick_history()``; the knob fields double as the Figs 11-12 parameter
-    samples (``parameter_history`` returns the same list).
+    samples.
     """
 
     time: float

@@ -11,9 +11,9 @@ Since the control-plane refactor every policy owns a
 facade all its knob writes go through — and managed policies drive a
 :class:`~repro.control.loop.ControlLoop` assembled from a sensor suite
 (optionally degraded via :class:`~repro.control.sensors.SensorConfig`) and a
-policy-specific :class:`~repro.control.governors.Governor`. ``tick``,
-``tick_history`` and ``parameter_history`` all default to the loop's
-unified :class:`~repro.control.records.ControlTickRecord` stream.
+policy-specific :class:`~repro.control.governors.Governor`. ``tick`` and
+``tick_history`` default to the loop's unified
+:class:`~repro.control.records.ControlTickRecord` stream.
 """
 
 from __future__ import annotations
@@ -125,18 +125,11 @@ class IsolationPolicy(abc.ABC):
         """Full controller tick records (measurements + decisions).
 
         The unified stream consumed by the observability layer
-        (:mod:`repro.obs`) for the JSONL tick export.
-        """
-        return list(self._loop.history) if self._loop is not None else []
-
-    def parameter_history(self) -> list[ControlTickRecord]:
-        """Knob values over time, for the Fig 11/12 plots.
-
-        Same records as :meth:`tick_history`; the Fig 11/12 consumers read
-        the ``time``/``lo_cores``/``lo_prefetchers``/``backfill_cores``
+        (:mod:`repro.obs`) for the JSONL tick export. The Fig 11/12 plots
+        read its ``time``/``lo_cores``/``lo_prefetchers``/``backfill_cores``
         knob fields.
         """
-        return self.tick_history()
+        return list(self._loop.history) if self._loop is not None else []
 
     def actuation_journal(self) -> list[ActuationRecord]:
         """Every physical knob write this policy performed, in order."""

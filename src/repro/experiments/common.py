@@ -219,7 +219,7 @@ def run_colocation(
             ml_tail / ref_tail if (ml_tail is not None and ref_tail) else None
         ),
         cpu_throughput=cpu_throughput,
-        params=policy.parameter_history(),
+        params=policy.tick_history(),
         events_dispatched=sim.dispatched_events,
         solver_stats=node.machine.solver_stats.as_dict(),
     )

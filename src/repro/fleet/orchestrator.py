@@ -16,7 +16,6 @@ summary bit-for-bit regardless of process parallelism around it.
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -214,9 +213,6 @@ class FleetOrchestrator:
         #: ``self.router`` is anything else (e.g. an incident wrapper).
         self._indexed_router: Router | None = None
         self._routing_index = None
-        #: Wall-clock phase breakdown of the last :meth:`run` (bench probes
-        #: read this; it never enters results or summaries).
-        self.phase_walls: dict[str, float] = {}
         #: window index -> [saturated samples, total samples] from ticks.
         self._window_saturation: dict[int, list[int]] = {}
         self._sim: Simulator | None = None
@@ -239,10 +235,7 @@ class FleetOrchestrator:
     def run(self) -> FleetResult:
         """Execute the configured fleet run and return its measurements."""
         self.setup()
-        assert self._sim is not None
-        replay_start = time.perf_counter()
-        self._sim.run_until(self.config.duration)
-        self.phase_walls["replay_s"] = time.perf_counter() - replay_start
+        self.advance(self.config.duration)
         return self.finish()
 
     def setup(self) -> None:
@@ -352,12 +345,8 @@ class FleetOrchestrator:
         for generator in self._generators:
             generator.stop()
         events = self._sim.dispatched_events
-        accounting_start = time.perf_counter()
         batch_units, batch_nominal = self._batch_units(queue)
         result = self._finalize(queue, events, batch_units, batch_nominal)
-        self.phase_walls["accounting_s"] = (
-            time.perf_counter() - accounting_start
-        )
         for member in self.members:
             member.stop()
         return result

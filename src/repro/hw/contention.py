@@ -35,9 +35,9 @@ machine's recompute loop skips the solve entirely when the signature has
 not changed (``Machine.notify_change``). Cache observability flows through
 :class:`SolverStats` (per solver and the module-level aggregate), surfaced
 via ``Machine.solver_stats`` and the experiment harness. Reference mode
-(``REPRO_REFERENCE=1``, see :mod:`repro.reference`) or
-:func:`set_cache_default` disables the memo; the cached and uncached paths
-are numerically identical, which the test suite asserts.
+(``REPRO_REFERENCE=1``, see :mod:`repro.reference`) disables the memo for
+solvers built while it is set; the cached and uncached paths are
+numerically identical, which the test suite asserts.
 """
 
 from __future__ import annotations
@@ -64,26 +64,6 @@ _SNC_CROSS_PENALTY = 1.05
 #: Entries a per-spec solve memo holds before it is cleared. The largest
 #: benchmark working set is under 800 signatures.
 _SOLVE_MEMO_SIZE = 4096
-
-_cache_default_enabled: bool | None = None
-
-
-def cache_default_enabled() -> bool:
-    """Whether new solvers are built with caching enabled."""
-    if _cache_default_enabled is not None:
-        return _cache_default_enabled
-    return not reference_mode()
-
-
-def set_cache_default(enabled: bool | None) -> None:
-    """Override the process-wide cache default (``None`` = caching on
-    unless reference mode is set).
-
-    Only affects solvers constructed afterwards; used by the equivalence
-    tests and the benchmark harness to A/B the cached and uncached paths.
-    """
-    global _cache_default_enabled
-    _cache_default_enabled = enabled
 
 
 class Priority(enum.IntEnum):
@@ -400,7 +380,7 @@ class ContentionSolver:
         # ------------------------------------------------ performance layer
         #: Master switch for the solve memo. When off, every solve
         #: recomputes from scratch (the reference path).
-        self.cache_enabled = cache_default_enabled()
+        self.cache_enabled = not reference_mode()
         self.stats = SolverStats()
         self._memo = _SOLVE_MEMO.setdefault(spec, {})
         #: LLC membership is fixed at construction; keep the iteration order

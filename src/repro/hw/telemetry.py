@@ -88,6 +88,14 @@ class TelemetryAccumulator:
         #: that skip its elided reads.
         self.on_advance: Callable[[], None] | None = None
 
+    def __getstate__(self) -> dict:
+        """Pickle without ``_rows_memo``: its ``id()`` keys would name other
+        objects once unpickled, and they differ from run to run, which would
+        make checkpoint bytes unrepeatable."""
+        state = self.__dict__.copy()
+        state["_rows_memo"] = {}
+        return state
+
     @property
     def snapshot(self) -> TelemetrySnapshot:
         """The current integral values (advance first via :meth:`advance`)."""

@@ -10,7 +10,7 @@ persistent :class:`SweepPool` of worker processes, with four guarantees:
    and legacy ``numpy.random``) are re-seeded from ``(base_seed, index)``
    where ``index`` is the point's *absolute* position in the sweep. The
    serial path applies *the same* re-seeding, so ``jobs=1`` and ``jobs=8``
-   (and any chunk size) produce bit-identical results for the same points.
+   (and any chunk geometry) produce bit-identical results for the same points.
 2. **Order.** Results come back in point order, never completion order.
 3. **Purity requirements.** The evaluation function must be a module-level
    callable (picklable) and must not depend on mutable process-global state
@@ -22,10 +22,10 @@ persistent :class:`SweepPool` of worker processes, with four guarantees:
    shared solve cache — survives from one point, chunk, and sweep to the
    next instead of being rebuilt per point.
 
-Points are shipped to workers in contiguous *chunks* (amortizing pickling
-and scheduling overhead), and at most ``2 x workers`` chunks are in flight
-at once so huge sweeps don't materialize their whole argument list in the
-executor's call queue.
+Points are shipped to workers in contiguous *chunks*, amortizing pickling
+and scheduling overhead. The executor pickles a chunk only when a worker is
+about to need it (at most ``workers + 1`` ahead), so a long sweep's pending
+chunks stay references into the caller's point list.
 
 ``jobs=None`` falls back to the ``REPRO_JOBS`` environment variable (then
 to 1), so wrapping scripts can parallelize a whole pipeline without
@@ -44,8 +44,7 @@ import atexit
 import cProfile
 import os
 import random
-from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -53,9 +52,6 @@ from repro.errors import ExperimentError
 
 #: Environment variable consulted when ``jobs`` is not given explicitly.
 JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable overriding the automatic chunk size.
-CHUNK_ENV = "REPRO_SWEEP_CHUNK"
 
 #: Environment variable enabling the opt-in cProfile hook (and forcing the
 #: serial path so the profile captures the actual point evaluations).
@@ -70,9 +66,6 @@ DEFAULT_BASE_SEED = 0
 
 #: Upper bound on the automatic chunk size.
 _MAX_AUTO_CHUNK = 64
-
-#: In-flight chunk budget per worker (backpressure bound).
-_INFLIGHT_PER_WORKER = 2
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -226,69 +219,24 @@ class SweepPool:
         fn: Callable[[Any], Any],
         points: Sequence[Any] | Iterable[Any],
         base_seed: int = DEFAULT_BASE_SEED,
-        chunk_size: int | None = None,
     ) -> list[Any]:
-        """Evaluate ``fn`` over ``points`` on the pool, in point order.
-
-        Points are shipped in contiguous chunks; at most ``2 x workers``
-        chunks are in flight at a time, so arbitrarily long sweeps exert
-        bounded memory pressure on the executor's call queue.
-        """
+        """Evaluate ``fn`` over ``points`` on the pool, in point order."""
         if self._pool is None:
             raise ExperimentError("SweepPool is closed")
         points = list(points)
-        n = len(points)
-        if n == 0:
-            return []
-        size = self._resolve_chunk_size(n, chunk_size)
-        results: list[Any] = [None] * n
-        starts = iter(range(0, n, size))
-        inflight: deque[tuple[int, Future]] = deque()
-
-        def submit_next() -> bool:
-            start = next(starts, None)
-            if start is None:
-                return False
-            inflight.append(
-                (
-                    start,
-                    self._pool.submit(
-                        _eval_chunk, fn, start, points[start : start + size],
-                        base_seed,
-                    ),
-                )
+        size = self._chunk_size(len(points))
+        futures = [
+            self._pool.submit(
+                _eval_chunk, fn, start, points[start : start + size], base_seed
             )
-            return True
+            for start in range(0, len(points), size)
+        ]
+        return [result for future in futures for result in future.result()]
 
-        budget = self.workers * _INFLIGHT_PER_WORKER
-        while len(inflight) < budget and submit_next():
-            pass
-        while inflight:
-            start, future = inflight.popleft()
-            chunk_results = future.result()
-            results[start : start + len(chunk_results)] = chunk_results
-            submit_next()
-        return results
-
-    def _resolve_chunk_size(self, n_points: int, chunk_size: int | None) -> int:
-        """Explicit size > ``REPRO_SWEEP_CHUNK`` > automatic sizing."""
-        if chunk_size is None:
-            raw = os.environ.get(CHUNK_ENV, "").strip()
-            if raw:
-                try:
-                    chunk_size = int(raw)
-                except ValueError:
-                    raise ExperimentError(
-                        f"{CHUNK_ENV}={raw!r} is not an integer"
-                    ) from None
-        if chunk_size is not None:
-            if chunk_size < 1:
-                raise ExperimentError(
-                    f"chunk size must be >= 1, got {chunk_size}"
-                )
-            return chunk_size
-        # Aim for ~4 chunks per worker (load-balance slack without
-        # per-point scheduling overhead), capped for cache friendliness.
+    def _chunk_size(self, n_points: int) -> int:
+        """Points per chunk: about four chunks per worker (load-balance
+        slack without per-point scheduling overhead), capped for cache
+        friendliness."""
         target = -(-n_points // (self.workers * 4))
         return max(1, min(_MAX_AUTO_CHUNK, target))
 
@@ -358,21 +306,19 @@ def run_points(
     points: Sequence[Any] | Iterable[Any],
     jobs: int | None = None,
     base_seed: int = DEFAULT_BASE_SEED,
-    chunk_size: int | None = None,
     context: Any = None,
-    force_pool: bool = False,
 ) -> list[Any]:
     """Evaluate ``fn`` over ``points``, serially or on the persistent pool.
 
     ``fn`` must be a module-level (picklable) callable taking one point.
     Results are returned in point order; the per-point RNG re-seeding makes
-    the output bit-identical for every ``jobs`` and ``chunk_size``.
+    the output bit-identical for every ``jobs``.
 
     Falls back to the serial path when any of these hold (a process pool
     would only add overhead, never throughput):
 
     - ``jobs`` resolves to 1, or the sweep has at most one point;
-    - the host has a single CPU (unless ``force_pool``, used by tests);
+    - the host has a single CPU;
     - ``REPRO_PROFILE=1`` is set (the profile must see the real work).
 
     ``context`` is an immutable object shipped once per worker (and
@@ -381,12 +327,7 @@ def run_points(
     points = list(points)
     jobs = resolve_jobs(jobs)
     cpus = os.cpu_count() or 1
-    serial = (
-        jobs == 1
-        or len(points) <= 1
-        or (cpus == 1 and not force_pool)
-        or profiling_enabled()
-    )
+    serial = jobs == 1 or len(points) <= 1 or cpus == 1 or profiling_enabled()
     if serial:
         global _WORKER_CONTEXT
         previous = _WORKER_CONTEXT
@@ -400,4 +341,4 @@ def run_points(
             _WORKER_CONTEXT = previous
     workers = min(jobs, len(points))
     pool = get_pool(workers, context)
-    return pool.map_points(fn, points, base_seed=base_seed, chunk_size=chunk_size)
+    return pool.map_points(fn, points, base_seed=base_seed)

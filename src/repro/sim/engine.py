@@ -73,13 +73,11 @@ class _PeriodicTask:
 class Simulator:
     """A deterministic calendar-queue discrete-event simulator.
 
-    In addition to plain event scheduling, the simulator supports *rate
-    listeners*: components whose progress rates depend on global shared
-    state (the hardware contention solver). Any mutation of that shared state
-    calls :meth:`invalidate_rates`; before the next event is dispatched — and
-    once at the moment of invalidation — all registered listeners get a
-    ``sync(now)`` callback so they can integrate progress at the old rates and
-    re-schedule their completion events at the new ones.
+    Events dispatch in ``(time, priority, sequence)`` order. The simulator
+    knows nothing of rates: when shared hardware state changes,
+    :meth:`repro.hw.machine.Machine.notify_change` syncs the attached tasks
+    at the old rates, re-solves contention and pushes the new rates, and the
+    tasks reschedule their own completion events.
     """
 
     def __init__(self) -> None:
@@ -88,8 +86,6 @@ class Simulator:
         #: plain-tuple comparison is markedly faster under heapq than
         #: dispatching to the Event dataclass's generated ``__lt__``.
         self._heap: list[tuple[float, int, int, Event]] = []
-        self._rate_listeners: list[Callable[[float], None]] = []
-        self._rates_dirty = False
         self._running = False
         self._dispatched = 0
         self._cancelled_pending = 0
@@ -180,38 +176,6 @@ class Simulator:
         first = interval if start_after is None else start_after
         task.handle = self.after(first, task, label=label, priority=priority)
         return task.cancel
-
-    # ------------------------------------------------------- rate listeners
-    def add_rate_listener(self, sync: Callable[[float], None]) -> Callable[[], None]:
-        """Register a listener called with ``now`` whenever rates change.
-
-        Returns an unregister function.
-        """
-        self._rate_listeners.append(sync)
-
-        def remove() -> None:
-            try:
-                self._rate_listeners.remove(sync)
-            except ValueError:
-                pass
-
-        return remove
-
-    def invalidate_rates(self) -> None:
-        """Mark shared rate state as changed and notify listeners now.
-
-        Listeners are synchronised immediately so that code running right
-        after a reconfiguration observes consistent progress. Re-entrant
-        invalidations from inside a listener are coalesced.
-        """
-        if self._rates_dirty:
-            return
-        self._rates_dirty = True
-        try:
-            for sync in list(self._rate_listeners):
-                sync(self._now)
-        finally:
-            self._rates_dirty = False
 
     # ----------------------------------------------------------- compaction
     def _note_cancel(self, event: Event) -> None:

@@ -110,6 +110,19 @@ class Task:
         #: reusing instances keeps their memoized canonical keys warm across
         #: solves; cleared whenever the placement (or parked state) changes.
         self._source_cache: dict[tuple, TrafficSource] = {}
+        #: Subclasses' phase-speed memo, keyed on ``id()`` of the solve result
+        #: (and profile). The solver cache interns results, so the same few
+        #: identities recur; each entry pins the objects its key names, which
+        #: keeps the ids valid.
+        self._speed_memo: dict = {}
+
+    def __getstate__(self) -> dict:
+        """Pickle without the speed memo: its ``id()`` keys would name other
+        objects once unpickled, and they differ from run to run, which would
+        make checkpoint bytes unrepeatable."""
+        state = self.__dict__.copy()
+        state["_speed_memo"] = {}
+        return state
 
     # ----------------------------------------------------------- placement
     @property

@@ -71,9 +71,6 @@ class BatchTask(Task):
         self.profile = profile
         self.meter = ThroughputMeter(warmup_until=warmup_until)
         self._speed = 0.0
-        #: id(result) -> (result, speed); solve results are interned by the
-        #: solver cache so the same few identities recur.
-        self._speed_memo: dict[int, tuple] = {}
 
     # ---------------------------------------------------------- protocol
     def traffic_sources(self) -> list[TrafficSource]:

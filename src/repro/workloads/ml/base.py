@@ -109,10 +109,6 @@ class TrainingTask(Task):
         self._host_speed = 1.0
         self._accel_pending = False
         self._host_pending = False
-        #: (id(result), id(profile)) -> (result, profile, speed). Solve
-        #: results are interned by the solver cache, so the same handful of
-        #: identities recurs; pinning the refs keeps ids valid.
-        self._speed_memo: dict[tuple[int, int], tuple] = {}
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -404,8 +400,6 @@ class InferenceServerTask(Task):
         self._lanes: set[_Lane] = set()
         self._host_lanes: set[_Lane] = set()
         self._host_speed = 1.0
-        #: id(result) -> (result, speed); see TrainingTask._speed_memo.
-        self._speed_memo: dict[int, tuple] = {}
         #: demand multiplier -> scaled OpCost. Demands come from a small set
         #: of trace job families, so this stays a handful of entries.
         self._op_memo: dict[float, OpCost] = {}

@@ -54,7 +54,7 @@ class TestCoreThrottleDynamics:
         task.start()
         policy.register({plan.role: [task]})
         drive(node, policy, 25.0)
-        tail = [s.lo_cores for s in policy.parameter_history()[-8:]]
+        tail = [s.lo_cores for s in policy.tick_history()[-8:]]
         assert max(tail) - min(tail) <= 1  # settled within one core
 
 
@@ -73,13 +73,13 @@ class TestKelpDynamics:
             roles.setdefault(plan.role, []).append(task)
         policy.register(roles)
         drive(node, policy, 15.0)
-        during = policy.parameter_history()[-1].backfill_cores
+        during = policy.tick_history()[-1].backfill_cores
         # Kill the lo-subdomain part: hi-subdomain pressure eases, the
         # backfilled task may grow back toward its maximum.
         tasks["lo"].stop()
         node.lo_tasks.clear()
         node.sim.run_until(node.sim.now + 15.0)
-        after = policy.parameter_history()[-1].backfill_cores
+        after = policy.tick_history()[-1].backfill_cores
         assert after >= during
 
     def test_lo_placement_binds_memory_to_lo_subdomain(self, node: Node) -> None:

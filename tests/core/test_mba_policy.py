@@ -67,4 +67,4 @@ class TestMbaPolicy:
         policy, _ = setup_mix(node)
         node.sim.run_until(1.0)
         policy.tick()
-        assert policy.parameter_history()[-1].lo_prefetchers == policy.mb_percent
+        assert policy.tick_history()[-1].lo_prefetchers == policy.mb_percent

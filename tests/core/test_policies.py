@@ -117,4 +117,4 @@ class TestHwQos:
         policy.prepare()
         assert node.machine.solver.priority_mode
         assert not policy.has_control_loop
-        assert policy.parameter_history() == []
+        assert policy.tick_history() == []

@@ -10,16 +10,15 @@ from __future__ import annotations
 import os
 import pstats
 import random
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import repro.parallel as parallel_mod
 from repro.fleet.survey import FLEET_BLOCK_MACHINES, FleetSurvey
 from repro.errors import ExperimentError
 from repro.experiments.suite import run_suite
 from repro.parallel import (
-    CHUNK_ENV,
     PROFILE_DIR_ENV,
     PROFILE_ENV,
     SweepPool,
@@ -50,6 +49,15 @@ def _read_context(x: int) -> tuple[int, object]:
 
 def _getpid(_: int) -> int:
     return os.getpid()
+
+
+@pytest.fixture
+def many_cpus(monkeypatch: pytest.MonkeyPatch):
+    """Report several CPUs, so ``run_points`` takes the pool path even on a
+    single-CPU host; shut the pool down afterwards."""
+    monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 8)
+    yield
+    shutdown_pool()
 
 
 class TestResolveJobs:
@@ -113,29 +121,20 @@ class TestRunPoints:
 class TestChunkedDeterminism:
     """Results must not depend on worker count or chunk geometry.
 
-    23 points is prime, so none of the tried chunk sizes divides it evenly —
-    every configuration ends on a ragged final chunk. ``force_pool`` makes
-    the pool path run even on single-CPU hosts (where ``run_points`` would
-    otherwise fall back to serial, making the test vacuous).
+    The chunk size follows from the point count and the worker count, so
+    varying both varies the geometry: one point per chunk (23 points on 7
+    workers), ragged final chunks (23 points on 2 or 3 workers, 97 on every
+    count tried) and the 64-point cap (600 points on 2 workers, ending on a
+    24-point chunk).
     """
 
-    def test_results_invariant_across_jobs_and_chunks(self) -> None:
-        points = list(range(23))
-        serial = run_points(_draw, points, jobs=1, base_seed=17)
-        try:
-            for jobs in (2, 7):
-                for chunk in (1, 3, 5, None):
-                    got = run_points(
-                        _draw,
-                        points,
-                        jobs=jobs,
-                        base_seed=17,
-                        chunk_size=chunk,
-                        force_pool=True,
-                    )
-                    assert got == serial, f"jobs={jobs} chunk={chunk}"
-        finally:
-            shutdown_pool()
+    def test_results_invariant_across_jobs_and_chunks(self, many_cpus) -> None:
+        for n in (23, 97, 600):
+            points = list(range(n))
+            serial = run_points(_draw, points, jobs=1, base_seed=17)
+            for jobs in (2, 3, 7):
+                got = run_points(_draw, points, jobs=jobs, base_seed=17)
+                assert got == serial, f"points={n} jobs={jobs}"
 
 
 class TestPointSeedStatistics:
@@ -163,61 +162,6 @@ class TestPointSeedStatistics:
         ]
         mean = sum(flips) / len(flips)
         assert 13.0 <= mean <= 19.0, f"mean bit flips {mean}"
-
-
-class _TrackedFuture(Future):
-    """A completed future that reports consumption back to its executor."""
-
-    def __init__(self, owner: "_RecordingExecutor", value: object) -> None:
-        super().__init__()
-        self._owner = owner
-        self.set_result(value)
-
-    def result(self, timeout: float | None = None) -> object:
-        self._owner.outstanding -= 1
-        return super().result(timeout)
-
-
-class _RecordingExecutor:
-    """Stand-in executor measuring how many futures are pending at once."""
-
-    def __init__(self) -> None:
-        self.outstanding = 0
-        self.max_outstanding = 0
-        self.submissions = 0
-
-    def submit(self, fn, *args) -> Future:
-        self.submissions += 1
-        self.outstanding += 1
-        self.max_outstanding = max(self.max_outstanding, self.outstanding)
-        return _TrackedFuture(self, fn(*args))
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        pass
-
-
-class TestBackpressure:
-    def test_inflight_chunks_are_bounded(self) -> None:
-        """At most ``2 x workers`` chunks may be pending at any moment."""
-        pool = SweepPool.__new__(SweepPool)
-        pool.workers = 3
-        pool.context = None
-        recorder = _RecordingExecutor()
-        pool._pool = recorder
-        points = list(range(40))
-        results = pool.map_points(_square, points, chunk_size=1)
-        assert results == [x * x for x in points]
-        assert recorder.submissions == 40
-        assert recorder.max_outstanding == 3 * 2
-
-    def test_short_sweeps_never_overfill(self) -> None:
-        pool = SweepPool.__new__(SweepPool)
-        pool.workers = 4
-        pool.context = None
-        recorder = _RecordingExecutor()
-        pool._pool = recorder
-        assert pool.map_points(_square, [1, 2, 3], chunk_size=1) == [1, 4, 9]
-        assert recorder.max_outstanding == 3
 
 
 class TestSweepPoolLifecycle:
@@ -261,48 +205,20 @@ class TestSweepContext:
         assert results == [(0, context), (1, context)]
         assert sweep_context() is None  # restored after the sweep
 
-    def test_pool_workers_see_context(self) -> None:
+    def test_pool_workers_see_context(self, many_cpus) -> None:
         context = ("trace", 42)
-        try:
-            results = run_points(
-                _read_context, list(range(6)), jobs=2, context=context,
-                force_pool=True,
-            )
-            assert [value for _, value in results] == [context] * 6
-        finally:
-            shutdown_pool()
+        results = run_points(_read_context, list(range(6)), jobs=2, context=context)
+        assert [value for _, value in results] == [context] * 6
 
 
 class TestChunkSizing:
-    def test_env_override(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        pool = SweepPool.__new__(SweepPool)
-        pool.workers = 2
-        monkeypatch.setenv(CHUNK_ENV, "9")
-        assert pool._resolve_chunk_size(100, None) == 9
-        # An explicit argument beats the environment.
-        assert pool._resolve_chunk_size(100, 5) == 5
-
-    def test_bad_env_raises(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        pool = SweepPool.__new__(SweepPool)
-        pool.workers = 2
-        monkeypatch.setenv(CHUNK_ENV, "lots")
-        with pytest.raises(ExperimentError):
-            pool._resolve_chunk_size(100, None)
-
-    def test_non_positive_chunk_raises(self) -> None:
-        pool = SweepPool.__new__(SweepPool)
-        pool.workers = 2
-        with pytest.raises(ExperimentError):
-            pool._resolve_chunk_size(100, 0)
-
-    def test_auto_sizing(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        monkeypatch.delenv(CHUNK_ENV, raising=False)
+    def test_auto_sizing(self) -> None:
         pool = SweepPool.__new__(SweepPool)
         pool.workers = 2
         # ~4 chunks per worker, capped at 64, floor of 1.
-        assert pool._resolve_chunk_size(10, None) == 2
-        assert pool._resolve_chunk_size(1000, None) == 64
-        assert pool._resolve_chunk_size(3, None) == 1
+        assert pool._chunk_size(10) == 2
+        assert pool._chunk_size(1000) == 64
+        assert pool._chunk_size(3) == 1
 
 
 class TestProfilingHook:
@@ -323,10 +239,10 @@ class TestProfilingHook:
         assert stats.total_calls > 0
 
     def test_profiling_forces_serial(
-        self, monkeypatch: pytest.MonkeyPatch
+        self, monkeypatch: pytest.MonkeyPatch, many_cpus
     ) -> None:
         monkeypatch.setenv(PROFILE_ENV, "1")
-        pids = run_points(_getpid, [0, 1, 2], jobs=7, force_pool=True)
+        pids = run_points(_getpid, [0, 1, 2], jobs=7)
         assert pids == [os.getpid()] * 3
 
 

@@ -139,11 +139,3 @@ class TestDeferredTraceAccounting:
         offered_values = [offered for _, offered in seen]
         assert offered_values == sorted(offered_values)
         assert 0 < offered_values[-1] <= result.offered_total
-
-    def test_phase_walls_recorded(self, trace) -> None:
-        config = fleet_config_for_trace(trace, nodes=2)
-        orch = FleetOrchestrator(config, collect_telemetry=False, trace=trace)
-        orch.run()
-        assert set(orch.phase_walls) == {"replay_s", "accounting_s"}
-        assert orch.phase_walls["replay_s"] > 0.0
-        assert orch.phase_walls["accounting_s"] > 0.0

@@ -20,9 +20,7 @@ from repro.hw.contention import (
     ContentionSolver,
     Priority,
     TrafficSource,
-    cache_default_enabled,
     clear_shared_cache,
-    set_cache_default,
 )
 from repro.hw.llc import LlcModel
 from repro.hw.machine import Machine
@@ -36,12 +34,17 @@ POLICIES = ("BL", "CT", "KP-SD", "KP", "MBA", "HW-QOS")
 
 
 @pytest.fixture(autouse=True)
-def _restore_cache_default():
-    """Every test starts from an empty process-wide solve memo and leaves
-    the process-wide cache default untouched."""
+def _empty_solve_memo():
+    """Every test starts from an empty process-wide solve memo."""
     clear_shared_cache()
-    yield
-    set_cache_default(None)
+
+
+def _reference(monkeypatch: pytest.MonkeyPatch, on: bool) -> None:
+    """Build later solvers on the reference (uncached) path, or not."""
+    if on:
+        monkeypatch.setenv(REFERENCE_ENV, "1")
+    else:
+        monkeypatch.delenv(REFERENCE_ENV, raising=False)
 
 
 def _solver(cache: bool = True, spec: MachineSpec | None = None) -> ContentionSolver:
@@ -317,25 +320,18 @@ def _run_policy(policy: str) -> common_mod.ColocationResult:
 
 class TestReferenceMode:
     def test_reference_mode_turns_caching_off(self, monkeypatch) -> None:
-        monkeypatch.setenv(REFERENCE_ENV, "1")
-        assert not cache_default_enabled()
+        _reference(monkeypatch, True)
         assert not Machine(MachineSpec(), Simulator()).solver.cache_enabled
-        monkeypatch.delenv(REFERENCE_ENV)
-        assert cache_default_enabled()
+        _reference(monkeypatch, False)
         assert Machine(MachineSpec(), Simulator()).solver.cache_enabled
-
-    def test_explicit_default_wins(self, monkeypatch) -> None:
-        monkeypatch.setenv(REFERENCE_ENV, "1")
-        set_cache_default(True)
-        assert cache_default_enabled()
 
 
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_policy_numbers_identical(self, policy: str) -> None:
-        set_cache_default(True)
+    def test_policy_numbers_identical(self, policy: str, monkeypatch) -> None:
+        _reference(monkeypatch, False)
         cached = _run_policy(policy)
-        set_cache_default(False)
+        _reference(monkeypatch, True)
         uncached = _run_policy(policy)
         assert cached.ml_perf == uncached.ml_perf
         assert cached.ml_perf_norm == uncached.ml_perf_norm
@@ -346,11 +342,11 @@ class TestEndToEndEquivalence:
         assert cached.events_dispatched == uncached.events_dispatched
         assert uncached.solver_stats["cache_hits"] == 0
 
-    def test_fig13_numbers_identical(self) -> None:
+    def test_fig13_numbers_identical(self, monkeypatch) -> None:
         from repro.experiments.fig13_overall import run_fig13
 
         common_mod._STANDALONE_CACHE.clear()
-        set_cache_default(True)
+        _reference(monkeypatch, False)
         cached = run_fig13(
             duration=10.0,
             policies=("BL", "KP"),
@@ -358,7 +354,7 @@ class TestEndToEndEquivalence:
             mixes=(("stream", 1),),
         )
         common_mod._STANDALONE_CACHE.clear()
-        set_cache_default(False)
+        _reference(monkeypatch, True)
         uncached = run_fig13(
             duration=10.0,
             policies=("BL", "KP"),
@@ -367,8 +363,8 @@ class TestEndToEndEquivalence:
         )
         assert cached == uncached
 
-    def test_cache_hit_rate_reported(self) -> None:
-        set_cache_default(True)
+    def test_cache_hit_rate_reported(self, monkeypatch) -> None:
+        _reference(monkeypatch, False)
         result = _run_policy("KP")
         stats = result.solver_stats
         assert stats["solves"] > 0

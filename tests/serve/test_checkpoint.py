@@ -144,6 +144,27 @@ with open({str(out)!r}, "w") as handle:
         assert tuple(payload["snapshots"]) == baseline[1]
         assert [tuple(row) for row in payload["commands"]] == list(baseline[2])
 
+    def test_fresh_process_saves_are_byte_identical(self, tmp_path) -> None:
+        """Two runs with the same flags write the same checkpoint bytes.
+
+        Each save comes from its own process: within one process, sets
+        hashed on ``id()`` can pickle in a different order from one build
+        of the service graph to the next.
+        """
+        paths = [tmp_path / f"ckpt{i}.bin" for i in range(2)]
+        for path in paths:
+            subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "fleet-serve",
+                    "--trace-duration", "40", "--trace-rate", "10",
+                    "--nodes", "2", "--save", str(path), "--save-at", "20",
+                ],
+                check=True,
+                capture_output=True,
+                env={"PYTHONPATH": str(_SRC), "PATH": "/usr/bin:/bin"},
+            )
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
 
 class TestValidation:
     def test_meta_readable_without_state(self, config, trace, tmp_path) -> None:
