@@ -21,7 +21,9 @@ bypasses — and adds the two things the bare surfaces lack:
   the flat-rate fault stream (and any run without windows) is bit-identical
   whether or not windows exist in the config. The live
   :attr:`HostControlPlane.fault_windows` list is mutable so a fleet-level
-  incident schedule can arm and disarm a stuck actuator mid-run.
+  incident schedule can arm and disarm a stuck actuator mid-run; arm one
+  through :meth:`~repro.core.policies.base.IsolationPolicy.add_fault_window`,
+  which lets a parked fleet member's control loop catch up first.
 
 All randomness comes from a seeded :class:`numpy.random.Generator`, so
 fault runs stay deterministic across process pools.

@@ -44,7 +44,7 @@ class ControlLoop:
         plane: HostControlPlane,
     ) -> None:
         self.node = node
-        self.governor = governor
+        self._governor = governor
         self.sensors = sensors
         self.plane = plane
         self._history: list[ControlTickRecord] = []
@@ -52,9 +52,9 @@ class ControlLoop:
         #: ``(rows, fields)`` batches of elided ticks (see :meth:`elide`)
         #: whose records are built only when the history is read.
         self._pending: list = []
-        #: Called before every :attr:`history` read; a parked fleet member
-        #: hooks its replay here so pending skipped ticks are never missed.
-        self.before_read: Callable[[], None] | None = None
+        #: A parked fleet member's replay of its skipped ticks (see
+        #: :meth:`catch_up`); None while nobody parks this loop.
+        self.replay: Callable[[], None] | None = None
         #: Engaged ticks whose enforcement produced zero actuation writes
         #: (every knob already held the decided value): the machine was
         #: never notified, so no contention re-solve ran at all.
@@ -67,11 +67,33 @@ class ControlLoop:
         self._held_sample = None
         self._hold_until = 0.0
 
+    def catch_up(self) -> None:
+        """Replay the ticks a parked owner skipped, if any, right now.
+
+        Skipped ticks repeat the decision the loop would have made from
+        the state they saw, so they are replayed before anything reads
+        them or changes that state without touching the node's telemetry:
+        every :attr:`history` read, a :attr:`governor` swap, a governor
+        profile swap (``KelpRuntime.profile``) and a new stuck-actuator
+        window (``IsolationPolicy.add_fault_window``).
+        """
+        if self.replay is not None:
+            self.replay()
+
+    @property
+    def governor(self) -> Governor:
+        """The decision kernel; swapping it catches up first."""
+        return self._governor
+
+    @governor.setter
+    def governor(self, governor: Governor) -> None:
+        self.catch_up()
+        self._governor = governor
+
     @property
     def history(self) -> list[ControlTickRecord]:
         """One :class:`ControlTickRecord` per engaged tick, in time order."""
-        if self.before_read is not None:
-            self.before_read()
+        self.catch_up()
         if self._pending:
             self._build_pending()
         return self._history
@@ -100,7 +122,7 @@ class ControlLoop:
         else:
             m = self.sensors.sample()
             self._held_sample = m
-        decision = self.governor.decide(m)
+        decision = self._governor.decide(m)
         if decision is None:
             self._last_writes = None
             return None
@@ -148,6 +170,21 @@ class ControlLoop:
         return record
 
     # -------------------------------------------------------------- parking
+    @property
+    def quiet(self) -> bool:
+        """Whether only the sample can make the next tick act: the last
+        tick wrote nothing, the sensors are perfect and not held, and the
+        actuators carry no fault injection and no deferred write."""
+        plane = self.plane
+        return not (
+            self._last_writes != 0
+            or type(self.sensors) is not PerfectSensors
+            or plane.faults is not None
+            or plane.fault_windows
+            or plane.has_pending
+            or self.node.sim.now < self._hold_until
+        )
+
     def steady(
         self, m: KelpMeasurements, error: KelpMeasurements
     ) -> tuple | None:
@@ -155,25 +192,16 @@ class ControlLoop:
         field stays within ``error`` of ``m``'s, or None when a tick could
         do more.
 
-        A tick is provably a repeat only when the last tick wrote nothing,
-        the sensors are perfect and not held, the actuators carry no fault
-        injection and no deferred write, and the governor reports a
+        A tick is provably a repeat only when the loop is :attr:`quiet`
+        and the governor reports a
         :meth:`~repro.control.governors.KelpGovernor.steady` decision (no
         plan moves). The fields are ``(lo_cores, lo_prefetchers,
         backfill_cores, action_hi, action_lo, extra)``, as :meth:`tick`
         would record them.
         """
-        plane = self.plane
-        if (
-            self._last_writes != 0
-            or type(self.sensors) is not PerfectSensors
-            or plane.faults is not None
-            or plane.fault_windows
-            or plane.has_pending
-            or self.node.sim.now < self._hold_until
-        ):
+        if not self.quiet:
             return None
-        steady = getattr(self.governor, "steady", None)
+        steady = getattr(self._governor, "steady", None)
         decision = steady(m, error) if steady is not None else None
         if decision is None:
             return None

@@ -64,6 +64,7 @@ class KelpRuntime:
 
     @profile.setter
     def profile(self, value: QosProfile) -> None:
+        self.loop.catch_up()
         self._governor.profile = value
 
     @property

@@ -131,6 +131,17 @@ class IsolationPolicy(abc.ABC):
         """
         return list(self._loop.history) if self._loop is not None else []
 
+    def add_fault_window(self, start: float, stop: float) -> None:
+        """Arm a stuck-actuator window ``[start, stop)`` mid-run.
+
+        The loop catches up first (see
+        :meth:`~repro.control.loop.ControlLoop.catch_up`): ticks it skipped
+        before the window was armed ran without it.
+        """
+        if self._loop is not None:
+            self._loop.catch_up()
+        self.control_plane.fault_windows.append((start, stop))
+
     def actuation_journal(self) -> list[ActuationRecord]:
         """Every physical knob write this policy performed, in order."""
         return list(self.control_plane.journal)

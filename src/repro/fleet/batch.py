@@ -12,7 +12,7 @@ only delayed — exactly the contract of a best-effort tier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.fleet.config import BatchJobSpec
 from repro.fleet.member import FleetMember
@@ -87,16 +87,20 @@ class BatchQueue:
         self.stats = BatchQueueStats()
 
     # ----------------------------------------------------------------- tick
-    def tick(self, members: Sequence[FleetMember]) -> None:
+    def tick(self, members: Iterable[FleetMember]) -> None:
         """One control interval: evict from hot nodes, then place pending.
 
         Called after every member has refreshed its telemetry sample, so
         eviction decisions and placement scores act on this interval's
-        signals.
+        signals. ``members`` (the nodes the queue may use, in member
+        order) is read only while some job is resident or pending, so an
+        idle queue costs nothing per member.
         """
-        if self._eviction:
-            self._evict_hot(members)
-        self._place_pending(members)
+        if self._by_node or self._pending:
+            members = list(members)
+            if self._eviction:
+                self._evict_hot(members)
+            self._place_pending(members)
         self.stats.pending_at_end = len(self._pending)
 
     def _evict_hot(self, members: Sequence[FleetMember]) -> None:
@@ -107,6 +111,8 @@ class BatchQueue:
             # Shed the most recently placed job first: it is the likeliest
             # cause of the regression and the cheapest to restart elsewhere.
             job = jobs.pop()
+            if not jobs:
+                del self._by_node[member.index]
             member.remove_job(job.job_id)
             job.state = PENDING
             job.node_index = None

@@ -9,8 +9,9 @@ owns which in-flight request) and dynamic batch-job slots the cluster queue
 places into and evicts from.
 
 A quiescent member *parks*: while nothing can change what its control
-ticks and telemetry samples would read or decide, it skips them and only
-notes their times, then replays them exactly on demand. See
+ticks and telemetry samples would read or decide, its policy loop leaves
+the event heap and the fleet stops sampling it; the skipped reads are
+kept as two grid runs and replayed exactly on demand. See
 :meth:`FleetMember.wake` and the "Quiescent members" section of
 ``docs/performance.md``.
 """
@@ -25,7 +26,6 @@ import numpy as np
 
 from repro.node import Node
 from repro.control.actuators import ActuationFaultConfig
-from repro.control.governors import Governor
 from repro.control.records import ActuationRecord, ControlTickRecord
 from repro.control.sensors import SensorConfig
 from repro.core.measurements import KelpMeasurements
@@ -35,8 +35,8 @@ from repro.core.watermarks import QosProfile
 from repro.errors import SchedulingError
 from repro.fleet.config import SATURATED_BW_FRACTION, pressure_bucket
 from repro.reference import reference_mode
-from repro.sim import Simulator
-from repro.sim.engine import PRIORITY_CONTROL
+from repro.sim import Event, Simulator
+from repro.sim.engine import PRIORITY_CONTROL, PRIORITY_LAST, PeriodicTask
 from repro.workloads.cpu.base import BatchProfile, BatchTask
 from repro.workloads.ml.base import InferenceServerTask
 from repro.workloads.ml.catalog import MlInstance, MlWorkloadFactory
@@ -55,29 +55,64 @@ def _mix_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
-class _Park:
-    """What a parked member's skipped reads depend on, fixed at parking."""
+def _grid_run(start: float, interval: float, last: float) -> list[float]:
+    """The instants ``start, start + interval, ...`` up to ``last``.
 
-    __slots__ = ("until", "governor", "governor_profile", "profile", "reader", "fields")
+    The same chained float addition a :class:`~repro.sim.engine.PeriodicTask`
+    schedules with, so each instant is bit-equal to one its loop fires at.
+    """
+    run = []
+    t = start
+    while t <= last:
+        run.append(t)
+        t = t + interval
+    return run
+
+
+class SampleClock:
+    """The grid of the fleet's telemetry samples, as its members see it.
+
+    The fleet samples every member it manages at each control tick; the
+    ticks fire on the chained grid ``last + interval`` (the members' own
+    interval). A parked member keeps its skipped samples as a run over
+    this grid.
+    """
+
+    __slots__ = ("last",)
+
+    def __init__(self, last: float) -> None:
+        #: The instant of the latest fleet control tick (set as it starts).
+        self.last = last
+
+
+class _Park:
+    """What a parked member's skipped reads depend on, fixed at parking,
+    and the two grid runs those reads fall on."""
+
+    __slots__ = ("profile", "reader", "fields", "tick_from", "sample_from", "horizon")
 
     def __init__(
         self,
-        until: float,
-        governor: Governor,
         profile: QosProfile,
         reader: str,
         fields: tuple,
+        tick_from: float,
+        sample_from: float,
+        horizon: Event,
     ) -> None:
-        #: Last instant the parking predicate's rounding bound covers.
-        self.until = until
-        self.governor = governor
-        self.governor_profile = governor.profile
         #: The member profile the sampler's hot predicate reads.
         self.profile = profile
         #: The control loop's perf reader name.
         self.reader = reader
         #: The record fields every skipped tick repeats (see ControlLoop.steady).
         self.fields = fields
+        #: First skipped instant of the member's policy loop grid.
+        self.tick_from = tick_from
+        #: First skipped instant of the fleet's sample grid.
+        self.sample_from = sample_from
+        #: The event that ends the park at the last instant the parking
+        #: predicate's rounding bound covers; None once it has fired.
+        self.horizon: Event | None = horizon
 
 
 @dataclass(frozen=True)
@@ -174,20 +209,23 @@ class FleetMember:
         )
         self._interval = interval
         self._on_complete = on_complete
-        self._cancel_policy_loop: Callable[[], None] | None = None
-        #: Control ticks this member ran, and skipped while parked.
+        #: The policy loop while it runs; None once stopped or failed.
+        self._policy_loop: PeriodicTask | None = None
+        #: Control ticks this member ran; skipped ticks already replayed.
         self.ticks_run = 0
-        self.ticks_elided = 0
-        #: Set while parked (see :meth:`_maybe_park`).
-        self._park: _Park | None = None
-        #: ``(time, perf reader)`` of every read skipped while parked.
-        self._skipped: list[tuple[float, str]] = []
+        self._ticks_elided = 0
+        #: Set while parked (see :meth:`_maybe_park`): the member skips its
+        #: control ticks and samples, and none of its events fire.
+        self.park: _Park | None = None
+        self._sample_clock: SampleClock | None = None
+        #: Set when a park reaches its horizon: the next read runs for real.
+        self._horizon_passed = False
         #: When not None, every replayed telemetry sample is appended here,
         #: so the orchestrator can rebuild its telemetry rows at finalize.
         self.signal_log: deque[NodeSignals] | None = None
         self._can_park = not reference_mode() and self.policy.loop is not None
         if self.policy.loop is not None:
-            self.policy.loop.before_read = self.wake
+            self.policy.loop.replay = self.wake
         #: FIFO of ``(tenant, counted)`` ownership records per request-start
         #: timestamp. ``counted`` is the request's admission epoch: whether
         #: it was admitted inside the measurement window, decided once at
@@ -231,9 +269,24 @@ class FleetMember:
     @property
     def last_signals(self) -> NodeSignals | None:
         """Latest telemetry snapshot (None before the first control tick)."""
-        if self._park is not None:
+        if self.park is not None:
             self.wake()
         return self._last_signals
+
+    @property
+    def sample_clock(self) -> SampleClock | None:
+        """The fleet's sample grid while it samples this member, else None.
+
+        A member parks only while sampled, and its park counts on those
+        samples, so setting this (a retirement or a recommission) wakes
+        the member first.
+        """
+        return self._sample_clock
+
+    @sample_clock.setter
+    def sample_clock(self, clock: SampleClock | None) -> None:
+        self.wake()
+        self._sample_clock = clock
 
     @property
     def in_rotation(self) -> bool:
@@ -255,19 +308,28 @@ class FleetMember:
         """Start the inference server and the node policy's control loop."""
         self.instance.start()
         self.server.completion_listeners.append(self._complete)
+        self._start_policy_loop()
+
+    def _start_policy_loop(self) -> None:
+        """Tick the node policy every interval from now on, if it has a loop."""
         if self.policy.has_control_loop:
-            self._cancel_policy_loop = self.sim.every(
+            self._policy_loop = PeriodicTask(
+                self.sim,
                 self._interval,
                 self._policy_tick,
                 label=f"fleet:policy:{self.index}",
                 priority=PRIORITY_CONTROL,
             )
+            self._policy_loop.resume(self.sim.now + self._interval)
+
+    def _stop_policy_loop(self) -> None:
+        if self._policy_loop is not None:
+            self._policy_loop.cancel()
+            self._policy_loop = None
 
     def stop(self) -> None:
         """Stop the control loop, resident batch jobs and the server."""
-        if self._cancel_policy_loop is not None:
-            self._cancel_policy_loop()
-            self._cancel_policy_loop = None
+        self._stop_policy_loop()
         for job_id in list(self._jobs):
             self.remove_job(job_id)
         try:
@@ -296,9 +358,7 @@ class FleetMember:
         self.alive = False
         self.deaths += 1
         self._frozen_load = self.load
-        if self._cancel_policy_loop is not None:
-            self._cancel_policy_loop()
-            self._cancel_policy_loop = None
+        self._stop_policy_loop()
         try:
             self.server.completion_listeners.remove(self._complete)
         except ValueError:  # pragma: no cover - defensive
@@ -342,13 +402,7 @@ class FleetMember:
         self.alive = True
         self.instance.start()
         self.server.completion_listeners.append(self._complete)
-        if self.policy.has_control_loop:
-            self._cancel_policy_loop = self.sim.every(
-                self._interval,
-                self._policy_tick,
-                label=f"fleet:policy:{self.index}",
-                priority=PRIORITY_CONTROL,
-            )
+        self._start_policy_loop()
         self._notify("load")  # the rebooted server starts empty
 
     def begin_blackout(self, until: float) -> None:
@@ -483,78 +537,71 @@ class FleetMember:
 
     # -------------------------------------------------------------- parking
     @property
-    def parked(self) -> bool:
-        """Whether this member is skipping its control ticks and samples."""
-        return self._park is not None
+    def ticks_elided(self) -> int:
+        """Control ticks skipped while parked, the open park's included."""
+        park = self.park
+        if park is None:
+            return self._ticks_elided
+        return self._ticks_elided + len(
+            _grid_run(park.tick_from, self._interval, self.sim.now)
+        )
 
     def skip_sample(self) -> bool:
-        """Skip this interval's telemetry sample if parked; False if not.
+        """Whether this telemetry sample is taken by a replay, not now.
 
-        A skipped sample is provably neither hot nor saturated, and its
+        Called on awake members only; the fleet samples no parked member.
+        True when the member parks here, skipping the sample, and when it
+        was woken earlier in this fleet tick, before the tick reached it:
+        its replay ran through this instant and already took the sample.
+        Such a sample is provably neither hot nor saturated, and its
         routing pressure falls in the last real sample's bucket (the
         parking predicate checks all three), so the caller may count it as
-        such.
+        such; it lands in :attr:`signal_log`.
         """
-        if not self._skippable():
-            return False
-        self._skipped.append((self.sim.now, FLEET_READER))
-        self.hot_streak = 0
-        return True
+        if self.node.perf.mark_time(FLEET_READER) == self.sim.now:
+            return True
+        self._maybe_park(sampling=True)
+        return self.park is not None
 
     def _policy_tick(self) -> None:
-        """The periodic policy event: a real tick, or a skipped one."""
-        if self._skippable():
-            self._skipped.append((self.sim.now, self._park.reader))
-            self.ticks_elided += 1
-            return
-        self.ticks_run += 1
-        self.policy.tick()
+        """The periodic policy event: park (skipping the tick), or tick."""
+        self._maybe_park()
+        if self.park is None:
+            self.ticks_run += 1
+            self.policy.tick()
 
-    def _skippable(self) -> bool:
-        """Whether the current tick or sample may be skipped.
-
-        An awake member tries to park here, at the first read it could
-        skip, rather than right after its last real read: a request that
-        arrives in between then fails the predicate's cheap checks, and
-        the full predicate runs only when it saves a read.
-        """
-        if self._park is None:
-            self._maybe_park()
-            return self._park is not None
-        return self._still_parked()
-
-    def _still_parked(self) -> bool:
-        """Whether the park still holds now; wakes the member if not.
-
-        Catches the changes that touch no telemetry: a governor or
-        profile swap, an armed stuck actuator, the end of the horizon.
-        """
-        park = self._park
-        loop = self.policy.loop
-        if (
-            self.sim.now <= park.until
-            and loop.governor is park.governor
-            and park.governor.profile is park.governor_profile
-            and self.policy.profile is park.profile
-            and not loop.plane.fault_windows
-        ):
-            return True
-        self.wake()
-        return False
-
-    def _maybe_park(self) -> None:
+    def _maybe_park(self, sampling: bool = False) -> None:
         """Park if this read and the ones after it provably change nothing.
 
-        The predicate: the member is alive, not blacked out, with an empty
-        server and no batch task; both perf readers last read after the
-        current solve state was installed, so every later window sees that
-        state alone; the control loop reports a steady decision (no write,
-        no plan move, perfect sensors, no faults); and the state's values
-        sit farther than their rounding bound from every watermark and
-        from :data:`~repro.fleet.config.SATURATED_BW_FRACTION`, with every
+        Called at the member's own tick, or with ``sampling`` at the fleet's
+        telemetry sample; an awake member tries to park at the first read
+        it could skip, rather than right after its last real read, so a
+        request that arrives in between fails the predicate's cheap checks
+        and the full predicate runs only when it saves a read.
+
+        The predicate: the member is alive, sampled by the fleet, not
+        blacked out, with an empty server and no batch task; both perf
+        readers last read after the current solve state was installed, so
+        every later window sees that state alone; the control loop reports
+        a steady decision (no write, no plan move, perfect sensors, no
+        faults); and the state's values sit farther than their rounding
+        bound from every watermark and from
+        :data:`~repro.fleet.config.SATURATED_BW_FRACTION`, with every
         sample's routing pressure in the last real sample's bucket.
+
+        Parking takes the policy loop off the heap and schedules the
+        horizon event; :meth:`wake` undoes both.
         """
-        if not self._can_park or self._park is not None or not self.alive:
+        if self._horizon_passed:
+            self._horizon_passed = False
+            return
+        if (
+            not self._can_park
+            or self.park is not None
+            or not self.alive
+            or self._sample_clock is None
+            or self._policy_loop is None
+        ):
             return
         now = self.sim.now
         server = self.server
@@ -570,6 +617,7 @@ class FleetMember:
             reader is None
             or perf.mark_time(reader) < since
             or perf.mark_time(FLEET_READER) < since
+            or not loop.quiet
         ):
             return
         # Windows are one interval long; half of it bounds them from below.
@@ -604,8 +652,30 @@ class FleetMember:
             or (pressure_bucket(last.pressure()) if last is not None else 0) != bucket
         ):
             return
-        self._park = _Park(until, loop.governor, profile, reader, fields)
+        # The first skipped instant of each grid: this read itself, or the
+        # next firing of its loop (the fleet ticks at ``last + interval``).
+        policy_loop = self._policy_loop
+        pending = policy_loop.handle
+        last_sample = self._sample_clock.last
+        self.park = _Park(
+            profile,
+            reader,
+            fields,
+            tick_from=now if pending is None else pending.time,
+            sample_from=now if sampling else last_sample + self._interval,
+            horizon=self.sim.at(
+                until, self._end_park, label=f"fleet:horizon:{self.index}",
+                priority=PRIORITY_LAST,
+            ),
+        )
+        policy_loop.pause()
         telemetry.on_advance = self.wake
+
+    def _end_park(self) -> None:
+        """The horizon event: wake, and run the next read for real."""
+        self.park.horizon = None
+        self.wake()
+        self._horizon_passed = True
 
     def wake(self) -> None:
         """Unpark, replaying every skipped read exactly (no-op if awake).
@@ -613,43 +683,64 @@ class FleetMember:
         The one replay choke point. It runs before the member's telemetry
         advances for any reason (a submit, a job placement, a knob write
         or a remediation all end in an advance) and before any read of its
-        history, signals or perf window. The skipped reads are performed
-        in their original order at their original instants, so the
+        history, signals or perf window. Changes that touch no telemetry
+        wake it too: a death or a blackout (here), a retirement
+        (:attr:`sample_clock`), and a governor, profile or fault-window
+        change, which the control loop catches up on first
+        (:meth:`~repro.control.loop.ControlLoop.catch_up`).
+
+        The skipped reads are the member's ticks from ``tick_from`` up to
+        now (a tick at or before now has fired) and the fleet's samples
+        from ``sample_from`` up to its latest control tick, which may be
+        under way: a member woken in it before it reaches the member takes
+        that sample here, and :meth:`skip_sample` then counts it. They are
+        performed in dispatch order (at one instant the tick, at
+        ``PRIORITY_CONTROL``, comes before the sample, at
+        ``PRIORITY_OBSERVE``) at their original instants, so the
         integrals, the ``kelp`` and ``fleet`` reader marks, the control
         records and the telemetry snapshots come out exactly as if the
-        member had never parked.
+        member had never parked. The policy loop is re-armed at its first
+        grid instant after now, unless it was stopped meanwhile.
         """
-        park = self._park
+        park = self.park
         if park is None:
             return
-        self._park = None
+        self.park = None
         node = self.node
         node.machine.telemetry.on_advance = None
-        skipped, self._skipped = self._skipped, []
-        if not skipped:
-            return
+        if park.horizon is not None:
+            park.horizon.cancel()
+        interval = self._interval
+        ticks = _grid_run(park.tick_from, interval, self.sim.now)
+        if self._policy_loop is not None:
+            self._policy_loop.resume(ticks[-1] + interval if ticks else park.tick_from)
+        samples = _grid_run(park.sample_from, interval, self._sample_clock.last)
+        reads = sorted([(t, False) for t in ticks] + [(t, True) for t in samples])
         perf = node.perf
         log = self.signal_log
-        ticks = []
+        rows = []
         sample = None
-        for now, reader in skipped:
+        for now, is_sample in reads:
             # The skipped read itself, at its own instant: integrals, marks
             # and reading come out exactly as if it had run on time.
+            reader = FLEET_READER if is_sample else park.reader
             reading = perf.read_kelp(reader, node.accel_socket, node.hi_subdomain, now)
-            if reader == FLEET_READER:
+            if is_sample:
                 sample = (now, reading)
                 if log is not None:
                     log.append(self._make_signals(now, reading, park.profile, 0, 0, 0))
             else:
-                ticks.append((now, reading))
+                rows.append((now, reading))
         if sample is not None:
             self._last_signals = (
                 log[-1]
                 if log is not None
                 else self._make_signals(*sample, park.profile, 0, 0, 0)
             )
-        if ticks:
-            self.policy.loop.elide(ticks, park.fields)
+            self.hot_streak = 0
+        if rows:
+            self._ticks_elided += len(rows)
+            self.policy.loop.elide(rows, park.fields)
 
     def _offline_signals(self) -> NodeSignals:
         """An all-quiet snapshot for members that die before any sample."""

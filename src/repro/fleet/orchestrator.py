@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.fleet.batch import BatchQueue
 from repro.fleet.config import FleetConfig, TenantSpec
 from repro.fleet.index import make_routing_index
-from repro.fleet.member import FleetMember, NodeSignals
+from repro.fleet.member import FleetMember, NodeSignals, SampleClock
 from repro.fleet.routing import Router, make_router
 from repro.fleet.slo import (
     TenantAccount,
@@ -216,6 +216,8 @@ class FleetOrchestrator:
         #: window index -> [saturated samples, total samples] from ticks.
         self._window_saturation: dict[int, list[int]] = {}
         self._sim: Simulator | None = None
+        #: The grid the control tick samples members on (set up in setup()).
+        self._sample_clock: SampleClock | None = None
         self._queue: BatchQueue | None = None
         #: Offered-but-lost requests (dead members, empty rotation).
         self.requests_dropped = 0
@@ -250,6 +252,9 @@ class FleetOrchestrator:
         config = self.config
         sim = Simulator()
         self._sim = sim
+        # The control tick below is the sampler: its first firing is one
+        # interval after now.
+        self._sample_clock = SampleClock(sim.now)
         self.members = [self._build_member(i) for i in range(config.nodes)]
         self._node_completed = [0] * config.nodes
         self._node_latency = [StreamingPercentiles() for _ in range(config.nodes)]
@@ -331,6 +336,7 @@ class FleetOrchestrator:
         )
         if self._collect_telemetry:
             member.signal_log = deque()
+        member.sample_clock = self._sample_clock
         return member
 
     def advance(self, until: float) -> None:
@@ -492,6 +498,7 @@ class FleetOrchestrator:
         # The wall clock, not a member's sample time: a dead or blacked-out
         # member exports a frozen (stale) snapshot.
         now = self._sim.now
+        self._sample_clock.last = now
         post_warmup = now > self.config.warmup
         saturated = 0
         members = self.members
@@ -502,8 +509,10 @@ class FleetOrchestrator:
             members = [m for m in members if m.index not in self._retired]
         collect = self._collect_telemetry
         for member in members:
-            if member.skip_sample():
-                # Parked: the skipped sample is neither saturated nor hot.
+            if member.park is not None or member.skip_sample():
+                # Parked, or woken in this tick before it got here: the
+                # member's replay takes the sample, which is neither
+                # saturated nor hot.
                 if collect:
                     self._telemetry_signals.append(member)
                 continue
@@ -540,7 +549,7 @@ class FleetOrchestrator:
         # Dead members are excluded too: placement is a synchronous RPC
         # that fails fast against a crashed node (unlike the datapath,
         # which black-holes silently).
-        queue.tick([m for m in members if m.alive and m.accepts_batch])
+        queue.tick(m for m in members if m.alive and m.accepts_batch)
 
     # ----------------------------------------------------------- lifecycle
     def kill_member(self, index: int, requeue: bool = True) -> int:
@@ -598,6 +607,7 @@ class FleetOrchestrator:
         if self._retired:
             index = min(self._retired)
             self._retired.discard(index)
+            self.members[index].sample_clock = self._sample_clock
             self.restore_member(index)
             self._rebuild_routing_index()
             return index
@@ -622,6 +632,8 @@ class FleetOrchestrator:
         """
         if index in self._retired:
             return 0
+        # The control tick stops sampling a retired member.
+        self.members[index].sample_clock = None
         requeued = self.quarantine_member(index)
         self._retired.add(index)
         self._rebuild_routing_index()

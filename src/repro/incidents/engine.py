@@ -169,8 +169,7 @@ class IncidentEngine(FleetHooks):
             self._maybe_batch_arrival(spec, member)
         elif spec.kind == "stuck-actuator":
             member = orch.members[spec.node]
-            plane = member.policy.control_plane
-            plane.fault_windows.append((spec.start_s, spec.end_s))
+            member.policy.add_fault_window(spec.start_s, spec.end_s)
             self._maybe_batch_arrival(spec, member)
         elif spec.kind == "noisy-neighbor":
             self._start_intruder(index, spec)

@@ -23,6 +23,7 @@ Two properties the rest of the stack leans on:
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import pickle
@@ -40,7 +41,18 @@ if TYPE_CHECKING:
     from repro.traces.schema import Trace
 
 #: Checkpoint container format tag; bump on any incompatible change.
-CHECKPOINT_FORMAT = "repro-serve-checkpoint/v2"
+CHECKPOINT_FORMAT = "repro-serve-checkpoint/v3"
+
+#: Ends a checkpoint file, followed by the SHA-256 (hex) of the container
+#: before it.
+_DIGEST_MARK = f"\n{CHECKPOINT_FORMAT} sha256:".encode()
+
+#: What unpickling a damaged container raises (a bad opcode, a truncated
+#: frame, a bad string, an unknown global, an absurd length).
+_DECODE_ERRORS = (
+    pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+    TypeError, ValueError, OverflowError, MemoryError,
+)
 
 
 class FleetService:
@@ -273,7 +285,9 @@ class FleetService:
         The file is a pickled container: a small metadata dict (format
         tag, epoch, event-sequence watermark, trace digest) plus the
         pickled service graph as an opaque payload, so a restorer can
-        validate compatibility before deserializing simulator state.
+        validate compatibility before deserializing simulator state. A
+        SHA-256 of the container follows it, so a damaged file is refused
+        before any of it is unpickled.
         """
         self._require_live()
         sim = self.orchestrator._sim
@@ -290,11 +304,14 @@ class FleetService:
         }
         blob = dict(meta)
         blob["payload"] = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+        container = pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL)
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(path, "wb") as handle:
-            pickle.dump(blob, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(container)
+            handle.write(_DIGEST_MARK)
+            handle.write(hashlib.sha256(container).hexdigest().encode())
         if self.observer is not None:
             self.observer.record("serve_checkpoint", **meta)
         return meta
@@ -345,16 +362,28 @@ def checkpoint_meta(path: str) -> dict:
 
 
 def _read_checkpoint(path: str) -> dict:
+    """The checkpoint container at ``path``, its digest checked before
+    anything is unpickled: a ConfigurationError for an unreadable, foreign,
+    stale or damaged file."""
     try:
         with open(path, "rb") as handle:
-            blob = pickle.load(handle)
+            raw = handle.read()
     except OSError as exc:
         raise ConfigurationError(
             f"cannot read checkpoint {path}: {exc}"
         ) from exc
-    except (pickle.UnpicklingError, EOFError) as exc:
+    mark = len(raw) - 64 - len(_DIGEST_MARK)
+    if mark < 0 or raw[mark:-64] != _DIGEST_MARK:
+        raise ConfigurationError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
+    container = raw[:mark]
+    if hashlib.sha256(container).hexdigest().encode() != raw[-64:]:
+        raise ConfigurationError(f"{path}: checkpoint digest mismatch (corrupt file)")
+    try:
+        blob = pickle.loads(container)
+    except _DECODE_ERRORS as exc:
+        # Intact but undecodable: written by something else.
         raise ConfigurationError(
-            f"{path}: not a {CHECKPOINT_FORMAT} checkpoint ({exc})"
+            f"{path}: not a {CHECKPOINT_FORMAT} checkpoint ({type(exc).__name__})"
         ) from exc
     if not isinstance(blob, dict) or blob.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")

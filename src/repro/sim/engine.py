@@ -14,6 +14,8 @@ PRIORITY_CONTROL = 10
 PRIORITY_DEFAULT = 20
 #: Priority for bookkeeping that must observe everything else (e.g. samplers).
 PRIORITY_OBSERVE = 30
+#: Priority for events that must follow every other event at their instant.
+PRIORITY_LAST = 40
 
 #: Minimum heap size before cancelled-event compaction is considered.
 _COMPACT_MIN_HEAP = 64
@@ -21,15 +23,21 @@ _COMPACT_MIN_HEAP = 64
 _COMPACT_FRACTION = 0.5
 
 
-class _PeriodicTask:
-    """State of one :meth:`Simulator.every` loop.
+class PeriodicTask:
+    """State of one periodic loop (see :meth:`Simulator.every`).
 
     A class (rather than closures over local state) so a simulator with
     periodic tasks pending remains picklable for checkpoint/restore.
+
+    The loop fires on the chained grid ``t = t + interval``. It can leave
+    the heap and come back on that grid: :meth:`pause` cancels the pending
+    firing (called from the callback, it skips the re-arm instead), and
+    :meth:`resume` schedules the next firing at an absolute instant.
+    :meth:`cancel` is final: a cancelled loop never fires or resumes again.
     """
 
     __slots__ = ("sim", "interval", "callback", "label", "priority", "handle",
-                 "stopped")
+                 "stopped", "paused")
 
     def __init__(
         self,
@@ -44,30 +52,48 @@ class _PeriodicTask:
         self.callback = callback
         self.label = label
         self.priority = priority
+        #: The pending firing; None while paused, cancelled or firing.
         self.handle: Event | None = None
         self.stopped = False
+        self.paused = False
 
     def __call__(self) -> None:
         if self.stopped:
             return
+        self.handle = None
         self.callback()
-        if not self.stopped:
+        if not (self.stopped or self.paused):
             self.handle = self.sim.after(
                 self.interval, self, label=self.label, priority=self.priority
             )
 
     def cancel(self) -> None:
         self.stopped = True
+        self.pause()
+
+    def pause(self) -> None:
+        """Take the loop off the heap until :meth:`resume`."""
+        self.paused = True
         if self.handle is not None:
             self.handle.cancel()
+            self.handle = None
+
+    def resume(self, time: float) -> None:
+        """Fire next at ``time`` and on the grid after it (unless cancelled)."""
+        if self.stopped:
+            return
+        self.paused = False
+        self.handle = self.sim.at(
+            time, self, label=self.label, priority=self.priority
+        )
 
     def __getstate__(self):
         return (self.sim, self.interval, self.callback, self.label,
-                self.priority, self.handle, self.stopped)
+                self.priority, self.handle, self.stopped, self.paused)
 
     def __setstate__(self, state):
         (self.sim, self.interval, self.callback, self.label,
-         self.priority, self.handle, self.stopped) = state
+         self.priority, self.handle, self.stopped, self.paused) = state
 
 
 class Simulator:
@@ -172,7 +198,7 @@ class Simulator:
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval} for {label!r}")
-        task = _PeriodicTask(self, interval, callback, label, priority)
+        task = PeriodicTask(self, interval, callback, label, priority)
         first = interval if start_after is None else start_after
         task.handle = self.after(first, task, label=label, priority=priority)
         return task.cancel

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fleet.member import PARK_HORIZON_TICKS
 from repro.fleet.orchestrator import (
     FleetOrchestrator,
     FleetResult,
@@ -61,16 +62,30 @@ def _artifacts(result: FleetResult) -> dict:
         "telemetry": result.telemetry,
         "controller": result.controller,
         "actuation": result.actuation,
-        "events": result.events_dispatched,
         "ticks": result.ticks_run + result.ticks_elided,
     }
 
 
-def _assert_identical(config, trace) -> FleetResult:
-    parked = _replay(config, trace, reference=False)
-    eager = _replay(config, trace, reference=True)
+def _assert_matches(
+    parked: FleetResult, eager: FleetResult, *, fewer_events: bool = True
+) -> None:
+    """Identical outputs; a parked member's loop leaves the event heap, so
+    the parked run dispatches no more events, and (``fewer_events``) fewer
+    once any member parked. A park that begins at the member's own tick and
+    ends before its next one saves no event, so the hypothesis sweep,
+    whose parks may all be that short, asks for ``<=`` only."""
     assert eager.ticks_elided == 0
     assert _artifacts(parked) == _artifacts(eager)
+    assert parked.events_dispatched <= eager.events_dispatched
+    if fewer_events and parked.ticks_elided:
+        assert parked.events_dispatched < eager.events_dispatched
+
+
+def _assert_identical(config, trace, *, fewer_events: bool = True) -> FleetResult:
+    parked = _replay(config, trace, reference=False)
+    _assert_matches(
+        parked, _replay(config, trace, reference=True), fewer_events=fewer_events
+    )
     return parked
 
 
@@ -167,7 +182,7 @@ class TestPredicate:
         seen: dict[float, bool] = {}
 
         def probe() -> None:
-            seen[orchestrator._sim.now] = member.parked
+            seen[orchestrator._sim.now] = member.park is not None
 
         # At t=20, between the policy tick (priority 10) and the sample (30).
         for at in (5.0, 20.0, 25.0, 35.0):
@@ -179,15 +194,15 @@ class TestPredicate:
         orchestrator = self._fleet(())
         orchestrator.advance(25.0)
         member = orchestrator.members[0]
-        assert member.parked
+        assert member.park is not None
         member.wake()
         real = member.last_signals
         member._last_signals = replace(real, saturation=0.2)
         member._maybe_park()
-        assert not member.parked
+        assert member.park is None
         member._last_signals = real
         member._maybe_park()
-        assert member.parked
+        assert member.park is not None
 
     def test_blackout_wakes_the_member(self) -> None:
         """A blackout touches no telemetry, so it must wake explicitly: a
@@ -195,13 +210,121 @@ class TestPredicate:
         orchestrator = self._fleet(())
         orchestrator.advance(25.0)
         member = orchestrator.members[0]
-        assert member.parked
+        assert member.park is not None
         member.begin_blackout(45.0)
-        assert not member.parked
+        assert member.park is None
         orchestrator.advance(40.0)
         assert member.last_signals.time == 20.0
         orchestrator.advance(50.0)
         assert member.last_signals.time == 50.0
+
+    def test_loop_changes_wake_the_member(self) -> None:
+        """A governor swap, a governor profile swap and a new fault window
+        touch no telemetry either: the control loop catches up first."""
+        orchestrator = self._fleet(())
+        member = orchestrator.members[0]
+        policy = member.policy
+        orchestrator.advance(25.0)
+        assert member.park is not None
+        policy.loop.governor = policy.loop.governor
+        assert member.park is None
+        orchestrator.advance(35.0)
+        assert member.park is not None
+        policy._runtime.profile = policy._runtime.profile
+        assert member.park is None
+        orchestrator.advance(45.0)
+        assert member.park is not None
+        policy.add_fault_window(100.0, 110.0)
+        assert member.park is None
+        orchestrator.advance(55.0)
+        assert member.park is None
+
+
+class TestWakeInsideTheSampleLoop:
+    def test_index_compaction_on_every_sample(self, monkeypatch) -> None:
+        """The interference-aware index keys on ``last_signals``, so a
+        compaction inside the fleet's sampling loop wakes every parked
+        member, some before the loop reaches them. Each must still take
+        this instant's sample once: its telemetry rows stay in step."""
+        from repro.fleet.index import RoutingIndex
+
+        on_member_event = RoutingIndex.on_member_event
+
+        def compacting(index, member, kind) -> None:
+            on_member_event(index, member, kind)
+            if kind == "signals":
+                index._compact()
+
+        monkeypatch.setattr(RoutingIndex, "on_member_event", compacting)
+        trace = generate_trace(
+            TraceGenConfig(seed=5, duration_s=300.0, rate_qps=1.0)
+        )
+        config = fleet_config_for_trace(
+            trace, nodes=16, interval=10.0, routing="interference-aware", seed=2
+        )
+        parked = _assert_identical(config, trace)
+        assert parked.ticks_elided > 0
+
+
+class TestHorizon:
+    def test_a_park_ends_at_the_horizon(self) -> None:
+        """Requests only in the first minute of a 20-minute trace: the idle
+        member parks for PARK_HORIZON_TICKS intervals (512 s) at a time,
+        runs one real tick just after each horizon, and parks again."""
+        interval = 0.5
+        trace = _trace(tuple(np.linspace(1.0, 59.0, 30)), 1200.0)
+        config = fleet_config_for_trace(trace, nodes=1, interval=interval)
+        real: list[float] = []
+        with _mode(False):
+            orchestrator = FleetOrchestrator(config, trace=trace)
+            orchestrator.setup()
+            policy = orchestrator.members[0].policy
+            tick = policy.tick
+
+            def recorded() -> None:
+                real.append(orchestrator._sim.now)
+                tick()
+
+            policy.tick = recorded
+            orchestrator.advance(config.duration)
+            parked = orchestrator.finish()
+        _assert_matches(parked, _replay(config, trace, reference=True))
+        span = (PARK_HORIZON_TICKS + 1) * interval
+        late = [t for t in real if t > 60.0 + interval]
+        assert len(late) == 2
+        assert late[0] < 60.0 + span + interval
+        assert late[1] - late[0] == span
+        assert config.duration - late[1] < span
+
+
+_SCALE_GEN = TraceGenConfig(seed=3, duration_s=300.0, rate_qps=2.0)
+
+
+@pytest.fixture(scope="module")
+def scale_trace() -> Trace:
+    return generate_trace(_SCALE_GEN)
+
+
+def _scale_config(trace: Trace, nodes: int):
+    return fleet_config_for_trace(trace, nodes=nodes, interval=10.0, seed=1)
+
+
+@pytest.fixture(scope="module")
+def parked_1024(scale_trace) -> FleetResult:
+    return _replay(_scale_config(scale_trace, 1024), scale_trace, reference=False)
+
+
+class TestScale:
+    def test_1024_nodes(self, scale_trace, parked_1024) -> None:
+        eager = _replay(_scale_config(scale_trace, 1024), scale_trace, reference=True)
+        _assert_matches(parked_1024, eager)
+
+    def test_events_follow_requests_not_nodes(self, scale_trace, parked_1024) -> None:
+        """Each member past the 16th costs at most two events: an idle
+        member runs its first real tick, then leaves the heap."""
+        small = _replay(_scale_config(scale_trace, 16), scale_trace, reference=False)
+        extra = parked_1024.events_dispatched - small.events_dispatched
+        assert extra <= 2 * (1024 - 16)
 
 
 class TestIncidents:
@@ -254,7 +377,7 @@ class TestCheckpoint:
             while not service.done:
                 service.step()
                 members = service.orchestrator.members
-                parked = sum(m.parked for m in members) / len(members)
+                parked = sum(m.park is not None for m in members) / len(members)
                 if saved_at is None and service.epoch >= 3 and parked >= 0.9:
                     service.save(str(path))
                     saved_at = service.epoch
@@ -312,4 +435,4 @@ class TestSweep:
         config = fleet_config_for_trace(
             trace, nodes=nodes, interval=interval, seed=seed
         )
-        _assert_identical(config, trace)
+        _assert_identical(config, trace, fewer_events=False)

@@ -7,6 +7,7 @@ epoch snapshots, command log) to the uninterrupted run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 import subprocess
@@ -23,6 +24,7 @@ from repro.serve import (
     FleetService,
     checkpoint_meta,
 )
+from repro.serve.service import _DIGEST_MARK
 from repro.traces import TraceGenConfig, generate_trace
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
@@ -166,6 +168,12 @@ with open({str(out)!r}, "w") as handle:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def _sealed(container: bytes) -> bytes:
+    """``container`` as a checkpoint file with a valid digest trailer, so
+    the reader gets past the digest to its decode and format checks."""
+    return container + _DIGEST_MARK + hashlib.sha256(container).hexdigest().encode()
+
+
 class TestValidation:
     def test_meta_readable_without_state(self, config, trace, tmp_path) -> None:
         path = str(tmp_path / "ckpt.bin")
@@ -192,11 +200,15 @@ class TestValidation:
 
     def test_rejects_foreign_file(self, tmp_path) -> None:
         path = tmp_path / "junk.bin"
-        path.write_bytes(pickle.dumps({"format": "something-else"}))
-        with pytest.raises(ConfigurationError, match="not a"):
-            FleetService.restore(str(path))
-        with pytest.raises(ConfigurationError, match="not a"):
-            checkpoint_meta(str(path))
+        foreign = pickle.dumps({"format": "something-else"})
+        # With a valid trailer the in-container format tag refuses it;
+        # without one the missing trailer does.
+        for raw in (_sealed(foreign), foreign):
+            path.write_bytes(raw)
+            with pytest.raises(ConfigurationError, match="not a"):
+                FleetService.restore(str(path))
+            with pytest.raises(ConfigurationError, match="not a"):
+                checkpoint_meta(str(path))
 
     def test_rejects_v1_checkpoint_before_unpickling(
         self, config, trace, tmp_path
@@ -207,10 +219,10 @@ class TestValidation:
         service.step()
         service.save(str(path))
         blob = pickle.loads(path.read_bytes())
-        assert blob["format"] == CHECKPOINT_FORMAT == "repro-serve-checkpoint/v2"
+        assert blob["format"] == CHECKPOINT_FORMAT == "repro-serve-checkpoint/v3"
         blob["format"] = "repro-serve-checkpoint/v1"
-        path.write_bytes(pickle.dumps(blob))
-        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v2"):
+        path.write_bytes(_sealed(pickle.dumps(blob)))
+        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v3"):
             FleetService.restore(str(path), trace=trace)
         # A real v1 payload names classes that no longer exist; the format
         # check must refuse it before ``pickle.loads`` can hit them.
@@ -218,10 +230,10 @@ class TestValidation:
         with pytest.raises(AttributeError):
             pickle.loads(stale)
         blob["payload"] = stale
-        path.write_bytes(pickle.dumps(blob))
-        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v2"):
+        path.write_bytes(_sealed(pickle.dumps(blob)))
+        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v3"):
             FleetService.restore(str(path), trace=trace)
-        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v2"):
+        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v3"):
             checkpoint_meta(str(path))
 
     def test_rejects_missing_or_corrupt_file(self, tmp_path) -> None:
@@ -234,3 +246,73 @@ class TestValidation:
         corrupt.write_bytes(b"this is not a pickle")
         with pytest.raises(ConfigurationError, match="not a"):
             FleetService.restore(str(corrupt))
+        # Intact (the digest matches) but undecodable: a decode error,
+        # named as a foreign file.
+        corrupt.write_bytes(_sealed(b"this is not a pickle"))
+        with pytest.raises(
+            ConfigurationError,
+            match=r"not a repro-serve-checkpoint/v3 checkpoint \(UnpicklingError\)",
+        ):
+            FleetService.restore(str(corrupt))
+        with pytest.raises(ConfigurationError, match="UnpicklingError"):
+            checkpoint_meta(str(corrupt))
+
+
+class TestCorruptCheckpoint:
+    """A damaged checkpoint is refused with one named error line (exit 2),
+    before its payload is unpickled: never a traceback or a silent restore."""
+
+    _ARGS = [
+        "fleet-serve", "--trace-duration", "40", "--trace-rate", "10",
+        "--nodes", "2", "--no-telemetry",
+    ]
+
+    def test_bit_flips_exit_2_with_one_line(self, tmp_path, capsys) -> None:
+        import numpy as np
+
+        from repro.cli import main
+
+        ckpt = tmp_path / "ckpt.bin"
+        assert main(self._ARGS + ["--save", str(ckpt), "--save-at", "20"]) == 0
+        capsys.readouterr()
+        raw = ckpt.read_bytes()
+        payload = pickle.loads(raw)["payload"]
+        start = raw.index(payload)
+        end = start + len(payload)
+        rng = np.random.default_rng(0)
+        inside = rng.integers(start, end, size=12)
+        outside = rng.integers(0, len(raw) - len(payload), size=24)
+        outside = np.where(outside < start, outside, outside + len(payload))
+        bad = tmp_path / "bad.bin"
+        for position in np.concatenate([inside, outside]).tolist():
+            flipped = bytearray(raw)
+            flipped[position] ^= 1 << int(rng.integers(8))
+            bad.write_bytes(bytes(flipped))
+            assert main(self._ARGS + ["--restore", str(bad)]) == 2, position
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("fleet-serve: "), err
+            assert str(bad) in err and "checkpoint" in err
+            assert "Traceback" not in err
+
+    def test_digest_is_checked_before_unpickling(
+        self, config, trace, tmp_path, monkeypatch
+    ) -> None:
+        import repro.serve.service as service_module
+
+        path = tmp_path / "ckpt.bin"
+        service = FleetService(config, trace=trace, epoch_s=1.0)
+        service.start()
+        service.step()
+        service.save(str(path))
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x10
+        path.write_bytes(bytes(raw))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("unpickled a damaged checkpoint")
+
+        monkeypatch.setattr(service_module.pickle, "loads", refuse)
+        with pytest.raises(ConfigurationError, match="digest mismatch"):
+            FleetService.restore(str(path), trace=trace)
+        with pytest.raises(ConfigurationError, match="digest mismatch"):
+            checkpoint_meta(str(path))
