@@ -2,11 +2,13 @@
 """Scenario: author and evaluate your own isolation policy.
 
 The policy interface (:class:`repro.core.policies.base.IsolationPolicy`) is
-open: a policy decides machine preparation, placements, and an optional
-control loop. This example implements **StaticHalf** — a naive static
-partition that pins the ML task to the high-priority subdomain and CPU tasks
-to the other, disables all low-priority prefetchers permanently, and never
-adapts — and compares it against Kelp on the Fig 9 mix.
+open: a policy decides machine preparation (``prepare``), placements
+(``ml_placement``, ``plan_cpu``), and an optional control loop (built with
+``_make_loop`` in ``prepare``; without one, ``policy.loop`` is ``None``).
+This example implements **StaticHalf** — a naive static partition that pins
+the ML task to the high-priority subdomain and CPU tasks to the other,
+disables all low-priority prefetchers permanently, and never adapts — and
+compares it against Kelp on the Fig 9 mix.
 
 The lesson is the paper's: static throttling over-pays when pressure is low
 and the machine's spare capacity is wasted; a feedback runtime adapts.
@@ -16,16 +18,23 @@ Run:  python examples/custom_policy.py
 
 from __future__ import annotations
 
-from repro import MixConfig, Node, Simulator, run_colocation, standalone_performance
+from repro import (
+    MixConfig,
+    Node,
+    Simulator,
+    cpu_workload,
+    run_colocation,
+    standalone_performance,
+)
 from repro.node import HI_SUBDOMAIN, LO_SUBDOMAIN
 from repro.core.policies.base import (
     CpuTaskPlan,
     IsolationPolicy,
+    ML_CLOS,
     ROLE_LO,
 )
-from repro.core.policies.base import ML_CLOS
 from repro.hw.placement import Placement
-from repro.workloads.cpu.base import BatchProfile, BatchTask
+from repro.workloads.cpu.base import BatchProfile
 from repro.workloads.ml.catalog import ml_workload
 
 
@@ -60,13 +69,6 @@ class StaticHalfPolicy(IsolationPolicy):
             )
         ]
 
-    @property
-    def has_control_loop(self) -> bool:
-        return False
-
-    def tick(self) -> None:
-        """Static: nothing to do."""
-
 
 def run_static(intensity: int) -> tuple[float, float]:
     """Run CNN1 + Stitch under StaticHalf (bypassing the registry)."""
@@ -81,18 +83,9 @@ def run_static(intensity: int) -> tuple[float, float]:
     )
     policy.prepare()
     instance = factory.build(node.machine, policy.ml_placement(), warmup_until=6.0)
-    from repro.workloads import cpu_workload
-
-    tasks = []
-    for plan in policy.plan_cpu(cpu_workload("stitch", intensity)):
-        task = BatchTask(
-            plan.task_id, node.machine, plan.placement, plan.profile,
-            warmup_until=6.0,
-        )
-        tasks.append(task)
     instance.start()
-    for task in tasks:
-        task.start()
+    # No _make_loop in prepare(), so policy.loop is None: nothing to tick.
+    tasks = policy.place(cpu_workload("stitch", intensity), warmup=6.0)
     sim.run_until(40.0)
     standalone, _ = standalone_performance("cnn1")
     return (

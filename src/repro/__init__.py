@@ -12,8 +12,10 @@ The library layers, bottom to top:
 * :mod:`repro.workloads` — the four accelerated workloads (RNN1, CNN1,
   CNN2, CNN3) and the CPU workloads/antagonists (Stream, Stitch, CPUML,
   LLC/DRAM/Remote-DRAM).
-* :mod:`repro.core` — **Kelp itself**: Algorithm 1/2, watermark profiles,
-  and the evaluated policies (BL, CT, KP-SD, KP, HW-QOS).
+* :mod:`repro.core` — **Kelp itself**: Algorithm 2, watermark profiles,
+  and the evaluated policies (BL, CT, KP-SD, KP, HW-QOS, MBA, HW-PF).
+* :mod:`repro.control` — the node control loop every adaptive policy runs:
+  sensors, the governors (Algorithm 1 is ``KelpGovernor``) and actuators.
 * :mod:`repro.experiments` — one driver per paper figure/table.
 
 Quickstart::
@@ -26,7 +28,7 @@ Quickstart::
     print(result.ml_perf_norm, result.cpu_throughput)
 """
 
-from repro.core import KelpRuntime, available_policies, make_policy
+from repro.core import available_policies, make_policy
 from repro.core.watermarks import QosProfile, Watermark, default_profile
 from repro.node import Node
 from repro.errors import ReproError
@@ -56,7 +58,6 @@ from repro.workloads import (
 
 __all__ = [
     "ColocationResult",
-    "KelpRuntime",
     "Machine",
     "MachineSpec",
     "MixConfig",

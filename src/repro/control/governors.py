@@ -2,26 +2,22 @@
 
 A :class:`Governor` turns one sensor sample into a
 :class:`GovernorDecision` — the actions it chose plus the concrete knob
-values the :class:`~repro.control.loop.ControlLoop` should enforce. The
-three governors here are the decision kernels extracted verbatim from the
-historical policy ``tick`` methods, so the refactored loop reproduces the
-old trajectories bit-for-bit:
+values the :class:`~repro.control.loop.ControlLoop` should enforce:
 
 * :class:`KelpGovernor` — Algorithm 1 (the THROTTLE/BOOST/NOP comparisons
-  per subdomain) plus the Algorithm 2 plan updates, lifted from the old
-  ``KelpRuntime.tick``. The ``manage_*`` flags keep their historical
-  quirks: ``manage_lo_cores=False`` reverts a core *move* wholesale (the
-  prefetcher move rides along only when cores did not change) and
-  ``manage_prefetchers=False`` freezes the prefetcher count while letting
-  cores move.
+  per subdomain) plus the Algorithm 2 plan updates. With
+  ``manage_cores=False`` (KP-SD) it moves the low-priority prefetchers only:
+  a plan update that would change the core count is reverted wholesale
+  (the prefetcher move rides along only when cores did not change), and
+  the backfill plan never moves.
 * :class:`CoreThrottleGovernor` — the CT one-core-at-a-time feedback loop.
   It stays dormant (``decide`` returns ``None``) until :meth:`engage` is
   called with the initial grant, and emits a cpuset mask only on a
-  non-NOP tick, exactly as the old policy wrote it.
+  non-NOP tick.
 * :class:`MbaGovernor` — the MB%-step feedback loop of the Section VI-D
   MBA configuration; the throttle value is surfaced both as the
-  ``lo_prefetchers`` knob slot (the historical Fig 11/12 encoding) and as
-  an ``("mb_percent", …)`` extra.
+  ``lo_prefetchers`` knob slot (the Fig 11/12 encoding) and as an
+  ``("mb_percent", …)`` extra.
 
 Governors never touch the machine: every physical write goes through the
 :class:`~repro.control.actuators.HostControlPlane` in the loop.
@@ -92,24 +88,19 @@ class KelpGovernor:
 
     Holds the two resource plans (:class:`HiPriorityPlan` for backfill,
     :class:`LoPriorityPlan` for the low subdomain) and updates them via the
-    Algorithm 2 procedures each tick. ``profile`` is a plain mutable
-    attribute — swapping it mid-run retargets the controller, as the
-    backpressure experiments do.
+    Algorithm 2 procedures each tick, comparing every sample against
+    ``profile``. ``manage_cores`` selects full Kelp (cores, backfill and
+    prefetchers) or KP-SD (prefetchers only). To retarget a running loop,
+    swap in a new governor through
+    :attr:`~repro.control.loop.ControlLoop.governor`.
     """
 
     def __init__(
-        self,
-        node: "Node",
-        profile: QosProfile,
-        manage_lo_cores: bool = True,
-        manage_backfill: bool = True,
-        manage_prefetchers: bool = True,
+        self, node: "Node", profile: QosProfile, manage_cores: bool = True
     ) -> None:
         self._node = node
         self.profile = profile
-        self.manage_lo_cores = manage_lo_cores
-        self.manage_backfill = manage_backfill
-        self.manage_prefetchers = manage_prefetchers
+        self.manage_cores = manage_cores
         lo_cores = len(node.lo_subdomain_cores())
         self._hi_plan = HiPriorityPlan(
             core_num=profile.max_backfill_cores,
@@ -141,24 +132,21 @@ class KelpGovernor:
         self._hi_plan, self._lo_plan = self._next_plans(action_hi, action_lo)
 
         lo_task_mask: frozenset[int] | None = None
-        if self.manage_lo_cores:
+        backfill_mask: frozenset[int] | None = None
+        if self.manage_cores:
             lo_task_mask = frozenset(
                 self._node.lo_subdomain_cores()[: self._lo_plan.core_num]
             )
-        prefetcher_count = (
-            self._lo_plan.prefetcher_num if self.manage_prefetchers else None
-        )
-        backfill_mask: frozenset[int] | None = None
-        if self.manage_backfill and self._node.backfill_tasks:
-            # Backfill occupies the *highest* hi-subdomain core ids so the
-            # ML task keeps the lowest ones; a plan throttled to zero cores
-            # must yield an *empty* cpuset (parked tasks), not a lingering
-            # one-core mask stealing hi-subdomain bandwidth.
-            spare = list(self._node.hi_subdomain_cores())
-            count = self._hi_plan.core_num
-            backfill_mask = (
-                frozenset(spare[-count:]) if count > 0 else frozenset()
-            )
+            if self._node.backfill_tasks:
+                # Backfill occupies the *highest* hi-subdomain core ids so
+                # the ML task keeps the lowest ones; a plan throttled to zero
+                # cores must yield an *empty* cpuset (parked tasks), not a
+                # lingering one-core mask stealing hi-subdomain bandwidth.
+                spare = list(self._node.hi_subdomain_cores())
+                count = self._hi_plan.core_num
+                backfill_mask = (
+                    frozenset(spare[-count:]) if count > 0 else frozenset()
+                )
 
         return GovernorDecision(
             action_hi=action_hi,
@@ -168,7 +156,7 @@ class KelpGovernor:
             backfill_cores=self._hi_plan.core_num,
             lo_task_mask=lo_task_mask,
             backfill_mask=backfill_mask,
-            prefetcher_count=prefetcher_count,
+            prefetcher_count=self._lo_plan.prefetcher_num,
         )
 
     def steady(
@@ -239,29 +227,21 @@ class KelpGovernor:
     def _next_plans(
         self, action_hi: Action, action_lo: Action
     ) -> tuple[HiPriorityPlan, LoPriorityPlan]:
-        """Lines 16-18: Algorithm 2 plan updates, gated by the manage flags."""
-        hi_plan = self._hi_plan
-        if self.manage_backfill:
-            hi_plan = config_hi_priority(hi_plan, action_hi)
+        """Lines 16-18: Algorithm 2 plan updates, gated by ``manage_cores``."""
         new_lo = config_lo_priority(self._lo_plan, action_lo)
-        if not self.manage_lo_cores and new_lo.core_num != self._lo_plan.core_num:
+        if self.manage_cores:
+            return config_hi_priority(self._hi_plan, action_hi), new_lo
+        if new_lo.core_num != self._lo_plan.core_num:
             new_lo = self._lo_plan  # cores frozen; prefetcher move only
-        if not self.manage_prefetchers:
-            new_lo = LoPriorityPlan(
-                core_num=new_lo.core_num,
-                prefetcher_num=self._lo_plan.prefetcher_num,
-                min_core_num=new_lo.min_core_num,
-                max_core_num=new_lo.max_core_num,
-            )
-        return hi_plan, new_lo
+        return self._hi_plan, new_lo
 
 
 class CoreThrottleGovernor:
     """CT: reactive one-core-at-a-time throttling of the low tasks.
 
-    Dormant until :meth:`engage` supplies the initial core grant (the old
-    policy set it in ``plan_cpu``); while dormant the loop still samples —
-    preserving the historical perf-window cadence — but records nothing.
+    Dormant until :meth:`engage` supplies the initial core grant (the CT
+    policy engages it from ``plan_cpu``); while dormant the loop still
+    samples, so the perf window keeps the tick cadence, but records nothing.
     """
 
     def __init__(self, node: "Node", profile: QosProfile, ml_cores: int) -> None:
@@ -318,7 +298,7 @@ class MbaGovernor:
 
     Steps the MB% cap down under bandwidth/latency pressure and back up
     when both clear, within ``[floor, ceiling]``. The cap is emitted as a
-    knob write only on a non-NOP tick (the historical write pattern); the
+    knob write only on a non-NOP tick; the
     actuator facade's read-back dedup additionally drops re-writes of a
     value already in effect at the clamp bounds.
     """
@@ -363,7 +343,7 @@ class MbaGovernor:
             action_lo=action,
             lo_cores=spare,
             # Report the throttle as the raw knob in the prefetcher slot's
-            # units (the historical Fig 11/12 encoding), and by name too.
+            # units (the Fig 11/12 encoding), and by name too.
             lo_prefetchers=self.mb_percent,
             backfill_cores=0,
             mb_percent=(

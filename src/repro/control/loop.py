@@ -1,17 +1,16 @@
 """The shared control loop: sample → decide → actuate → record.
 
-:class:`ControlLoop` owns the tick skeleton every managed policy used to
-re-implement: draw one sample from the :class:`~repro.control.sensors`
-suite, ask the :class:`~repro.control.governors.Governor` for a decision,
-enforce the decided knob values through the
+:class:`ControlLoop` owns the tick skeleton of every managed policy: draw
+one sample from the :class:`~repro.control.sensors` suite, ask the
+:class:`~repro.control.governors.Governor` for a decision, enforce the
+decided knob values through the
 :class:`~repro.control.actuators.HostControlPlane`, and append one
 :class:`~repro.control.records.ControlTickRecord` to :attr:`history`.
 
-Enforcement order is the historical one (low-task cpusets → prefetcher
-MSRs → backfill cpusets → MBA cap), so a fault-free run replays the exact
-write sequence of the pre-refactor policies. A ``None`` decision (a
-dormant governor) still consumes the sample — the perf window keeps its
-historical cadence — but performs no writes and records nothing.
+Enforcement order is fixed: low-task cpusets → prefetcher MSRs → backfill
+cpusets → MBA cap. A ``None`` decision (a dormant governor) still consumes
+the sample — the perf window keeps the tick cadence — but performs no
+writes and records nothing.
 
 A fleet member that parks while quiescent skips its ticks and later hands
 them to :meth:`ControlLoop.elide` with the readings they would have taken;
@@ -73,9 +72,8 @@ class ControlLoop:
         Skipped ticks repeat the decision the loop would have made from
         the state they saw, so they are replayed before anything reads
         them or changes that state without touching the node's telemetry:
-        every :attr:`history` read, a :attr:`governor` swap, a governor
-        profile swap (``KelpRuntime.profile``) and a new stuck-actuator
-        window (``IsolationPolicy.add_fault_window``).
+        every :attr:`history` read, a :attr:`governor` swap and a new
+        stuck-actuator window (``IsolationPolicy.add_fault_window``).
         """
         if self.replay is not None:
             self.replay()

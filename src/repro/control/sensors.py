@@ -3,9 +3,9 @@
 Real QoS controllers live or die on imperfect signals — counters are
 sampled on a cadence, reads get lost, and values carry noise. The
 :class:`SensorSuite` protocol makes the sensing path a first-class,
-replaceable layer: :class:`PerfectSensors` reproduces the historical direct
-``measure_node`` read bit-for-bit, and the decorator classes compose
-degradations on top of any inner suite:
+replaceable layer: :class:`PerfectSensors` takes one exact windowed perf
+read per tick, and the decorator classes compose degradations on top of any
+inner suite:
 
 * :class:`StaleSensors` — sample-and-hold: the underlying counters are only
   re-read every ``period`` simulated seconds; between refreshes the
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
-from repro.core.measurements import KelpMeasurements, measure_node
+from repro.core.measurements import KelpMeasurements
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
@@ -48,10 +48,11 @@ class SensorSuite(Protocol):
 
 
 class PerfectSensors:
-    """Zero-latency, zero-noise sensing — the historical behaviour.
+    """Zero-latency, zero-noise sensing.
 
-    One windowed :func:`~repro.core.measurements.measure_node` read per
-    call, through the node's named perf reader.
+    One windowed :meth:`~repro.hostif.perf.PerfCounters.read_kelp` per
+    call, through the node's named perf reader: the four Algorithm 1
+    measurements since this reader's previous read.
     """
 
     def __init__(self, node: "Node", reader: str = "kelp") -> None:
@@ -61,7 +62,10 @@ class PerfectSensors:
 
     def sample(self) -> KelpMeasurements:
         """One fresh windowed perf read."""
-        return measure_node(self._node, reader=self.reader)
+        node = self._node
+        return KelpMeasurements(
+            *node.perf.read_kelp(self.reader, node.accel_socket, node.hi_subdomain)
+        )
 
 
 class _SimClock:
@@ -216,7 +220,7 @@ def build_sensor_suite(
     Decorator order (inside out): perfect read → noise (baked in at read
     time) → staleness (held samples keep their noise) → dropout (losing the
     freshest publish). ``config=None`` or an all-zero config returns plain
-    :class:`PerfectSensors` — bit-identical to the pre-refactor path.
+    :class:`PerfectSensors`.
     """
     suite: SensorSuite = PerfectSensors(node, reader=reader)
     if config is None or not config.degraded:

@@ -9,16 +9,15 @@ This package is the primary contribution of the reproduction:
   subdomain bandwidth), read through the simulated perf interface.
 * :mod:`repro.core.actions` — Algorithm 2: the THROTTLE/BOOST/NOP resource
   configuration procedures for each subdomain.
-* :mod:`repro.core.kelp` — Algorithm 1: the node-level resource-management
-  loop.
 * :mod:`repro.core.policies` — the evaluated configurations: Baseline,
   CoreThrottle, Kelp-Subdomain, full Kelp, and the Section VI-D fine-grained
-  hardware-QoS estimate.
+  hardware-QoS estimate. KP and KP-SD run Algorithm 1, the node-level
+  resource-management loop, as a
+  :class:`~repro.control.governors.KelpGovernor` in their control loop.
 """
 
 from repro.core.actions import Action, HiPriorityPlan, LoPriorityPlan
-from repro.core.kelp import KelpRuntime
-from repro.core.measurements import KelpMeasurements, measure_node
+from repro.core.measurements import KelpMeasurements
 from repro.core.policies import available_policies, make_policy
 from repro.core.watermarks import QosProfile, Watermark, default_profile
 
@@ -26,12 +25,10 @@ __all__ = [
     "Action",
     "HiPriorityPlan",
     "KelpMeasurements",
-    "KelpRuntime",
     "LoPriorityPlan",
     "QosProfile",
     "Watermark",
     "available_policies",
     "default_profile",
     "make_policy",
-    "measure_node",
 ]

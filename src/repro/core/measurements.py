@@ -3,14 +3,14 @@
 ``MeasureSocket`` and ``MeasureHiPriority`` of Algorithm 1 map to one
 windowed perf read: socket bandwidth and latency from the IMC counters,
 saturation from the ``FAST_ASSERTED`` uncore event, and the high-priority
-subdomain's bandwidth from that channel group's CAS counters.
+subdomain's bandwidth from that channel group's CAS counters
+(:meth:`~repro.hostif.perf.PerfCounters.read_kelp`, taken each tick by
+:class:`~repro.control.sensors.PerfectSensors`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.node import Node
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,3 @@ class KelpMeasurements:
     #: Window length, simulated seconds.
     elapsed: float
 
-
-def measure_node(node: Node, reader: str = "kelp") -> KelpMeasurements:
-    """Sample all four measurements since this reader's previous call."""
-    socket_bw, socket_latency, saturation, hipri_bw, elapsed = (
-        node.perf.read_kelp(reader, node.accel_socket, node.hi_subdomain)
-    )
-    return KelpMeasurements(
-        socket_bw=socket_bw,
-        socket_latency=socket_latency,
-        saturation=saturation,
-        hipri_bw=hipri_bw,
-        elapsed=elapsed,
-    )

@@ -50,7 +50,7 @@ def make_policy(
 
     ``sensors`` degrades the policy's telemetry path (staleness, noise,
     dropout); ``faults`` injects actuation-write failures. Both default to
-    the perfect/lossless historical behaviour.
+    perfect sensing and lossless writes.
     """
     try:
         cls = _POLICIES[name.upper()]

@@ -3,23 +3,24 @@
 A policy decides machine-level preparation (SNC, CAT, priority mode), where
 the ML task and the CPU tasks are placed, and what — if anything — its
 control loop does every interval. The experiment harness is policy-agnostic:
-it asks the policy for placements, builds the tasks, registers them, and
-drives ``tick()`` on the policy's interval.
+it asks the policy for the ML placement, has it :meth:`~IsolationPolicy.place`
+(and later :meth:`~IsolationPolicy.evict`) the CPU tasks, and drives
+``tick()`` on the policy's interval when the policy has a :attr:`loop`.
 
-Since the control-plane refactor every policy owns a
-:class:`~repro.control.actuators.HostControlPlane` — the single journaled
-facade all its knob writes go through — and managed policies drive a
-:class:`~repro.control.loop.ControlLoop` assembled from a sensor suite
-(optionally degraded via :class:`~repro.control.sensors.SensorConfig`) and a
-policy-specific :class:`~repro.control.governors.Governor`. ``tick`` and
-``tick_history`` default to the loop's unified
-:class:`~repro.control.records.ControlTickRecord` stream.
+Every policy owns a :class:`~repro.control.actuators.HostControlPlane` — the
+single journaled facade all its knob writes go through. An adaptive policy
+builds its :class:`~repro.control.loop.ControlLoop` with :meth:`_make_loop`
+from a sensor suite (optionally degraded via
+:class:`~repro.control.sensors.SensorConfig`) and a policy-specific
+:class:`~repro.control.governors.Governor`; ``tick_history`` is the loop's
+unified :class:`~repro.control.records.ControlTickRecord` stream.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.node import Node
 from repro.control.actuators import ActuationFaultConfig, HostControlPlane
@@ -29,7 +30,7 @@ from repro.control.records import ActuationRecord, ControlTickRecord
 from repro.control.sensors import SensorConfig, build_sensor_suite
 from repro.core.watermarks import QosProfile
 from repro.hw.placement import Placement
-from repro.workloads.cpu.base import BatchProfile
+from repro.workloads.cpu.base import BatchProfile, BatchTask
 
 #: resctrl class of service dedicated to the accelerated ML task.
 ML_CLOS = 1
@@ -100,20 +101,56 @@ class IsolationPolicy(abc.ABC):
     def plan_cpu(self, profile: BatchProfile) -> list[CpuTaskPlan]:
         """Split/place one CPU workload into concrete tasks."""
 
-    def register(self, tasks_by_role: dict[str, list]) -> None:
-        """Record created tasks in the node's role lists."""
-        self.node.lo_tasks.extend(tasks_by_role.get(ROLE_LO, []))
-        self.node.backfill_tasks.extend(tasks_by_role.get(ROLE_BACKFILL, []))
+    # ------------------------------------------------------------- tasks
+    def place(
+        self, profile: BatchProfile, warmup: float = 0.0, prefix: str = ""
+    ) -> list[BatchTask]:
+        """Run one CPU workload on the node, as :meth:`plan_cpu` splits it.
+
+        Builds one task per plan (its id is ``prefix`` plus the plan's,
+        and it counts progress after ``warmup``), adds it to the node's
+        role list the control loop enforces on, starts it, and returns the
+        tasks in plan order.
+        """
+        node = self.node
+        roles = {ROLE_LO: node.lo_tasks, ROLE_BACKFILL: node.backfill_tasks}
+        tasks = []
+        for plan in self.plan_cpu(profile):
+            task = BatchTask(
+                task_id=prefix + plan.task_id,
+                machine=node.machine,
+                placement=plan.placement,
+                profile=plan.profile,
+                warmup_until=warmup,
+            )
+            roles[plan.role].append(task)
+            tasks.append(task)
+        for task in tasks:
+            task.start()
+        return tasks
+
+    def evict(self, tasks: Iterable[BatchTask]) -> None:
+        """Stop placed tasks and drop them from the node's role lists.
+
+        Each meter freezes at the eviction instant: a stopped task no
+        longer receives solver rates, and a stale non-zero rate would
+        extrapolate phantom units to the end of the run. A task left in a
+        role list would keep receiving the loop's cpuset writes.
+        """
+        node = self.node
+        for task in tasks:
+            task.meter.set_rate(0.0, node.sim.now)
+            task.stop()
+            if task in node.lo_tasks:
+                node.lo_tasks.remove(task)
+            if task in node.backfill_tasks:
+                node.backfill_tasks.remove(task)
 
     # ----------------------------------------------------------- control
     @property
-    def has_control_loop(self) -> bool:
-        """Whether the harness should schedule periodic ticks."""
-        return True
-
-    @property
     def loop(self) -> ControlLoop | None:
-        """The policy's control loop (``None`` for unmanaged policies)."""
+        """The policy's control loop; ``None`` for a policy that never
+        adapts (the harness then schedules no ticks)."""
         return self._loop
 
     def tick(self) -> None:

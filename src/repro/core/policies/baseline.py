@@ -45,7 +45,3 @@ class BaselinePolicy(IsolationPolicy):
                 role=ROLE_LO,
             )
         ]
-
-    @property
-    def has_control_loop(self) -> bool:
-        return False

@@ -54,7 +54,3 @@ class HwPrefetchPolicy(IsolationPolicy):
                 role=ROLE_LO,
             )
         ]
-
-    @property
-    def has_control_loop(self) -> bool:
-        return False

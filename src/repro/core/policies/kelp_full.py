@@ -11,8 +11,7 @@ second.
 
 from __future__ import annotations
 
-from repro.control.sensors import build_sensor_suite
-from repro.core.kelp import KelpRuntime
+from repro.control.governors import KelpGovernor
 from repro.core.policies.base import (
     CpuTaskPlan,
     IsolationPolicy,
@@ -29,23 +28,10 @@ class KelpPolicy(IsolationPolicy):
 
     name = "KP"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._runtime: KelpRuntime | None = None
-
     def prepare(self) -> None:
         self.node.machine.set_snc(True)
         self._apply_cat()
-        self._runtime = KelpRuntime(
-            node=self.node,
-            profile=self.profile,
-            manage_lo_cores=True,
-            manage_backfill=True,
-            manage_prefetchers=True,
-            sensors=build_sensor_suite(self.node, "kelp", self.sensor_config),
-            plane=self.control_plane,
-        )
-        self._loop = self._runtime.loop
+        self._make_loop(KelpGovernor(self.node, self.profile), reader="kelp")
 
     def ml_placement(self) -> Placement:
         cores = self.node.hi_subdomain_cores()[: self.ml_cores]
@@ -89,8 +75,3 @@ class KelpPolicy(IsolationPolicy):
                 )
             )
         return plans
-
-    @property
-    def runtime(self) -> KelpRuntime | None:
-        """The assembled Algorithm 1 runtime (``None`` before prepare)."""
-        return self._runtime

@@ -10,7 +10,7 @@ trade against CT/Kelp (the ``ablation-mba`` experiment).
 
 The feedback kernel is :class:`~repro.control.governors.MbaGovernor`; the
 throttle value rides in the tick record's ``lo_prefetchers`` slot (the
-historical Fig 11/12 encoding) and as an ``("mb_percent", …)`` extra.
+Fig 11/12 encoding) and as an ``("mb_percent", …)`` extra.
 """
 
 from __future__ import annotations
@@ -91,12 +91,3 @@ class MbaPolicy(IsolationPolicy):
     def mb_percent(self) -> int:
         """The current MB% throttle applied to the low-priority CLOS."""
         return self._governor.mb_percent
-
-    @property
-    def _mb_percent(self) -> int:
-        """Backwards-compatible access to the governor's throttle state."""
-        return self._governor.mb_percent
-
-    @_mb_percent.setter
-    def _mb_percent(self, value: int) -> None:
-        self._governor.mb_percent = value

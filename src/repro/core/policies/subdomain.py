@@ -11,8 +11,7 @@ exactly the fragmentation cost Fig 13/14 charge this configuration with.
 
 from __future__ import annotations
 
-from repro.control.sensors import build_sensor_suite
-from repro.core.kelp import KelpRuntime
+from repro.control.governors import KelpGovernor
 from repro.core.policies.base import (
     CpuTaskPlan,
     IsolationPolicy,
@@ -28,23 +27,13 @@ class SubdomainPolicy(IsolationPolicy):
 
     name = "KP-SD"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._runtime: KelpRuntime | None = None
-
     def prepare(self) -> None:
         self.node.machine.set_snc(True)
         self._apply_cat()
-        self._runtime = KelpRuntime(
-            node=self.node,
-            profile=self.profile,
-            manage_lo_cores=False,
-            manage_backfill=False,
-            manage_prefetchers=True,
-            sensors=build_sensor_suite(self.node, "kelp", self.sensor_config),
-            plane=self.control_plane,
+        self._make_loop(
+            KelpGovernor(self.node, self.profile, manage_cores=False),
+            reader="kelp",
         )
-        self._loop = self._runtime.loop
 
     def ml_placement(self) -> Placement:
         cores = self.node.hi_subdomain_cores()[: self.ml_cores]
@@ -66,8 +55,3 @@ class SubdomainPolicy(IsolationPolicy):
                 role=ROLE_LO,
             )
         ]
-
-    @property
-    def runtime(self) -> KelpRuntime | None:
-        """The assembled Algorithm 1 runtime (``None`` before prepare)."""
-        return self._runtime

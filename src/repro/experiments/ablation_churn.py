@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from repro.node import Node
 from repro.core.policies import IsolationPolicy, make_policy
-from repro.core.policies.base import ROLE_BACKFILL, ROLE_LO
 from repro.experiments.common import standalone_performance
 from repro.experiments.report import format_table
 from repro.sim import Simulator
@@ -71,29 +70,17 @@ def run_ablation_churn(
         node.machine, isolation.ml_placement(), warmup_until=warmup
     )
     instance.start()
-    if isolation.has_control_loop:
+    if isolation.loop is not None:
         sim.every(isolation.interval, isolation.tick, label="policy:tick",
                   priority=PRIORITY_CONTROL)
 
     burst_tasks: list[BatchTask] = []
 
     def start_burst() -> None:
-        roles: dict[str, list[BatchTask]] = {ROLE_LO: [], ROLE_BACKFILL: []}
-        for plan in isolation.plan_cpu(cpu_workload("stitch", 5)):
-            task = BatchTask(
-                plan.task_id, node.machine, plan.placement, plan.profile
-            )
-            burst_tasks.append(task)
-            roles.setdefault(plan.role, []).append(task)
-        isolation.register(roles)
-        for task in burst_tasks:
-            task.start()
+        burst_tasks.extend(isolation.place(cpu_workload("stitch", 5)))
 
     def stop_burst() -> None:
-        for task in burst_tasks:
-            task.stop()
-        node.lo_tasks.clear()
-        node.backfill_tasks.clear()
+        isolation.evict(burst_tasks)
 
     t_burst_start = quiet
     t_burst_end = quiet + burst

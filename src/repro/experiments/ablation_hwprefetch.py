@@ -55,7 +55,7 @@ def _run(
     policy.prepare()
     instance = factory.build(node.machine, policy.ml_placement(), warmup_until=2.0)
     instance.start()
-    if policy.has_control_loop:
+    if policy.loop is not None:
         sim.every(interval, policy.tick, label="policy:tick",
                   priority=PRIORITY_CONTROL)
 

@@ -16,7 +16,6 @@ from repro.control.actuators import ActuationFaultConfig
 from repro.control.records import ControlTickRecord
 from repro.control.sensors import SensorConfig
 from repro.core.policies import IsolationPolicy, make_policy
-from repro.core.policies.base import ROLE_BACKFILL, ROLE_LO
 from repro.errors import ExperimentError
 from repro.sim import Simulator
 from repro.sim.engine import PRIORITY_CONTROL, PRIORITY_OBSERVE
@@ -51,10 +50,10 @@ class MixConfig:
     interval: float = DEFAULT_INTERVAL
     seed: int = 0
     #: Telemetry-degradation knobs for the policy's sensor suite
-    #: (``None`` = perfect sensing, the historical behaviour).
+    #: (``None`` = perfect sensing).
     sensors: SensorConfig | None = None
     #: Actuation-fault knobs for the policy's control plane
-    #: (``None`` = every write lands, the historical behaviour).
+    #: (``None`` = every write lands).
     faults: ActuationFaultConfig | None = None
 
 
@@ -162,27 +161,13 @@ def run_colocation(
         seed=config.seed,
         tracer=tracer,
     )
-
-    cpu_tasks: list[BatchTask] = []
-    roles: dict[str, list[BatchTask]] = {ROLE_LO: [], ROLE_BACKFILL: []}
-    if config.cpu is not None:
-        profile = cpu_workload(config.cpu, config.intensity)
-        for plan in policy.plan_cpu(profile):
-            task = BatchTask(
-                task_id=plan.task_id,
-                machine=node.machine,
-                placement=plan.placement,
-                profile=plan.profile,
-                warmup_until=config.warmup,
-            )
-            cpu_tasks.append(task)
-            roles.setdefault(plan.role, []).append(task)
-    policy.register(roles)
-
     ml_instance.start()
-    for task in cpu_tasks:
-        task.start()
-    if policy.has_control_loop:
+    cpu_tasks: list[BatchTask] = []
+    if config.cpu is not None:
+        cpu_tasks = policy.place(
+            cpu_workload(config.cpu, config.intensity), warmup=config.warmup
+        )
+    if policy.loop is not None:
         sim.every(
             config.interval, policy.tick, label="policy:tick",
             priority=PRIORITY_CONTROL,

@@ -9,8 +9,6 @@ Remote-DRAM antagonist splits its threads and dataset across sockets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.node import ACCEL_SOCKET, Node
 from repro.errors import ExperimentError
 from repro.hw.placement import Placement
@@ -22,15 +20,6 @@ from repro.workloads.ml.catalog import ml_workload
 #: Default horizons, matching :mod:`repro.experiments.common`.
 DURATION = 40.0
 WARMUP = 6.0
-
-
-@dataclass(frozen=True)
-class SensitivityPoint:
-    """One (workload, antagonist) measurement."""
-
-    ml: str
-    antagonist: str
-    ml_perf_norm: float
 
 
 def run_sensitivity(

@@ -54,10 +54,6 @@ from repro.reference import reference_mode
 if TYPE_CHECKING:
     from repro.fleet.member import FleetMember
 
-def _least_loaded_key(member: "FleetMember") -> tuple:
-    # Must mirror LeastLoadedRouter.choose's key exactly.
-    return (member.load, member.index)
-
 
 class RoutingIndex:
     """A versioned eager-push / lazy-discard heap over fleet members."""
@@ -147,7 +143,7 @@ def make_routing_index(
     if reference_mode():
         return None
     if isinstance(router, LeastLoadedRouter):
-        return RoutingIndex(members, _least_loaded_key, load_only=True)
+        return RoutingIndex(members, router._key, load_only=True)
     if isinstance(router, InterferenceAwareRouter):
         return RoutingIndex(members, router._key, load_only=False)
     return None

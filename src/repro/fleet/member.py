@@ -26,11 +26,9 @@ import numpy as np
 
 from repro.node import Node
 from repro.control.actuators import ActuationFaultConfig
-from repro.control.records import ActuationRecord, ControlTickRecord
 from repro.control.sensors import SensorConfig
 from repro.core.measurements import KelpMeasurements
 from repro.core.policies import IsolationPolicy, make_policy
-from repro.core.policies.base import ROLE_BACKFILL, ROLE_LO
 from repro.core.watermarks import QosProfile
 from repro.errors import SchedulingError
 from repro.fleet.config import SATURATED_BW_FRACTION, pressure_bucket
@@ -50,7 +48,7 @@ FLEET_READER = "fleet"
 PARK_HORIZON_TICKS = 1024
 
 
-def _mix_seed(*parts: int) -> int:
+def derive_seed(*parts: int) -> int:
     """A stable 32-bit seed from a tuple of integer parts."""
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
@@ -185,10 +183,10 @@ class FleetMember:
 
         if sensors is not None and sensors.degraded:
             sensors = _replace(
-                sensors, seed=_mix_seed(sensors.seed, index, seed)
+                sensors, seed=derive_seed(sensors.seed, index, seed)
             )
         if faults is not None and faults.active:
-            faults = _replace(faults, seed=_mix_seed(faults.seed, index, seed))
+            faults = _replace(faults, seed=derive_seed(faults.seed, index, seed))
         self.policy: IsolationPolicy = make_policy(
             policy_name,
             self.node,
@@ -312,7 +310,7 @@ class FleetMember:
 
     def _start_policy_loop(self) -> None:
         """Tick the node policy every interval from now on, if it has a loop."""
-        if self.policy.has_control_loop:
+        if self.policy.loop is not None:
             self._policy_loop = PeriodicTask(
                 self.sim,
                 self._interval,
@@ -396,7 +394,7 @@ class FleetMember:
             self.node.machine,
             self.policy.ml_placement(),
             warmup_until=self._warmup,
-            seed=_mix_seed(self._seed, 0xDEAD, self.deaths),
+            seed=derive_seed(self._seed, 0xDEAD, self.deaths),
             load_fraction=0.0,
         )
         self.alive = True
@@ -685,8 +683,8 @@ class FleetMember:
         or a remediation all end in an advance) and before any read of its
         history, signals or perf window. Changes that touch no telemetry
         wake it too: a death or a blackout (here), a retirement
-        (:attr:`sample_clock`), and a governor, profile or fault-window
-        change, which the control loop catches up on first
+        (:attr:`sample_clock`), and a governor or fault-window change,
+        which the control loop catches up on first
         (:meth:`~repro.control.loop.ControlLoop.catch_up`).
 
         The skipped reads are the member's ticks from ``tick_from`` up to
@@ -770,57 +768,21 @@ class FleetMember:
         return tuple(self._jobs)
 
     def place_job(self, job_id: str, profile: BatchProfile, warmup: float) -> None:
-        """Create, register and start the tasks of one batch job."""
+        """Place one batch job's tasks through the node policy."""
         if job_id in self._jobs:
             raise SchedulingError(f"job {job_id!r} already on node {self.index}")
-        roles: dict[str, list[BatchTask]] = {ROLE_LO: [], ROLE_BACKFILL: []}
-        tasks: list[BatchTask] = []
-        for plan in self.policy.plan_cpu(profile):
-            task = BatchTask(
-                task_id=f"{job_id}/{plan.task_id}",
-                machine=self.node.machine,
-                placement=plan.placement,
-                profile=plan.profile,
-                warmup_until=warmup,
-            )
-            tasks.append(task)
-            roles.setdefault(plan.role, []).append(task)
-        self.policy.register(roles)
-        for task in tasks:
-            task.start()
+        tasks = self.policy.place(profile, warmup=warmup, prefix=f"{job_id}/")
         self._jobs[job_id] = tasks
         self.batch_task_history.extend(tasks)
 
     def remove_job(self, job_id: str) -> None:
-        """Stop one job's tasks and forget them in the node's role lists.
-
-        The role lists matter: the Kelp runtime's enforcement pass iterates
-        ``node.lo_tasks``/``node.backfill_tasks`` every tick, so an evicted
-        task left behind would keep receiving cpuset writes forever.
-        """
+        """Evict one job's tasks through the node policy."""
         tasks = self._jobs.pop(job_id, None)
         if tasks is None:
             raise SchedulingError(f"job {job_id!r} not on node {self.index}")
-        for task in tasks:
-            # Freeze the meter at the eviction instant: a detached task no
-            # longer receives solver rates, and a stale non-zero rate would
-            # extrapolate phantom units to the end of the run.
-            task.meter.set_rate(0.0, self.sim.now)
-            task.stop()
-            if task in self.node.lo_tasks:
-                self.node.lo_tasks.remove(task)
-            if task in self.node.backfill_tasks:
-                self.node.backfill_tasks.remove(task)
+        self.policy.evict(tasks)
 
     # ------------------------------------------------------------- metrics
-    def controller_history(self) -> list[ControlTickRecord]:
-        """The node policy's unified control tick records."""
-        return self.policy.tick_history()
-
-    def actuation_journal(self) -> list[ActuationRecord]:
-        """Every physical knob write the node's control plane performed."""
-        return self.policy.actuation_journal()
-
     def batch_throughput(self, measurement_end: float) -> float:
         """Aggregate post-warmup units/s over every task this node ran."""
         return sum(

@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.fleet.batch import BatchQueue
 from repro.fleet.config import FleetConfig, TenantSpec
 from repro.fleet.index import make_routing_index
-from repro.fleet.member import FleetMember, NodeSignals, SampleClock
+from repro.fleet.member import FleetMember, NodeSignals, SampleClock, derive_seed
 from repro.fleet.routing import Router, make_router
 from repro.fleet.slo import (
     TenantAccount,
@@ -50,11 +50,6 @@ if TYPE_CHECKING:
 _STREAM_ROUTER = 0xF1EE
 _STREAM_TENANT = 0xA171
 _STREAM_NODE = 0x50DE
-
-
-def _derive_seed(*parts: int) -> int:
-    """A stable 32-bit seed from a tuple of integer parts."""
-    return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -141,8 +136,8 @@ class FleetResult:
             "batch_pending_at_end": self.batch_pending_at_end,
         }
         # Windowed rows appear only for trace/windowed runs, and the
-        # failure counters only for runs that actually saw failures, so
-        # summaries of the pre-existing fleet experiments stay bit-identical.
+        # failure counters only for runs that actually saw failures, so a
+        # plain fleet run's summary carries neither.
         if self.windows:
             data["windows"] = list(self.windows)
         if self.window_fleet:
@@ -329,7 +324,7 @@ class FleetOrchestrator:
             policy_name=config.policy,
             interval=config.interval,
             warmup=config.warmup,
-            seed=_derive_seed(config.seed, _STREAM_NODE, index),
+            seed=derive_seed(config.seed, _STREAM_NODE, index),
             on_complete=self._on_complete,
             sensors=config.sensors,
             faults=config.faults,
@@ -897,10 +892,10 @@ class FleetOrchestrator:
     def _telemetry_rows(self) -> tuple[dict, ...]:
         """Freeze the per-tick signal samples into JSON-clean dict rows.
 
-        Same fields, same order, same row sequence as the dicts the control
-        tick used to build inline — just 8.6k × nodes dict constructions
-        moved out of the replay loop and into one finalize pass. Samples
-        parked members skipped are replayed first and take their places.
+        One row per sample, in sample order, built here in one finalize
+        pass rather than as a dict per member per control tick inside the
+        replay loop. Samples parked members skipped are replayed first and
+        take their places.
         """
         if not self._collect_telemetry:
             return ()
@@ -937,7 +932,7 @@ class FleetOrchestrator:
         return tuple(
             {"node": member.index, **record.as_dict()}
             for member in self.members
-            for record in member.controller_history()
+            for record in member.policy.tick_history()
         )
 
     def _actuation_rows(self) -> tuple[dict, ...]:
@@ -947,7 +942,7 @@ class FleetOrchestrator:
         return tuple(
             {"node": member.index, **record.as_dict()}
             for member in self.members
-            for record in member.actuation_journal()
+            for record in member.policy.actuation_journal()
         )
 
 

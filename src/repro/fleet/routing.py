@@ -57,8 +57,12 @@ class LeastLoadedRouter(Router):
 
     name = "least-loaded"
 
+    @staticmethod
+    def _key(member: FleetMember) -> tuple[int, int]:
+        return (member.load, member.index)
+
     def choose(self, members: Sequence[FleetMember]) -> FleetMember:
-        return min(members, key=lambda m: (m.load, m.index))
+        return min(members, key=self._key)
 
 
 #: Effective-load inflation per pressure bucket. Pressure on a node stretches

@@ -92,7 +92,7 @@ class PerfCounters:
 
         Returns ``(socket_bw, socket_latency, saturation, hipri_bw,
         elapsed)`` for one socket — the exact fields
-        :func:`repro.core.measurements.measure_node` and the fleet member
+        :class:`~repro.control.sensors.PerfectSensors` and the fleet member
         sampler consume every control tick. Bit-identical to deriving them
         from :meth:`read` (same per-key delta/divide expressions, same
         summation and max order over the socket's subdomain tuple), but

@@ -9,7 +9,6 @@ the way resctrl does: per-CLOS ``L3`` bitmasks and ``MB`` percentages.
 from __future__ import annotations
 
 from repro.errors import HostInterfaceError
-from repro.hostif.cpuset import PlaceableTask
 from repro.hw.llc import full_mask
 from repro.hw.machine import Machine
 
@@ -65,12 +64,6 @@ class ResctrlFs:
             raise HostInterfaceError("MB percent must be within [10, 100]")
         self._machine.solver.set_mba_cap(clos, percent / 100.0)
         self._machine.notify_change()
-
-    def assign(self, task: PlaceableTask, clos: int) -> None:
-        """Move a task into a class of service."""
-        self._require_group(clos)
-        if task.placement.clos != clos:
-            task.set_placement(task.placement.with_clos(clos))
 
     def dedicate_ways(self, clos: int, ways: int, socket: int | None = None) -> None:
         """Give ``clos`` an exclusive partition of the lowest ``ways`` ways

@@ -8,8 +8,7 @@ all tasks at the old rates, re-solves contention, and pushes new rates.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import SimulationError, TopologyError
 from repro.hw.contention import (
@@ -65,7 +64,7 @@ class Machine:
         self._state: SolveResult = empty_solve_result(spec)
         self._in_recompute = False
         self._dirty = False
-        #: Depth of :meth:`hold_recompute` nesting; while positive,
+        #: Depth of :meth:`begin_hold` nesting; while positive,
         #: :meth:`notify_change` only marks work as deferred.
         self._hold = 0
         self._deferred = False
@@ -133,31 +132,16 @@ class Machine:
             raise TopologyError(f"task {task_id!r} not attached") from None
 
     # ----------------------------------------------------------- recompute
-    @contextmanager
-    def hold_recompute(self) -> Iterator[None]:
-        """Coalesce :meth:`notify_change` calls inside the block into one.
+    def begin_hold(self) -> None:
+        """Coalesce :meth:`notify_change` calls until :meth:`end_hold`.
 
         A control tick writes several knobs back-to-back at the same
         simulated instant; without the hold every write triggers a full
         sync/solve/apply round. Under the hold, notifications are deferred
-        and a single recompute runs at block exit (only if any arrived).
-        No simulated time passes inside the block, so the final state —
-        solved from the final knob values — is identical to running the
-        intermediate recomputes.
-        """
-        self.begin_hold()
-        try:
-            yield
-        finally:
-            self.end_hold()
-
-    def begin_hold(self) -> None:
-        """Enter a recompute hold (plain-call form of :meth:`hold_recompute`).
-
-        The per-tick control loop brackets its enforcement writes with
-        ``begin_hold``/``end_hold`` directly: at half a million ticks per
-        simulated fleet-day, the contextmanager-generator machinery is
-        measurable overhead.
+        and a single recompute runs when the outermost hold ends (only if
+        any arrived). No simulated time passes inside the hold, so the
+        final state — solved from the final knob values — is identical to
+        running the intermediate recomputes.
         """
         self._hold += 1
 

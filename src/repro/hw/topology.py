@@ -104,11 +104,6 @@ class Topology:
         self._check_socket(socket)
         return self.spec.sockets[socket].cores
 
-    def subdomains_per_socket(self, socket: int) -> int:
-        """Channel-group count of ``socket``."""
-        self._check_socket(socket)
-        return len(self._subdomains_of_socket[socket])
-
     # -------------------------------------------------------------- cores
     def socket_of_core(self, core: int) -> int:
         """Socket owning global core id ``core``."""
@@ -144,11 +139,6 @@ class Topology:
         return self._cores_of_subdomain[subdomain]
 
     # --------------------------------------------------------- subdomains
-    def first_subdomain(self, socket: int) -> int:
-        """Global id of the first subdomain on ``socket``."""
-        self._check_socket(socket)
-        return self._first_subdomain[socket]
-
     def socket_of_subdomain(self, subdomain: int) -> int:
         """Socket owning ``subdomain``."""
         self._check_subdomain(subdomain)

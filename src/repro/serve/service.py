@@ -41,7 +41,7 @@ if TYPE_CHECKING:
     from repro.traces.schema import Trace
 
 #: Checkpoint container format tag; bump on any incompatible change.
-CHECKPOINT_FORMAT = "repro-serve-checkpoint/v3"
+CHECKPOINT_FORMAT = "repro-serve-checkpoint/v4"
 
 #: Ends a checkpoint file, followed by the SHA-256 (hex) of the container
 #: before it.

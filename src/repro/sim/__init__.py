@@ -14,21 +14,18 @@ Public surface:
 * :class:`~repro.sim.events.Event` / :func:`~repro.sim.engine.Simulator.at` /
   :func:`~repro.sim.engine.Simulator.after` — scheduling.
 * :class:`~repro.sim.work.FluidWork` — a drainable quantity of work.
-* :class:`~repro.sim.rng.RngStreams` — deterministic named random streams.
 * :class:`~repro.sim.tracing.TimelineTracer` — phase-interval traces (Fig 3).
 """
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.sim.gantt import render_gantt
-from repro.sim.rng import RngStreams
 from repro.sim.tracing import TimelineTracer, TraceInterval
 from repro.sim.work import FluidWork
 
 __all__ = [
     "Event",
     "FluidWork",
-    "RngStreams",
     "Simulator",
     "TimelineTracer",
     "TraceInterval",

@@ -52,11 +52,6 @@ def gib_to_gb(value_gib: float) -> float:
     return value_gib * (1024 ** 3) / 1e9
 
 
-def mb(value: float) -> float:
-    """Identity helper: working-set sizes are expressed in MB."""
-    return float(value)
-
-
 def clamp(value: float, lo: float, hi: float) -> float:
     """Clamp ``value`` into the closed interval ``[lo, hi]``."""
     if lo > hi:

@@ -8,20 +8,14 @@ from repro.control.sensors import SensorConfig
 from repro.core.actions import Action
 from repro.core.policies import make_policy
 from repro.sim.engine import PRIORITY_CONTROL
-from repro.workloads.cpu.base import BatchTask
 from repro.workloads.cpu.catalog import cpu_workload
 
 
 def build(node: Node, policy_name: str = "KP", **kwargs):
-    """A prepared policy with a registered stitch workload, ready to tick."""
+    """A prepared policy with a placed stitch workload, ready to tick."""
     policy = make_policy(policy_name, node, ml_cores=4, **kwargs)
     policy.prepare()
-    roles: dict[str, list] = {}
-    for plan in policy.plan_cpu(cpu_workload("stitch", 6)):
-        task = BatchTask(plan.task_id, node.machine, plan.placement, plan.profile)
-        task.start()
-        roles.setdefault(plan.role, []).append(task)
-    policy.register(roles)
+    policy.place(cpu_workload("stitch", 6))
     return policy
 
 
@@ -67,7 +61,7 @@ class TestNopDedup:
     def test_noop_ticks_skip_the_resolve_entirely(self, node: Node) -> None:
         """A zero-write tick must not trigger a contention re-solve.
 
-        Enforcement runs under ``hold_recompute``; when every knob already
+        Enforcement runs under a recompute hold; when every knob already
         holds its decided value the control plane dedups all writes, the
         machine is never notified, and the loop counts the tick in
         ``noop_ticks`` — the event-engine no-op fast path.

@@ -14,7 +14,7 @@ from repro.control.sensors import (
     StaleSensors,
     build_sensor_suite,
 )
-from repro.core.measurements import KelpMeasurements, measure_node
+from repro.core.measurements import KelpMeasurements
 from repro.errors import ConfigurationError
 
 
@@ -42,7 +42,9 @@ class TestPerfectSensors:
     def test_matches_direct_measure_node(self, node: Node) -> None:
         suite = PerfectSensors(node, reader="t1")
         node.sim.run_until(1.0)
-        direct = measure_node(node, reader="t2")
+        direct = KelpMeasurements(
+            *node.perf.read_kelp("t2", node.accel_socket, node.hi_subdomain)
+        )
         via_suite = suite.sample()
         assert via_suite == direct
 

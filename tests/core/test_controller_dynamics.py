@@ -21,10 +21,8 @@ class TestCoreThrottleDynamics:
     def test_boost_recovers_cores_after_load_drops(self, node: Node) -> None:
         policy = make_policy("CT", node, ml_cores=2)
         policy.prepare()
-        (plan,) = policy.plan_cpu(cpu_workload("stitch", 6))
-        task = BatchTask(plan.task_id, node.machine, plan.placement, plan.profile)
-        task.start()
-        policy.register({plan.role: [task]})
+        (task,) = policy.place(cpu_workload("stitch", 6))
+        spare = task.placement.cores
         drive(node, policy, 12.0)
         throttled = len(task.placement.cores)
         assert throttled < 14
@@ -34,12 +32,12 @@ class TestCoreThrottleDynamics:
         light = BatchTask(
             "light",
             node.machine,
-            task.placement.with_cores(frozenset(plan.placement.cores)),
+            task.placement.with_cores(frozenset(spare)),
             cpu_workload("cpuml", 2),
         )
         # Recreate at the throttled mask so boosting is observable.
         light.set_placement(light.placement.with_cores(
-            frozenset(sorted(plan.placement.cores)[:throttled])
+            frozenset(sorted(spare)[:throttled])
         ))
         light.start()
         node.lo_tasks.append(light)
@@ -49,10 +47,7 @@ class TestCoreThrottleDynamics:
     def test_ct_converges_not_oscillates(self, node: Node) -> None:
         policy = make_policy("CT", node, ml_cores=2)
         policy.prepare()
-        (plan,) = policy.plan_cpu(cpu_workload("stitch", 4))
-        task = BatchTask(plan.task_id, node.machine, plan.placement, plan.profile)
-        task.start()
-        policy.register({plan.role: [task]})
+        policy.place(cpu_workload("stitch", 4))
         drive(node, policy, 25.0)
         tail = [s.lo_cores for s in policy.tick_history()[-8:]]
         assert max(tail) - min(tail) <= 1  # settled within one core
@@ -62,21 +57,12 @@ class TestKelpDynamics:
     def test_backfill_boost_after_lo_load_drops(self, node: Node) -> None:
         policy = make_policy("KP", node, ml_cores=4)
         policy.prepare()
-        plans = policy.plan_cpu(cpu_workload("stitch", 6))
-        tasks = {}
-        roles: dict[str, list] = {}
-        for plan in plans:
-            task = BatchTask(plan.task_id, node.machine, plan.placement,
-                             plan.profile)
-            task.start()
-            tasks[plan.role] = task
-            roles.setdefault(plan.role, []).append(task)
-        policy.register(roles)
+        policy.place(cpu_workload("stitch", 6))
         drive(node, policy, 15.0)
         during = policy.tick_history()[-1].backfill_cores
         # Kill the lo-subdomain part: hi-subdomain pressure eases, the
         # backfilled task may grow back toward its maximum.
-        tasks["lo"].stop()
+        node.lo_tasks[0].stop()
         node.lo_tasks.clear()
         node.sim.run_until(node.sim.now + 15.0)
         after = policy.tick_history()[-1].backfill_cores

@@ -72,7 +72,7 @@ class TestHwPrefetchPolicy:
         policy.prepare()
         assert node.machine.solver.qos_aware_prefetch
         assert node.machine.snc_enabled
-        assert not policy.has_control_loop
+        assert policy.loop is None
 
     def test_protects_without_software_loop(self, node: Node) -> None:
         policy = make_policy("HW-PF", node, 2)

@@ -1,4 +1,4 @@
-"""Tests for the Kelp runtime (Algorithm 1)."""
+"""Tests for the Kelp controller (Algorithm 1) on a bare node."""
 
 from __future__ import annotations
 
@@ -7,17 +7,25 @@ from dataclasses import replace
 import pytest
 
 from repro.node import LO_SUBDOMAIN, Node
+from repro.control.actuators import HostControlPlane
+from repro.control.governors import KelpGovernor
+from repro.control.loop import ControlLoop
+from repro.control.sensors import PerfectSensors
 from repro.core.actions import Action
-from repro.core.kelp import KelpRuntime
-from repro.core.watermarks import Watermark, default_profile
+from repro.core.watermarks import QosProfile, Watermark, default_profile
 from repro.hw.placement import Placement
 from repro.workloads.cpu.base import BatchTask
 from repro.workloads.cpu.catalog import cpu_workload
 
 
-def make_runtime(node: Node, **kwargs) -> KelpRuntime:
-    profile = default_profile(node.machine.spec, ml_cores=4)
-    return KelpRuntime(node=node, profile=profile, **kwargs)
+def make_loop(
+    node: Node, profile: QosProfile | None = None, manage_cores: bool = True
+) -> ControlLoop:
+    """The KP (or, without ``manage_cores``, KP-SD) loop on ``node``."""
+    if profile is None:
+        profile = default_profile(node.machine.spec, ml_cores=4)
+    governor = KelpGovernor(node, profile, manage_cores=manage_cores)
+    return ControlLoop(node, governor, PerfectSensors(node), HostControlPlane(node))
 
 
 def start_lo_aggressor(node: Node, level: str = "H") -> BatchTask:
@@ -38,55 +46,60 @@ def start_lo_aggressor(node: Node, level: str = "H") -> BatchTask:
 
 class TestKelpDecisions:
     def test_idle_machine_boosts(self, node: Node) -> None:
-        runtime = make_runtime(node)
+        loop = make_loop(node)
         node.sim.run_until(1.0)
-        record = runtime.tick()
+        record = loop.tick()
         assert record.action_lo is Action.BOOST
 
     def test_saturation_triggers_lo_throttle(self, node: Node) -> None:
         start_lo_aggressor(node, "H")
-        runtime = make_runtime(node)
+        loop = make_loop(node)
         node.sim.run_until(1.0)
-        record = runtime.tick()
+        record = loop.tick()
         assert record.action_lo is Action.THROTTLE
         assert record.lo_prefetchers < len(node.lo_subdomain_cores())
 
     def test_prefetchers_halve_then_recover(self, node: Node) -> None:
         start_lo_aggressor(node, "H")
-        runtime = make_runtime(node)
+        loop = make_loop(node)
         for step in range(12):
             node.sim.run_until(node.sim.now + 1.0)
-            runtime.tick()
+            loop.tick()
         # The controller must have converged out of full saturation...
-        final = runtime.history[-1]
-        assert final.measurements.saturation <= runtime.profile.saturation.hi + 0.1
+        final = loop.history[-1]
+        assert final.measurements.saturation <= loop.governor.profile.saturation.hi + 0.1
         # ...by disabling some prefetchers.
         assert final.lo_prefetchers < len(node.lo_subdomain_cores())
 
     def test_enforcement_writes_msrs(self, node: Node) -> None:
         start_lo_aggressor(node, "H")
-        runtime = make_runtime(node)
+        loop = make_loop(node)
         node.sim.run_until(1.0)
-        runtime.tick()
+        loop.tick()
         enabled = sum(
             node.machine.prefetchers.is_enabled(c)
             for c in node.lo_subdomain_cores()
         )
-        assert enabled == runtime.lo_plan.prefetcher_num
+        assert enabled == loop.governor.lo_plan.prefetcher_num
 
     def test_manage_flags_freeze_knobs(self, node: Node) -> None:
-        start_lo_aggressor(node, "H")
-        runtime = make_runtime(
-            node, manage_lo_cores=False, manage_prefetchers=False,
-            manage_backfill=False,
-        )
-        cores_before = runtime.lo_plan.core_num
-        pf_before = runtime.lo_plan.prefetcher_num
-        for _ in range(6):
-            node.sim.run_until(node.sim.now + 1.0)
-            runtime.tick()
-        assert runtime.lo_plan.core_num == cores_before
-        assert runtime.lo_plan.prefetcher_num == pf_before
+        """KP-SD (``manage_cores=False``) under the H DRAM aggressor: over
+        12 ticks the core count never moves while the prefetcher count
+        drops. Retargeted to a latency watermark every tick breaches, it
+        keeps its cores once the prefetchers are off, where KP sheds them."""
+        task = start_lo_aggressor(node, "H")
+        base = default_profile(node.machine.spec, ml_cores=4)
+        breached = replace(base, socket_latency=Watermark(lo=0.0, hi=0.0))
+        loop = make_loop(node, base, manage_cores=False)
+        for profile in (base, breached):
+            loop.governor = KelpGovernor(node, profile, manage_cores=False)
+            start = loop.governor.lo_plan
+            for _ in range(12):
+                node.sim.run_until(node.sim.now + 1.0)
+                loop.tick()
+                assert loop.governor.lo_plan.core_num == start.core_num
+            assert loop.governor.lo_plan.prefetcher_num < start.prefetcher_num
+        assert task.placement.cores == frozenset(node.lo_subdomain_cores())
 
 
 class TestBackfillControl:
@@ -103,15 +116,16 @@ class TestBackfillControl:
         )
         backfill.start()
         node.backfill_tasks.append(backfill)
-        runtime = make_runtime(node)
+        loop = make_loop(node)
         for _ in range(8):
             node.sim.run_until(node.sim.now + 1.0)
-            runtime.tick()
+            loop.tick()
         # Stitch's 8 backfilled threads exceed the hi-subdomain watermark:
         # the controller must have removed cores.
-        assert runtime.hi_plan.core_num < runtime.profile.max_backfill_cores
-        if runtime.hi_plan.core_num > 0:
-            assert len(backfill.placement.cores) == runtime.hi_plan.core_num
+        governor = loop.governor
+        assert governor.hi_plan.core_num < governor.profile.max_backfill_cores
+        if governor.hi_plan.core_num > 0:
+            assert len(backfill.placement.cores) == governor.hi_plan.core_num
         else:
             assert backfill.parked
 
@@ -143,11 +157,11 @@ class TestBackfillControl:
             hipri_bw=Watermark(lo=0.0, hi=1e-6),
             min_backfill_cores=0,
         )
-        runtime = KelpRuntime(node=node, profile=profile)
+        loop = make_loop(node, profile)
         for _ in range(profile.max_backfill_cores + 1):
             node.sim.run_until(node.sim.now + 1.0)
-            runtime.tick()
-        assert runtime.hi_plan.core_num == 0
+            loop.tick()
+        assert loop.governor.hi_plan.core_num == 0
         assert backfill.parked
         assert backfill.traffic_sources() == []
         # A parked task makes no forward progress.
@@ -178,25 +192,26 @@ class TestBackfillControl:
             hipri_bw=Watermark(lo=0.0, hi=1e-6),
             min_backfill_cores=0,
         )
-        runtime = KelpRuntime(node=node, profile=throttling)
+        loop = make_loop(node, throttling)
         for _ in range(throttling.max_backfill_cores + 1):
             node.sim.run_until(node.sim.now + 1.0)
-            runtime.tick()
+            loop.tick()
         assert backfill.parked
-        # Flip to a permissive profile: the idle hi-subdomain now boosts.
-        runtime.profile = replace(
-            base, hipri_bw=Watermark(lo=1e9, hi=2e9), min_backfill_cores=0
+        # Retarget with a permissive profile: the idle hi-subdomain boosts.
+        loop.governor = KelpGovernor(
+            node,
+            replace(base, hipri_bw=Watermark(lo=1e9, hi=2e9), min_backfill_cores=0),
         )
         node.sim.run_until(node.sim.now + 1.0)
-        runtime.tick()
-        assert runtime.hi_plan.core_num > 0
+        loop.tick()
+        assert loop.governor.hi_plan.core_num > 0
         assert not backfill.parked
-        assert len(backfill.placement.cores) == runtime.hi_plan.core_num
+        assert len(backfill.placement.cores) == loop.governor.hi_plan.core_num
 
     def test_history_records_every_tick(self, node: Node) -> None:
-        runtime = make_runtime(node)
+        loop = make_loop(node)
         for _ in range(3):
             node.sim.run_until(node.sim.now + 1.0)
-            runtime.tick()
-        assert len(runtime.history) == 3
-        assert runtime.history[0].time < runtime.history[-1].time
+            loop.tick()
+        assert len(loop.history) == 3
+        assert loop.history[0].time < loop.history[-1].time

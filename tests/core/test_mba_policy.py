@@ -16,10 +16,7 @@ def setup_mix(node: Node) -> tuple[MbaPolicy, BatchTask]:
     policy = make_policy("MBA", node, ml_cores=2)
     assert isinstance(policy, MbaPolicy)
     policy.prepare()
-    (plan,) = policy.plan_cpu(cpu_workload("stitch", 5))
-    task = BatchTask(plan.task_id, node.machine, plan.placement, plan.profile)
-    task.start()
-    policy.register({plan.role: [task]})
+    (task,) = policy.place(cpu_workload("stitch", 5))
     return policy, task
 
 
@@ -57,7 +54,7 @@ class TestMbaPolicy:
         assert isinstance(policy, MbaPolicy)
         policy.prepare()
         node.resctrl.set_mb_percent(LO_CLOS, 50)
-        policy._mb_percent = 50
+        policy.loop.governor.mb_percent = 50
         for _ in range(8):
             node.sim.run_until(node.sim.now + 1.0)
             policy.tick()

@@ -5,16 +5,21 @@ from __future__ import annotations
 import pytest
 
 from repro.node import HI_SUBDOMAIN, LO_SUBDOMAIN, Node
-from repro.core.measurements import measure_node
+from repro.control.sensors import PerfectSensors
 from repro.hw.placement import Placement
 from repro.workloads.cpu.base import BatchTask
 from repro.workloads.cpu.catalog import cpu_workload
 
 
+def measure(node: Node):
+    """One windowed read of the four Kelp measurements."""
+    return PerfectSensors(node, reader="t").sample()
+
+
 class TestMeasureNode:
     def test_idle_measurements(self, node: Node) -> None:
         node.sim.run_until(1.0)
-        m = measure_node(node, reader="t")
+        m = measure(node)
         assert m.socket_bw == pytest.approx(0.0)
         assert m.socket_latency == pytest.approx(1.0)
         assert m.saturation == 0.0
@@ -32,9 +37,9 @@ class TestMeasureNode:
             ),
             cpu_workload("stream", 4),
         ).start()
-        measure_node(node, reader="t")
+        measure(node)
         node.sim.run_until(1.0)
-        m = measure_node(node, reader="t")
+        m = measure(node)
         assert m.socket_bw > 0
         assert m.hipri_bw == pytest.approx(0.0)
 
@@ -49,7 +54,7 @@ class TestMeasureNode:
             ),
             cpu_workload("stream", 2),
         ).start()
-        measure_node(node, reader="t")
+        measure(node)
         node.sim.run_until(1.0)
-        m = measure_node(node, reader="t")
+        m = measure(node)
         assert m.hipri_bw > 0

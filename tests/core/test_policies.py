@@ -30,7 +30,7 @@ class TestBaseline:
         policy = make_policy("BL", node, 4)
         policy.prepare()
         assert not node.machine.snc_enabled
-        assert not policy.has_control_loop
+        assert policy.loop is None
 
     def test_placements_share_socket(self, node: Node) -> None:
         policy = make_policy("BL", node, 4)
@@ -106,9 +106,47 @@ class TestKelp:
 
     def test_register_fills_node_roles(self, node: Node) -> None:
         policy = make_policy("KP", node, 4)
-        policy.register({ROLE_LO: ["a"], ROLE_BACKFILL: ["b"]})
-        assert node.lo_tasks == ["a"]
-        assert node.backfill_tasks == ["b"]
+        policy.prepare()
+        lo, backfill = policy.place(cpu_workload("stitch", 6))
+        assert node.lo_tasks == [lo]
+        assert node.backfill_tasks == [backfill]
+
+    def test_place_evict_place_round_trip(self, node: Node) -> None:
+        policy = make_policy("KP", node, 4)
+        policy.prepare()
+        profile = cpu_workload("stitch", 6)  # 24 threads: lo + backfill
+        plans = policy.plan_cpu(profile)
+        tasks = policy.place(profile, prefix="job/")
+        assert [t.task_id for t in tasks] == [f"job/{p.task_id}" for p in plans]
+        assert node.lo_tasks == [t for t, p in zip(tasks, plans) if p.role == ROLE_LO]
+        assert node.backfill_tasks == [
+            t for t, p in zip(tasks, plans) if p.role == ROLE_BACKFILL
+        ]
+        assert len(node.lo_tasks) == len(node.backfill_tasks) == 1
+        node.sim.run_until(2.0)
+        assert all(t.started and t.speed > 0 for t in tasks)
+
+        policy.evict(tasks)
+        assert node.lo_tasks == [] and node.backfill_tasks == []
+        assert node.machine.tasks() == []
+        units = [t.meter.units for t in tasks]
+        node.sim.run_until(4.0)
+        for task, done in zip(tasks, units):
+            assert not task.started
+            task.meter.sync(node.sim.now)
+            assert task.meter.units == done  # the rate froze at 0
+
+        again = policy.place(profile, prefix="job/")
+        assert node.lo_tasks + node.backfill_tasks == again
+        node.sim.run_until(6.0)
+        assert all(t.throughput(6.0) > 0 for t in again)
+
+
+@pytest.mark.parametrize("name", available_policies())
+def test_loop_exactly_for_adaptive_policies(node: Node, name: str) -> None:
+    policy = make_policy(name, node, 4)
+    policy.prepare()
+    assert (policy.loop is None) == (name in {"BL", "HW-QOS", "HW-PF"})
 
 
 class TestHwQos:
@@ -116,5 +154,5 @@ class TestHwQos:
         policy = make_policy("HW-QOS", node, 4)
         policy.prepare()
         assert node.machine.solver.priority_mode
-        assert not policy.has_control_loop
+        assert policy.loop is None
         assert policy.tick_history() == []

@@ -11,7 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.node import LO_SUBDOMAIN, Node
-from repro.core.kelp import KelpRuntime
+from repro.control.actuators import HostControlPlane
+from repro.control.governors import KelpGovernor
+from repro.control.loop import ControlLoop
+from repro.control.sensors import PerfectSensors
 from repro.core.policies import make_policy
 from repro.core.watermarks import QosProfile, Watermark, default_profile
 from repro.hw.placement import Placement
@@ -29,6 +32,12 @@ def lo_task(node: Node, name: str = "dram", level: str = "H") -> BatchTask:
         ),
         cpu_workload("dram", level),
     )
+
+
+def kelp_loop(node: Node, profile: QosProfile) -> ControlLoop:
+    """The full Kelp controller loop on ``node``."""
+    governor = KelpGovernor(node, profile)
+    return ControlLoop(node, governor, PerfectSensors(node), HostControlPlane(node))
 
 
 class TestTaskChurn:
@@ -56,21 +65,21 @@ class TestTaskChurn:
         task = lo_task(node)
         task.start()
         node.lo_tasks.append(task)
-        runtime = KelpRuntime(node=node, profile=default_profile(node.machine.spec))
+        loop = kelp_loop(node, default_profile(node.machine.spec))
         node.sim.run_until(1.0)
-        runtime.tick()
+        loop.tick()
         task.stop()
         node.lo_tasks.clear()
         node.sim.run_until(2.0)
-        record = runtime.tick()  # must not raise with nothing to manage
+        record = loop.tick()  # must not raise with nothing to manage
         assert record.measurements.saturation < 0.05 or True
 
     def test_controller_on_empty_machine(self, node: Node) -> None:
-        runtime = KelpRuntime(node=node, profile=default_profile(node.machine.spec))
+        loop = kelp_loop(node, default_profile(node.machine.spec))
         for _ in range(3):
             node.sim.run_until(node.sim.now + 1.0)
-            runtime.tick()
-        assert len(runtime.history) == 3
+            loop.tick()
+        assert len(loop.history) == 3
 
 
 class TestDegenerateConfigs:
@@ -96,12 +105,12 @@ class TestDegenerateConfigs:
             saturation=Watermark(lo=0.0, hi=0.0),
             hipri_bw=Watermark(lo=0.0, hi=0.0),
         )
-        runtime = KelpRuntime(node=node, profile=paranoid)
+        loop = kelp_loop(node, paranoid)
         for _ in range(20):
             node.sim.run_until(node.sim.now + 0.5)
-            runtime.tick()
-        assert runtime.lo_plan.prefetcher_num == 0
-        assert runtime.lo_plan.core_num == paranoid.min_lo_cores
+            loop.tick()
+        assert loop.governor.lo_plan.prefetcher_num == 0
+        assert loop.governor.lo_plan.core_num == paranoid.min_lo_cores
         assert len(task.placement.cores) == paranoid.min_lo_cores
 
     def test_always_boost_watermarks_hit_ceiling(self, node: Node) -> None:
@@ -115,13 +124,13 @@ class TestDegenerateConfigs:
             saturation=Watermark(lo=1.0, hi=1.0),
             hipri_bw=Watermark(lo=1e9, hi=1e9),
         )
-        runtime = KelpRuntime(node=node, profile=lax)
+        loop = kelp_loop(node, lax)
         for _ in range(20):
             node.sim.run_until(node.sim.now + 0.5)
-            runtime.tick()
+            loop.tick()
         lo_cores = len(node.lo_subdomain_cores())
-        assert runtime.lo_plan.core_num == lo_cores
-        assert runtime.lo_plan.prefetcher_num == lo_cores
+        assert loop.governor.lo_plan.core_num == lo_cores
+        assert loop.governor.lo_plan.prefetcher_num == lo_cores
 
 
 class TestPerfEdgeCases:

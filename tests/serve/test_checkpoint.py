@@ -168,10 +168,10 @@ with open({str(out)!r}, "w") as handle:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def _sealed(container: bytes) -> bytes:
+def _sealed(container: bytes, mark: bytes = _DIGEST_MARK) -> bytes:
     """``container`` as a checkpoint file with a valid digest trailer, so
     the reader gets past the digest to its decode and format checks."""
-    return container + _DIGEST_MARK + hashlib.sha256(container).hexdigest().encode()
+    return container + mark + hashlib.sha256(container).hexdigest().encode()
 
 
 class TestValidation:
@@ -211,30 +211,52 @@ class TestValidation:
                 checkpoint_meta(str(path))
 
     def test_rejects_v1_checkpoint_before_unpickling(
-        self, config, trace, tmp_path
+        self, config, trace, tmp_path, capsys
     ) -> None:
+        from repro.cli import main
+
         path = tmp_path / "ckpt.bin"
         service = FleetService(config, trace=trace, epoch_s=1.0)
         service.start()
         service.step()
         service.save(str(path))
         blob = pickle.loads(path.read_bytes())
-        assert blob["format"] == CHECKPOINT_FORMAT == "repro-serve-checkpoint/v3"
+        assert blob["format"] == CHECKPOINT_FORMAT == "repro-serve-checkpoint/v4"
         blob["format"] = "repro-serve-checkpoint/v1"
         path.write_bytes(_sealed(pickle.dumps(blob)))
-        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v3"):
+        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v4"):
             FleetService.restore(str(path), trace=trace)
-        # A real v1 payload names classes that no longer exist; the format
-        # check must refuse it before ``pickle.loads`` can hit them.
-        stale = b"crepro.hw.contention\n_KnobDict\n."
+        # A real v1 or v3 payload names classes that no longer exist; the
+        # format check must refuse it before ``pickle.loads`` can hit them.
+        # A v3 file also ends in the v3 digest trailer.
+        v1 = b"crepro.hw.contention\n_KnobDict\n."
+        v3 = b"crepro.core.kelp\nKelpRuntime\n."
         with pytest.raises(AttributeError):
-            pickle.loads(stale)
-        blob["payload"] = stale
-        path.write_bytes(_sealed(pickle.dumps(blob)))
-        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v3"):
-            FleetService.restore(str(path), trace=trace)
-        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v3"):
-            checkpoint_meta(str(path))
+            pickle.loads(v1)
+        with pytest.raises(ModuleNotFoundError):
+            pickle.loads(v3)
+        v3_mark = _DIGEST_MARK.replace(b"/v4 ", b"/v3 ")
+        stale = [
+            _sealed(pickle.dumps({**blob, "payload": v1})),
+            _sealed(
+                pickle.dumps(
+                    {**blob, "format": "repro-serve-checkpoint/v3", "payload": v3}
+                ),
+                v3_mark,
+            ),
+        ]
+        for raw in stale:
+            path.write_bytes(raw)
+            message = "not a repro-serve-checkpoint/v4 checkpoint"
+            with pytest.raises(ConfigurationError, match=message):
+                FleetService.restore(str(path), trace=trace)
+            with pytest.raises(ConfigurationError, match=message):
+                checkpoint_meta(str(path))
+            args = TestCorruptCheckpoint._ARGS + ["--restore", str(path)]
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and message in err, err
+            assert "Traceback" not in err
 
     def test_rejects_missing_or_corrupt_file(self, tmp_path) -> None:
         missing = str(tmp_path / "nope.bin")
@@ -251,7 +273,7 @@ class TestValidation:
         corrupt.write_bytes(_sealed(b"this is not a pickle"))
         with pytest.raises(
             ConfigurationError,
-            match=r"not a repro-serve-checkpoint/v3 checkpoint \(UnpicklingError\)",
+            match=r"not a repro-serve-checkpoint/v4 checkpoint \(UnpicklingError\)",
         ):
             FleetService.restore(str(corrupt))
         with pytest.raises(ConfigurationError, match="UnpicklingError"):
