@@ -33,7 +33,6 @@ from repro.fleet.slo import (
     TenantAccount,
     TenantSlo,
     WindowAccount,
-    bucket_window_completions,
     finalize_tenant,
     fleet_efficiency,
 )
@@ -190,19 +189,9 @@ class FleetOrchestrator:
         #: A parked member's skipped sample is stored as the member itself
         #: and resolved from its signal log at finalize.
         self._telemetry_signals: list[NodeSignals | FleetMember] = []
-        #: (window index, tenant index) -> admission-bucketed SLO counters.
+        #: (window index, tenant index) -> admission-bucketed SLO counters,
+        #: created by the first counted arrival in the bucket.
         self._windows: dict[tuple[int, int], WindowAccount] = {}
-        #: Deferred completion-side window bucketing: parallel buffers of
-        #: (admission time, tenant, latency), vectorized at finalize.
-        self._completion_starts: list[float] = []
-        self._completion_tenants: list[int] = []
-        self._completion_latencies: list[float] = []
-        #: Trace mode only: counted arrival timestamps (sorted) for O(log n)
-        #: live offered counters; per-tenant/per-window offered totals are
-        #: a pure function of the trace, precomputed in :meth:`run`.
-        self._counted_arrivals: np.ndarray | None = None
-        self._offered_by_tenant: np.ndarray | None = None
-        self._offered_by_window: dict[tuple[int, int], int] | None = None
         #: The exact router instance the incremental index was built for;
         #: admission falls back to the reference scan whenever
         #: ``self.router`` is anything else (e.g. an incident wrapper).
@@ -262,8 +251,6 @@ class FleetOrchestrator:
             ),
         )
         self._rebuild_routing_index()
-        if self._trace is not None:
-            self._precompute_trace_offered()
         if self._trace is not None:
             # Trace-driven: one replay generator replaces the per-tenant
             # open-loop processes; tenant/demand come from the trace columns.
@@ -352,56 +339,6 @@ class FleetOrchestrator:
             member.stop()
         return result
 
-    def _precompute_trace_offered(self) -> None:
-        """Freeze trace-mode offered accounting ahead of the replay.
-
-        In trace mode the offered side of the SLO accounting is a pure
-        function of the trace and the config — every arrival increments its
-        tenant (and window bucket) no matter how it routes or whether it is
-        dropped. Precomputing it here removes all per-arrival accounting
-        from the replay hot loop; live ``counters()`` reads become a binary
-        search over the counted arrival times.
-
-        Bit-identity: the replay generator chains relative ``after()``
-        events, so an arrival's simulated firing time is the float chain
-        ``e_i = e_{i-1} + max(0, a_i - e_{i-1})`` — not necessarily the raw
-        trace timestamp to the last ulp. The admission path keys ``counted``
-        and the window bucket off that firing time, so the precomputation
-        replays the exact chain (one pass of Python float arithmetic) rather
-        than using ``arrivals_s`` directly.
-        """
-        assert self._trace is not None
-        config = self.config
-        warmup = config.warmup
-        duration = config.duration
-        window_s = config.window_s
-        tenant_ids = self._trace.tenant_ids
-        counted_times: list[float] = []
-        counted_tenants: list[int] = []
-        prev = 0.0
-        for a, tenant in zip(
-            self._trace.arrivals_s.tolist(), tenant_ids.tolist()
-        ):
-            delay = a - prev
-            if delay > 0.0:
-                prev = prev + delay
-            if prev > duration:
-                break  # chained events beyond the horizon never fire
-            if prev >= warmup:
-                counted_times.append(prev)
-                counted_tenants.append(tenant)
-        self._counted_arrivals = np.asarray(counted_times, dtype=np.float64)
-        self._offered_by_tenant = np.bincount(
-            np.asarray(counted_tenants, dtype=np.int64),
-            minlength=len(config.tenants),
-        )
-        if window_s is not None:
-            offered_by_window: dict[tuple[int, int], int] = {}
-            for fire_time, tenant in zip(counted_times, counted_tenants):
-                key = (int(fire_time // window_s), tenant)
-                offered_by_window[key] = offered_by_window.get(key, 0) + 1
-            self._offered_by_window = offered_by_window
-
     # ------------------------------------------------------------ admission
     def _admit(self, tenant: int) -> None:
         self._route_and_submit(tenant, demand=1.0)
@@ -421,10 +358,11 @@ class FleetOrchestrator:
         never disagree with admission-side accounting and attainment stays
         ≤ 1.0 by construction.
 
-        Routing only considers members still in rotation; a request that
-        finds no eligible member (or that the router null-routes) is
-        dropped *after* its admission accounting — an offered request that
-        never completes, i.e. an SLO miss.
+        Every counted arrival is offered, keyed on its own firing time:
+        the accounting runs before the eviction and routing checks, so a
+        request that is evicted, finds no eligible member, or is
+        null-routed or black-holed is dropped *after* it — an offered
+        request that never completes, i.e. an SLO miss.
         """
         assert self.router is not None and self._sim is not None
         if (
@@ -440,10 +378,7 @@ class FleetOrchestrator:
             member = self.router.choose(eligible) if eligible else None
         now = self._sim.now
         counted = now >= self.config.warmup
-        if counted and self._counted_arrivals is None:
-            # Live offered accounting; trace replays precompute it (the
-            # offered side is a pure function of the trace), so the hot
-            # loop skips it entirely there.
+        if counted:
             self._accounts[tenant].offered += 1
             if self.config.window_s is not None:
                 key = (int(now // self.config.window_s), tenant)
@@ -452,9 +387,8 @@ class FleetOrchestrator:
                     account = self._windows[key] = WindowAccount()
                 account.offered += 1
         if tenant in self.evicted_tenants:
-            # Evicted *after* the offered accounting: the traffic keeps
-            # arriving (trace-mode offered totals are precomputed from the
-            # trace and must not shift), the fleet just refuses to serve it.
+            # The traffic keeps arriving and stays offered; the fleet just
+            # refuses to serve it.
             self.requests_dropped += 1
             return
         if member is None or not member.alive:
@@ -475,17 +409,16 @@ class FleetOrchestrator:
         if not counted:
             return
         latency = end - start
-        self._accounts[tenant].record(latency)
+        account = self._accounts[tenant]
+        account.record(latency)
         self._node_completed[member.index] += 1
         self._node_latency[member.index].add(latency)
         if self.config.window_s is not None:
-            # ``start`` is the admission timestamp, so finalize buckets this
-            # completion into the window _route_and_submit offered it to.
-            # Three parallel appends beat a dict lookup + method call here;
-            # bucket_window_completions replays them in this exact order.
-            self._completion_starts.append(start)
-            self._completion_tenants.append(tenant)
-            self._completion_latencies.append(latency)
+            # ``start`` is the admission timestamp: _route_and_submit
+            # created this window when it offered the request.
+            self._windows[(int(start // self.config.window_s), tenant)].record(
+                latency, account.spec.slo_p99_s
+            )
 
     # --------------------------------------------------------- control loop
     def _control_tick(self, queue: BatchQueue) -> None:
@@ -653,30 +586,21 @@ class FleetOrchestrator:
 
     # ------------------------------------------------------ checkpointing
     def __getstate__(self) -> dict:
-        """Pickle the live run *without* the trace-derived arrays.
+        """Pickle the live run *without* the trace columns.
 
-        The trace columns and every precomputed view of them (demands,
-        counted arrivals, offered totals) are pure functions of the trace
-        and the config — a restore recomputes them bit-identically from the
-        same trace via :meth:`reattach_trace`, keeping checkpoints at
-        simulator-state size rather than trace size.
+        The trace and its per-request demands hold a value per request, so
+        a checkpoint leaves them out; a restore re-binds the same trace via
+        :meth:`reattach_trace`.
         """
         state = self.__dict__.copy()
         if self._trace is not None:
             state["_trace"] = None
             state["_trace_demands"] = None
-            state["_counted_arrivals"] = None
-            state["_offered_by_tenant"] = None
-            state["_offered_by_window"] = None
         return state
 
     def reattach_trace(self, trace: "Trace") -> None:
-        """Re-bind the trace after a checkpoint restore.
-
-        Recomputes the precomputed offered accounting (the exact float
-        chain of :meth:`_precompute_trace_offered`) and re-attaches the
-        arrival schedule to the live replay generator.
-        """
+        """Re-bind the trace after a checkpoint restore: the trace columns
+        here, and the arrival schedule on the live replay generator."""
         if self._trace is not None:
             raise ConfigurationError("trace already attached")
         if len(self.config.tenants) != len(trace.tenants):
@@ -685,7 +609,6 @@ class FleetOrchestrator:
             )
         self._trace = trace
         self._trace_demands = trace.demands
-        self._precompute_trace_offered()
         for generator in self._generators:
             if isinstance(generator, TraceReplayGenerator):
                 generator.reattach_arrivals(trace.arrivals_s)
@@ -709,25 +632,15 @@ class FleetOrchestrator:
             for member in self.members:
                 member.on_state_change = None
 
-    def counters(self) -> tuple[int, int, int, tuple[int, ...]]:
-        """Live ``(offered, completed, good, per-node completed)`` counted
-        totals — the attainment stream the incident detectors watch."""
-        if self._counted_arrivals is not None:
-            # Trace mode defers per-arrival accounting; the live offered
-            # count is a binary search over the precomputed counted arrival
-            # times. Callers run at observe priority, after every arrival
-            # at the current timestamp has fired, so "<= now" is exact.
-            assert self._sim is not None
-            offered = int(
-                np.searchsorted(
-                    self._counted_arrivals, self._sim.now, side="right"
-                )
-            )
-        else:
-            offered = sum(a.offered for a in self._accounts)
-        completed = sum(a.completed for a in self._accounts)
-        good = sum(a.good for a in self._accounts)
-        return offered, completed, good, tuple(self._node_completed)
+    def counters(self) -> tuple[int, int, int]:
+        """Live ``(offered, completed, good)`` counted totals — the
+        attainment stream the incident detectors and the autoscaler watch."""
+        accounts = self._accounts
+        return (
+            sum(a.offered for a in accounts),
+            sum(a.completed for a in accounts),
+            sum(a.good for a in accounts),
+        )
 
     @property
     def queue(self) -> BatchQueue | None:
@@ -754,31 +667,10 @@ class FleetOrchestrator:
         window = config.duration - config.warmup
         if window <= 0:  # pragma: no cover - guarded by FleetConfig
             raise ExperimentError("fleet window must be positive")
-        if self._offered_by_tenant is not None:
-            # Trace mode: install the precomputed offered totals the replay
-            # loop skipped. Offered windows must exist before the deferred
-            # completions are bucketed (completions only land in windows the
-            # offered side created — same guard as the live path).
-            for index, account in enumerate(self._accounts):
-                account.offered = int(self._offered_by_tenant[index])
-            if self._offered_by_window is not None:
-                for key, count in self._offered_by_window.items():
-                    self._windows[key] = WindowAccount(offered=count)
-        if config.window_s is not None and self._completion_starts:
-            bucket_window_completions(
-                self._windows,
-                self._completion_starts,
-                self._completion_tenants,
-                self._completion_latencies,
-                config.window_s,
-                [t.slo_p99_s for t in config.tenants],
-            )
         tenants = tuple(
             finalize_tenant(account, window) for account in self._accounts
         )
-        offered = sum(a.offered for a in self._accounts)
-        completed = sum(a.completed for a in self._accounts)
-        good = sum(a.good for a in self._accounts)
+        offered, completed, good = self.counters()
         serving_yield = good / offered if offered else 0.0
         batch_yield = batch_units / batch_nominal if batch_nominal > 0 else 0.0
         samples = self._saturation_samples

@@ -13,9 +13,6 @@ volumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
 
 from repro.fleet.config import TenantSpec
 from repro.metrics.percentile import StreamingPercentiles
@@ -100,64 +97,6 @@ class TenantSlo:
             "mean_ms": None if self.mean_s is None else round(self.mean_s * 1e3, 3),
             "slo_met": self.slo_met,
         }
-
-
-def bucket_window_completions(
-    windows: dict[tuple[int, int], WindowAccount],
-    starts: Sequence[float],
-    tenants: Sequence[int],
-    latencies: Sequence[float],
-    window_s: float,
-    slo_p99_s: Sequence[float],
-) -> None:
-    """Vectorized per-(window, tenant) completion bucketing.
-
-    Equivalent — including the floating-point accumulation order of each
-    bucket's ``latency_sum_s`` — to replaying, in completion order::
-
-        for start, tenant, latency in zip(starts, tenants, latencies):
-            account = windows.get((int(start // window_s), tenant))
-            if account is not None:
-                account.record(latency, slo_p99_s[tenant])
-
-    ``np.bincount`` with weights adds each input element to its bucket in
-    input order, which is exactly the sequential ``+=`` the per-completion
-    path performed, so the sums are bit-identical. The window index uses
-    Python float floor-division (not ``np.floor_divide``) so boundary
-    arrivals land in the same bucket the live path put their admissions in.
-
-    Only buckets already present in ``windows`` (created by the offered
-    side) are updated, mirroring the live path's ``is not None`` guard.
-    """
-    if not starts:
-        return
-    n_tenants = len(slo_p99_s)
-    win_idx = [int(s // window_s) for s in starts]
-    tenant_arr = np.asarray(tenants, dtype=np.int64)
-    lat_arr = np.asarray(latencies, dtype=np.float64)
-    win_arr = np.asarray(win_idx, dtype=np.int64)
-    combined = win_arr * n_tenants + tenant_arr
-    # Compact the combined keys so bincount arrays stay small even for
-    # sparse, large window indexes.
-    uniq, codes = np.unique(combined, return_inverse=True)
-    counts = np.bincount(codes, minlength=len(uniq))
-    lat_sums = np.bincount(codes, weights=lat_arr, minlength=len(uniq))
-    slo_arr = np.asarray(slo_p99_s, dtype=np.float64)
-    good = np.bincount(
-        codes,
-        weights=(lat_arr <= slo_arr[tenant_arr]).astype(np.float64),
-        minlength=len(uniq),
-    )
-    for key, count, lat_sum, good_count in zip(
-        uniq.tolist(), counts.tolist(), lat_sums.tolist(), good.tolist()
-    ):
-        window, tenant = divmod(key, n_tenants)
-        account = windows.get((window, tenant))
-        if account is None:
-            continue
-        account.completed += count
-        account.latency_sum_s += lat_sum
-        account.good += int(good_count)
 
 
 def finalize_tenant(account: TenantAccount, window_s: float) -> TenantSlo:

@@ -190,7 +190,8 @@ class TelemetryAccumulator:
         return bounds[0], bounds[1], bounds[2]
 
     def window_since(self, previous: TelemetrySnapshot, now: float) -> TelemetryWindow:
-        """Averages between a previously-copied snapshot and ``now``.
+        """Averages between a snapshot copied earlier from this accumulator
+        (or an empty one) and ``now``.
 
         A degenerate (zero-width) window — two reads at the same simulated
         instant — has no information in it; it reports the documented
@@ -204,26 +205,16 @@ class TelemetryAccumulator:
         def averages(
             cur: dict[int, float], prev: dict[int, float], default: float
         ) -> dict[int, float]:
-            # Integral dicts only grow, so a snapshot copied earlier from
-            # this accumulator satisfies ``prev.keys() <= cur.keys()`` and
-            # one pass over ``cur`` suffices (``value - prev.get(...)`` is
-            # the exact delta expression of the general path, so results
-            # are bit-identical). Snapshots from elsewhere fall back to the
-            # key-union walk.
-            if prev.keys() <= cur.keys():
+            # ``previous`` is a copy this accumulator made earlier, or an
+            # empty snapshot, and integral dicts only grow, so every key of
+            # ``prev`` is in ``cur`` and one pass over ``cur`` covers them.
+            if elapsed > 0:
                 prev_get = prev.get
-                if elapsed > 0:
-                    return {
-                        key: (value - prev_get(key, 0.0)) / elapsed
-                        for key, value in cur.items()
-                    }
-                return {key: default for key in cur}
-            keys = set(cur) | set(prev)
-            out = {}
-            for key in keys:
-                delta = cur.get(key, 0.0) - prev.get(key, 0.0)
-                out[key] = delta / elapsed if elapsed > 0 else default
-            return out
+                return {
+                    key: (value - prev_get(key, 0.0)) / elapsed
+                    for key, value in cur.items()
+                }
+            return {key: default for key in cur}
 
         return TelemetryWindow(
             elapsed=elapsed,

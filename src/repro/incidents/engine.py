@@ -262,7 +262,7 @@ class IncidentEngine(FleetHooks):
     def _build_view(
         self, orchestrator: FleetOrchestrator, now: float
     ) -> FleetView:
-        offered, completed, good, _ = orchestrator.counters()
+        offered, completed, good = orchestrator.counters()
         nodes = []
         for member in orchestrator.members:
             signals = member.last_signals

@@ -34,6 +34,7 @@ via the sweep context.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -81,14 +82,18 @@ class IncidentSpec:
                 f"unknown incident kind {self.kind!r}; expected one of "
                 f"{list(INCIDENT_KINDS)}"
             )
-        if self.start_s < 0 or self.duration_s <= 0:
+        if not (0 <= self.start_s < math.inf and 0 < self.duration_s < math.inf):
             raise ConfigurationError(
-                f"incident {self.kind!r} needs start_s >= 0 and "
+                f"incident {self.kind!r} needs a finite start_s >= 0 and "
                 f"duration_s > 0"
             )
         if self.kind in NODE_KINDS and self.node is None:
             raise ConfigurationError(
                 f"incident {self.kind!r} targets a node; pass node="
+            )
+        if self.node is not None and self.node < 0:
+            raise ConfigurationError(
+                f"incident {self.kind!r} needs node >= 0, got {self.node}"
             )
         # Canonical key order so specs compare equal however they were
         # built (generator vs scenario file); the sort is stable, so
@@ -246,35 +251,91 @@ def default_schedule(
 
 
 def save_scenario(schedule: IncidentSchedule, path: str) -> None:
-    """Write a schedule as a JSON scenario file."""
+    """Write a schedule as a JSON scenario file, making its directory."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(schedule.as_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+#: Accepted JSON value types, by what an error message calls them. A JSON
+#: boolean is none of them, although Python's ``bool`` is an ``int``.
+_STRING = ("a string", (str,))
+_INTEGER = ("an integer", (int,))
+_NUMBER = ("a finite number", (int, float))
+_PARAM = ("a string or a finite number", (str, int, float))
+
+
+def _checked(value, where: str, accepted: tuple[str, tuple[type, ...]]):
+    """``value`` if it has one of the ``accepted`` types and is not a NaN
+    or infinite float; a ConfigurationError naming ``where`` otherwise."""
+    what, types = accepted
+    if type(value) not in types or (
+        type(value) is float and not math.isfinite(value)
+    ):
+        raise ConfigurationError(f"{where} must be {what}, got {value!r}")
+    return value
+
+
 def load_scenario(path: str) -> IncidentSchedule:
-    """Read a JSON scenario file back into an :class:`IncidentSchedule`."""
+    """Read a JSON scenario file back into an :class:`IncidentSchedule`.
+
+    A file that cannot be read or is not a well-formed scenario raises a
+    :class:`ConfigurationError` that names the path, and the incident index
+    and field at fault where there is one.
+    """
     if not os.path.exists(path):
         raise ConfigurationError(f"scenario file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and bytes that are not UTF-8.
+        raise ConfigurationError(f"{path}: cannot read scenario: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path}: a scenario file must be an object")
     if data.get("format") != SCENARIO_FORMAT:
         raise ConfigurationError(
             f"{path}: not a {SCENARIO_FORMAT} scenario file "
             f"(format={data.get('format')!r})"
         )
+    rows = data.get("incidents", [])
+    if not isinstance(rows, list):
+        raise ConfigurationError(f"{path}: incidents must be a list, got {rows!r}")
     incidents = []
-    for row in data.get("incidents", ()):
-        params = tuple(sorted(dict(row.get("params", {})).items()))
-        incidents.append(
-            IncidentSpec(
-                kind=row["kind"],
-                start_s=float(row["start_s"]),
-                duration_s=float(row["duration_s"]),
-                node=row.get("node"),
-                params=params,
-            )
-        )
-    return IncidentSchedule(
-        incidents=tuple(incidents), seed=int(data.get("seed", 0))
-    )
+    for index, row in enumerate(rows):
+        at = f"{path}: incidents[{index}]"
+        if not isinstance(row, dict):
+            raise ConfigurationError(f"{at} must be an object, got {row!r}")
+        for key in ("kind", "start_s", "duration_s"):
+            if key not in row:
+                raise ConfigurationError(f"{at} has no {key}")
+        params = row.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigurationError(f"{at} params must be an object, got {params!r}")
+        node = row.get("node")
+        fields = {
+            "kind": _checked(row["kind"], f"{at} kind", _STRING),
+            "start_s": float(_checked(row["start_s"], f"{at} start_s", _NUMBER)),
+            "duration_s": float(
+                _checked(row["duration_s"], f"{at} duration_s", _NUMBER)
+            ),
+            "node": None if node is None else _checked(node, f"{at} node", _INTEGER),
+            "params": tuple(
+                sorted(
+                    (key, _checked(value, f"{at} params.{key}", _PARAM))
+                    for key, value in params.items()
+                )
+            ),
+        }
+        try:
+            incidents.append(IncidentSpec(**fields))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{at}: {exc}") from exc
+    seed = _checked(data.get("seed", 0), f"{path}: seed", _INTEGER)
+    try:
+        return IncidentSchedule(incidents=tuple(incidents), seed=seed)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc

@@ -1,9 +1,9 @@
 """Demand-driven fleet autoscaling with hysteresis.
 
 The autoscaler watches the *counted offered-request rate* — a pure integer
-counter stream (trace mode reads it by binary search over the precomputed
-counted arrivals), so decisions are bit-identical across process
-parallelism and across checkpoint/restore. It deliberately does not read
+counter stream, kept live by the orchestrator in both arrival modes, so
+decisions are bit-identical across process parallelism and across
+checkpoint/restore. It deliberately does not read
 node telemetry: sampling a member's meters between control ticks would
 perturb their float accumulation order and break replay bit-identity.
 

@@ -15,16 +15,15 @@ Two properties the rest of the stack leans on:
   RNG, so a command-free stepped run produces byte-identical results to
   ``FleetOrchestrator.run()``.
 * **Checkpoint/restore is bit-identical too.** :meth:`save` pickles the
-  full simulator + orchestrator + RNG state (minus the trace arrays, which
-  are re-derived from the trace at restore) and records the global event
-  sequence watermark; :meth:`restore` resumes the run in a fresh process
-  with identical event ordering. See ``docs/serving.md`` for the format.
+  full simulator + orchestrator + RNG state (minus the trace columns, which
+  :meth:`restore` re-binds from the same trace). The simulator numbers its
+  own events, so a run resumed in a fresh process dispatches in the same
+  order. See ``docs/serving.md`` for the format.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import pickle
 from typing import TYPE_CHECKING
@@ -41,7 +40,7 @@ if TYPE_CHECKING:
     from repro.traces.schema import Trace
 
 #: Checkpoint container format tag; bump on any incompatible change.
-CHECKPOINT_FORMAT = "repro-serve-checkpoint/v4"
+CHECKPOINT_FORMAT = "repro-serve-checkpoint/v5"
 
 #: Ends a checkpoint file, followed by the SHA-256 (hex) of the container
 #: before it.
@@ -196,9 +195,8 @@ class FleetService:
     def evict_tenant(self, tenant: str) -> None:
         """Refuse service to a tenant from the next arrival on.
 
-        The tenant's traffic keeps arriving and stays *offered* (trace-mode
-        offered accounting is precomputed from the trace and must not
-        shift) — every arrival while evicted is dropped, i.e. an SLO miss.
+        The tenant's traffic keeps arriving and stays *offered* — every
+        arrival while evicted is dropped, i.e. an SLO miss.
         """
         self._require_live()
         self.orchestrator.evicted_tenants.add(self._tenant_index(tenant))
@@ -250,7 +248,7 @@ class FleetService:
 
     def _autoscale(self, now: float) -> None:
         assert self.autoscaler is not None
-        offered, _, _, _ = self.orchestrator.counters()
+        offered, _, _ = self.orchestrator.counters()
         delta = self.autoscaler.observe(
             self.epoch,
             offered,
@@ -283,23 +281,17 @@ class FleetService:
         """Checkpoint the live service to ``path``; returns the metadata.
 
         The file is a pickled container: a small metadata dict (format
-        tag, epoch, event-sequence watermark, trace digest) plus the
-        pickled service graph as an opaque payload, so a restorer can
-        validate compatibility before deserializing simulator state. A
+        tag, epoch, simulated time, trace digest) plus the pickled service
+        graph as an opaque payload, so a restorer can validate
+        compatibility before deserializing simulator state. A
         SHA-256 of the container follows it, so a damaged file is refused
         before any of it is unpickled.
         """
         self._require_live()
-        sim = self.orchestrator._sim
-        assert sim is not None
-        sequence_base = (
-            max((entry[2] for entry in sim._heap), default=-1) + 1
-        )
         meta = {
             "format": CHECKPOINT_FORMAT,
             "epoch": self.epoch,
             "time_s": self.time_s,
-            "sequence_base": sequence_base,
             "trace_digest": self.trace_digest,
         }
         blob = dict(meta)
@@ -327,10 +319,9 @@ class FleetService:
 
         A trace-driven checkpoint requires the *same* trace (validated by
         content digest) — the checkpoint stores the replay cursor, not the
-        trace columns. The global event-sequence counter is advanced past
-        the checkpoint's watermark before any state is deserialized, so
-        events created after the restore order exactly as they would have
-        in the uninterrupted run.
+        trace columns, and the trace is re-bound after unpickling. The
+        restored simulator carries its own event counter, so events created
+        after the restore order exactly as in the uninterrupted run.
         """
         blob = _read_checkpoint(path)
         if blob["trace_digest"] is not None:
@@ -347,7 +338,6 @@ class FleetService:
             raise ConfigurationError(
                 "checkpoint is open-loop but a trace was passed"
             )
-        _advance_event_sequence(blob["sequence_base"])
         service: FleetService = pickle.loads(blob["payload"])
         if trace is not None:
             service.orchestrator.reattach_trace(trace)
@@ -388,19 +378,3 @@ def _read_checkpoint(path: str) -> dict:
     if not isinstance(blob, dict) or blob.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
     return blob
-
-
-def _advance_event_sequence(sequence_base: int) -> None:
-    """Move the global event sequence counter past ``sequence_base``.
-
-    Tie-break correctness, not cosmetics: pending checkpointed events keep
-    their original (smaller) sequence numbers, and every event created
-    after the restore must sort behind them at equal ``(time, priority)``
-    — exactly as it would have in the uninterrupted process, where the
-    counter is strictly monotonic. In-process restores may already be past
-    the watermark; the counter never moves backwards.
-    """
-    import repro.sim.events as events_module
-
-    current = next(events_module._SEQUENCE)
-    events_module._SEQUENCE = itertools.count(max(sequence_base, current + 1))

@@ -56,7 +56,7 @@ def take_snapshot(
     prev_completed: int,
 ) -> ServiceSnapshot:
     """Assemble a snapshot from the orchestrator's pure counters."""
-    offered, completed, good, _ = orchestrator.counters()
+    offered, completed, good = orchestrator.counters()
     queue = orchestrator.queue
     hooks = orchestrator.hooks
     alarms = getattr(hooks, "alarms", None) if hooks is not None else None

@@ -87,19 +87,14 @@ class PeriodicTask:
             time, self, label=self.label, priority=self.priority
         )
 
-    def __getstate__(self):
-        return (self.sim, self.interval, self.callback, self.label,
-                self.priority, self.handle, self.stopped, self.paused)
-
-    def __setstate__(self, state):
-        (self.sim, self.interval, self.callback, self.label,
-         self.priority, self.handle, self.stopped, self.paused) = state
-
 
 class Simulator:
     """A deterministic calendar-queue discrete-event simulator.
 
-    Events dispatch in ``(time, priority, sequence)`` order. The simulator
+    Events dispatch in ``(time, priority, sequence)`` order, where
+    ``sequence`` counts the events this simulator has created. The counter
+    is pickled with the heap, so a simulator restored in another process
+    breaks ties exactly as the original would have. The simulator
     knows nothing of rates: when shared hardware state changes,
     :meth:`repro.hw.machine.Machine.notify_change` syncs the attached tasks
     at the old rates, re-solves contention and pushes the new rates, and the
@@ -108,10 +103,12 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        #: Heap entries are ``(time, priority, sequence, event)`` tuples —
-        #: plain-tuple comparison is markedly faster under heapq than
-        #: dispatching to the Event dataclass's generated ``__lt__``.
+        #: Heap entries are ``(time, priority, sequence, event)`` tuples.
+        #: The sequence is unique within this simulator, so a comparison
+        #: never reaches the event, which defines no ordering of its own.
         self._heap: list[tuple[float, int, int, Event]] = []
+        #: The sequence number of the next event created.
+        self._sequence = 0
         self._running = False
         self._dispatched = 0
         self._cancelled_pending = 0
@@ -157,8 +154,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event {label!r} at {time} < now {self._now}"
             )
-        event = Event(time, priority, callback, label, self._note_cancel)
-        heapq.heappush(self._heap, (time, priority, event.sequence, event))
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, priority, sequence, callback, label, self._note_cancel)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
     def after(
@@ -177,8 +176,10 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
         time = self._now + delay
-        event = Event(time, priority, callback, label, self._note_cancel)
-        heapq.heappush(self._heap, (time, priority, event.sequence, event))
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, priority, sequence, callback, label, self._note_cancel)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
     def every(
@@ -205,17 +206,7 @@ class Simulator:
 
     # ----------------------------------------------------------- compaction
     def _note_cancel(self, event: Event) -> None:
-        """Record one cancellation (hooked into every scheduled event)."""
-        self._cancelled_pending += 1
-        heap_size = len(self._heap)
-        if (
-            heap_size >= _COMPACT_MIN_HEAP
-            and self._cancelled_pending >= _COMPACT_FRACTION * heap_size
-        ):
-            self.compact()
-
-    def _maybe_compact(self) -> None:
-        """Compact if the heap is mostly dead events.
+        """Record one cancellation (hooked into every scheduled event).
 
         Lazy cancellation keeps :meth:`Event.cancel` O(1) but leaves
         tombstones in the heap; long fleet runs that continually reschedule
@@ -223,9 +214,11 @@ class Simulator:
         When at least half of a non-trivial heap is cancelled, rebuilding it
         is amortized O(1) per cancellation.
         """
+        self._cancelled_pending += 1
+        heap_size = len(self._heap)
         if (
-            len(self._heap) >= _COMPACT_MIN_HEAP
-            and self._cancelled_pending >= _COMPACT_FRACTION * len(self._heap)
+            heap_size >= _COMPACT_MIN_HEAP
+            and self._cancelled_pending >= _COMPACT_FRACTION * heap_size
         ):
             self.compact()
 
@@ -285,6 +278,8 @@ class Simulator:
 
         Returns the number of events cancelled. With no labels, everything
         pending is cancelled — used to tear a scenario down between runs.
+        The walk already touched every heap entry, so the heap is compacted
+        right after it.
         """
         wanted = set(labels)
         count = 0
@@ -295,5 +290,5 @@ class Simulator:
                 event.cancelled = True
                 count += 1
         self._cancelled_pending += count
-        self._maybe_compact()
+        self.compact()
         return count

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable
-
-_SEQUENCE = itertools.count()
 
 
 class Event:
@@ -14,7 +11,9 @@ class Event:
     Events order by ``(time, priority, sequence)``. ``priority`` breaks ties
     between events at the same instant — lower runs first — which matters when
     a controller tick and a phase completion land on the same timestamp.
-    ``sequence`` keeps ordering deterministic for equal (time, priority).
+    ``sequence`` keeps ordering deterministic for equal (time, priority): the
+    simulator numbers its own events in creation order, and the number
+    travels with it through a pickle.
 
     A hand-rolled class rather than a dataclass, and handle-and-event in one
     object: the engine creates one per scheduled callback, which makes both
@@ -42,13 +41,14 @@ class Event:
         self,
         time: float,
         priority: int,
+        sequence: int,
         callback: Callable[[], None],
         label: str = "",
         on_cancel: "Callable[[Event], None] | None" = None,
     ) -> None:
         self.time = time
         self.priority = priority
-        self.sequence = next(_SEQUENCE)
+        self.sequence = sequence
         self.callback = callback
         self.label = label
         self.cancelled = False
@@ -61,21 +61,6 @@ class Event:
         self.cancelled = True
         if self.on_cancel is not None:
             self.on_cancel(self)
-
-    def _key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.sequence)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Event") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Event") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Event") -> bool:
-        return self._key() >= other._key()
 
     def __repr__(self) -> str:
         return (

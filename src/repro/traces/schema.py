@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Iterator, Mapping, Sequence
+from typing import IO, Any, Iterator, Mapping
 
 import numpy as np
 
@@ -36,6 +38,12 @@ from repro.errors import ConfigurationError
 
 #: Version tag written to (and required of) every trace file header.
 TRACE_SCHEMA = "repro.trace/1"
+
+#: What reading a damaged trace file raises. A file that is not gzip
+#: (``BadGzipFile`` is an ``OSError``), a truncated gzip stream, a corrupt
+#: deflate stream and bytes that are not UTF-8 all surface while reading,
+#: not at open.
+_READ_ERRORS = (OSError, EOFError, zlib.error, UnicodeDecodeError)
 
 
 @dataclass(frozen=True)
@@ -114,9 +122,13 @@ class Trace:
             raise ConfigurationError("trace needs at least one tenant")
         if not self.families:
             raise ConfigurationError("trace needs at least one family")
-        if self.duration_s <= 0:
-            raise ConfigurationError("trace duration_s must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigurationError("trace duration_s must be positive and finite")
+        if not isinstance(self.meta, Mapping):
+            raise ConfigurationError("trace meta must be an object")
         if arrivals.size:
+            if not np.isfinite(arrivals).all():
+                raise ConfigurationError("trace arrivals must be finite")
             if np.any(np.diff(arrivals) < 0):
                 raise ConfigurationError("trace arrivals must be non-decreasing")
             if arrivals[0] < 0 or arrivals[-1] > self.duration_s:
@@ -185,10 +197,55 @@ def save_trace(trace: Trace, path: str | Path) -> None:
             write(f"[{arrival!r},{tenant},{family}]\n")
 
 
+def _number(value: Any, where: str) -> float:
+    """``value`` as a float, if it is a finite JSON number."""
+    if type(value) in (int, float):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+
+
+def _specs(
+    header: dict[str, Any], key: str, cls: type, numbers: tuple[str, ...], where: str
+) -> tuple:
+    """The header's ``key`` table (tenants or families) as ``cls`` specs.
+
+    A row is an object with a string ``name``; each of its ``numbers``
+    fields it omits takes the spec's default.
+    """
+    rows = header.get(key, [])
+    if not isinstance(rows, list):
+        raise ConfigurationError(f"{where} {key} must be a list, got {rows!r}")
+    specs = []
+    for index, row in enumerate(rows):
+        at = f"{where} {key}[{index}]"
+        if not isinstance(row, dict):
+            raise ConfigurationError(f"{at} must be an object, got {row!r}")
+        if type(row.get("name")) is not str:
+            raise ConfigurationError(
+                f"{at} name must be a string, got {row.get('name')!r}"
+            )
+        fields = {
+            name: _number(row[name], f"{at} {name}")
+            for name in numbers
+            if name in row
+        }
+        try:
+            specs.append(cls(name=row["name"], **fields))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{at}: {exc}") from exc
+    return tuple(specs)
+
+
 def _parse_header(line: str, path: Path) -> dict[str, Any]:
+    """The header line, checked: ``duration_s`` a float, ``requests`` an
+    int or None, ``tenants`` and ``families`` tuples of specs."""
     try:
         header = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"{path}: malformed trace header: {exc}") from exc
     if not isinstance(header, dict):
         raise ConfigurationError(f"{path}: trace header must be an object")
@@ -198,17 +255,38 @@ def _parse_header(line: str, path: Path) -> dict[str, Any]:
             f"{path}: unsupported trace schema {schema!r} "
             f"(expected {TRACE_SCHEMA!r})"
         )
-    return header
+    where = f"{path}: trace header"
+    if "duration_s" not in header:
+        raise ConfigurationError(f"{where} has no duration_s")
+    requests = header.get("requests")
+    if requests is not None and type(requests) is not int:
+        raise ConfigurationError(
+            f"{where} requests must be an integer, got {requests!r}"
+        )
+    return {
+        **header,
+        "duration_s": _number(header["duration_s"], f"{where} duration_s"),
+        "tenants": _specs(
+            header, "tenants", TraceTenant, ("slo_p99_ms", "weight"), where
+        ),
+        "families": _specs(
+            header, "families", TraceFamily, ("demand", "weight"), where
+        ),
+    }
 
 
-def _iter_rows(fh: IO[str], path: Path) -> Iterator[Sequence[Any]]:
+def _iter_rows(
+    fh: IO[str], path: Path, tenants: int, families: int
+) -> Iterator[tuple[float, int, int]]:
+    """Each request row as ``(arrival_s, tenant_id, family_id)``, checked
+    against the header's ``tenants`` and ``families`` counts."""
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigurationError(
                 f"{path}:{lineno}: malformed trace row: {exc}"
             ) from exc
@@ -217,59 +295,70 @@ def _iter_rows(fh: IO[str], path: Path) -> Iterator[Sequence[Any]]:
                 f"{path}:{lineno}: trace row must be [arrival_s, tenant_id, "
                 "family_id]"
             )
-        yield row
+        arrival, tenant, family = row
+        if type(arrival) is not float or not math.isfinite(arrival):
+            arrival = _number(arrival, f"{path}:{lineno}: arrival_s")
+        if type(tenant) is not int or not 0 <= tenant < tenants:
+            raise ConfigurationError(
+                f"{path}:{lineno}: tenant_id must be an integer in "
+                f"[0, {tenants}), got {tenant!r}"
+            )
+        if type(family) is not int or not 0 <= family < families:
+            raise ConfigurationError(
+                f"{path}:{lineno}: family_id must be an integer in "
+                f"[0, {families}), got {family!r}"
+            )
+        yield arrival, tenant, family
 
 
 def load_trace(path: str | Path) -> Trace:
-    """Load a trace file written by :func:`save_trace`."""
+    """Load a trace file written by :func:`save_trace`.
+
+    A file that cannot be read or is not a well-formed trace raises a
+    :class:`ConfigurationError` that names the path, and the line and
+    field at fault where there is one.
+    """
     path = Path(path)
     try:
         fh = _open(path, "r")
     except OSError as exc:
         raise ConfigurationError(f"cannot read trace {path}: {exc}") from exc
-    with fh:
-        first = fh.readline()
-        if not first:
-            raise ConfigurationError(f"{path}: empty trace file")
-        header = _parse_header(first, path)
-        tenants = tuple(
-            TraceTenant(
-                name=t["name"],
-                slo_p99_ms=float(t.get("slo_p99_ms", 60.0)),
-                weight=float(t.get("weight", 1.0)),
+    try:
+        with fh:
+            first = fh.readline()
+            if not first:
+                raise ConfigurationError(f"{path}: empty trace file")
+            header = _parse_header(first, path)
+            arrivals: list[float] = []
+            tenant_ids: list[int] = []
+            family_ids: list[int] = []
+            rows = _iter_rows(
+                fh, path, len(header["tenants"]), len(header["families"])
             )
-            for t in header.get("tenants", [])
-        )
-        families = tuple(
-            TraceFamily(
-                name=f["name"],
-                demand=float(f.get("demand", 1.0)),
-                weight=float(f.get("weight", 1.0)),
-            )
-            for f in header.get("families", [])
-        )
-        arrivals: list[float] = []
-        tenant_ids: list[int] = []
-        family_ids: list[int] = []
-        for row in _iter_rows(fh, path):
-            arrivals.append(float(row[0]))
-            tenant_ids.append(int(row[1]))
-            family_ids.append(int(row[2]))
+            for arrival, tenant, family in rows:
+                arrivals.append(arrival)
+                tenant_ids.append(tenant)
+                family_ids.append(family)
+    except _READ_ERRORS as exc:
+        raise ConfigurationError(f"cannot read trace {path}: {exc}") from exc
     declared = header.get("requests")
-    if declared is not None and int(declared) != len(arrivals):
+    if declared is not None and declared != len(arrivals):
         raise ConfigurationError(
             f"{path}: header declares {declared} requests, file has "
             f"{len(arrivals)}"
         )
-    return Trace(
-        arrivals_s=np.asarray(arrivals, dtype=np.float64),
-        tenant_ids=np.asarray(tenant_ids, dtype=np.int32),
-        family_ids=np.asarray(family_ids, dtype=np.int32),
-        tenants=tenants,
-        families=families,
-        duration_s=float(header["duration_s"]),
-        meta=header.get("meta", {}),
-    )
+    try:
+        return Trace(
+            arrivals_s=np.asarray(arrivals, dtype=np.float64),
+            tenant_ids=np.asarray(tenant_ids, dtype=np.int32),
+            family_ids=np.asarray(family_ids, dtype=np.int32),
+            tenants=header["tenants"],
+            families=header["families"],
+            duration_s=header["duration_s"],
+            meta=header.get("meta", {}),
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def trace_digest(trace: Trace) -> str:

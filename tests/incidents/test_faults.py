@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -120,6 +122,12 @@ class TestScenarioFiles:
         # Bit-exact: a reloaded scenario must replay identically.
         assert loaded.incidents == schedule.incidents
 
+    def test_save_creates_parent_directories(self, tmp_path) -> None:
+        schedule = default_schedule(3600.0, nodes=3, seed=5)
+        path = tmp_path / "nested" / "dir" / "scenario.json"
+        save_scenario(schedule, str(path))
+        assert load_scenario(str(path)) == schedule
+
     def test_missing_file_rejected(self, tmp_path) -> None:
         with pytest.raises(ConfigurationError):
             load_scenario(str(tmp_path / "nope.json"))
@@ -129,3 +137,77 @@ class TestScenarioFiles:
         path.write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(ConfigurationError):
             load_scenario(str(path))
+
+
+def _scenario(tmp_path, edit):
+    """A saved default scenario, its JSON object changed by ``edit`` (which
+    may return a replacement), as a file."""
+    data = default_schedule(3600.0, nodes=3, seed=5).as_dict()
+    data = edit(data) or data
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def _truncated(tmp_path):
+    path = _scenario(tmp_path, lambda data: None)
+    path.write_bytes(path.read_bytes()[:40])
+    return path
+
+
+def _set(key, value, incident=None):
+    def edit(data):
+        (data if incident is None else data["incidents"][incident])[key] = value
+    return lambda tmp_path: _scenario(tmp_path, edit)
+
+
+def _drop_kind(data):
+    del data["incidents"][0]["kind"]
+
+
+#: (case, function that writes the file, what the error names besides the path)
+_HOSTILE = [
+    ("truncated", _truncated, "cannot read scenario"),
+    ("top-level-list", lambda p: _scenario(p, lambda d: [d]), "must be an object"),
+    (
+        "incident-not-object",
+        lambda p: _scenario(p, lambda d: d["incidents"].__setitem__(0, 5)),
+        "incidents[0] must be an object",
+    ),
+    ("no-kind", lambda p: _scenario(p, _drop_kind), "incidents[0] has no kind"),
+    ("start-text", _set("start_s", "soon", 0), "incidents[0] start_s"),
+    ("start-nan", _set("start_s", float("nan"), 0), "incidents[0] start_s"),
+    ("params-list", _set("params", [1, 2], 1), "incidents[1] params"),
+    ("seed-text", _set("seed", "x"), "seed"),
+    ("node-text", _set("node", "zero", 0), "incidents[0] node"),
+]
+
+
+class TestHostileScenarioFiles:
+    @pytest.mark.parametrize(
+        "build, names", [case[1:] for case in _HOSTILE], ids=[c[0] for c in _HOSTILE]
+    )
+    def test_named_error_and_exit_2(self, tmp_path, capsys, build, names):
+        from repro.cli import main
+
+        path = build(tmp_path)
+        with pytest.raises(ConfigurationError) as caught:
+            load_scenario(str(path))
+        assert str(path) in str(caught.value) and names in str(caught.value)
+        code = main([
+            "fleet-incidents", "--scenario", str(path), "--trace-duration",
+            "300", "--trace-rate", "2", "--nodes", "3",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and names in err, err
+        assert "Traceback" not in err
+
+    def test_spec_rejects_non_finite_times_and_negative_node(self) -> None:
+        for start, duration in ((float("nan"), 1.0), (1.0, float("inf"))):
+            with pytest.raises(ConfigurationError, match="finite"):
+                IncidentSpec(
+                    kind="noisy-neighbor", start_s=start, duration_s=duration
+                )
+        with pytest.raises(ConfigurationError, match="node >= 0"):
+            IncidentSpec(kind="node-death", start_s=1.0, duration_s=1.0, node=-1)

@@ -221,21 +221,24 @@ class TestValidation:
         service.step()
         service.save(str(path))
         blob = pickle.loads(path.read_bytes())
-        assert blob["format"] == CHECKPOINT_FORMAT == "repro-serve-checkpoint/v4"
+        assert blob["format"] == CHECKPOINT_FORMAT == "repro-serve-checkpoint/v5"
         blob["format"] = "repro-serve-checkpoint/v1"
         path.write_bytes(_sealed(pickle.dumps(blob)))
-        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v4"):
+        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v5"):
             FleetService.restore(str(path), trace=trace)
         # A real v1 or v3 payload names classes that no longer exist; the
         # format check must refuse it before ``pickle.loads`` can hit them.
-        # A v3 file also ends in the v3 digest trailer.
+        # A v3 file also ends in the v3 digest trailer. A v4 payload still
+        # unpickles, but without the simulator's event counter and with
+        # the old fleet books, so it too must be refused by its tag.
         v1 = b"crepro.hw.contention\n_KnobDict\n."
         v3 = b"crepro.core.kelp\nKelpRuntime\n."
         with pytest.raises(AttributeError):
             pickle.loads(v1)
         with pytest.raises(ModuleNotFoundError):
             pickle.loads(v3)
-        v3_mark = _DIGEST_MARK.replace(b"/v4 ", b"/v3 ")
+        v3_mark = _DIGEST_MARK.replace(b"/v5 ", b"/v3 ")
+        v4_mark = _DIGEST_MARK.replace(b"/v5 ", b"/v4 ")
         stale = [
             _sealed(pickle.dumps({**blob, "payload": v1})),
             _sealed(
@@ -244,10 +247,14 @@ class TestValidation:
                 ),
                 v3_mark,
             ),
+            _sealed(
+                pickle.dumps({**blob, "format": "repro-serve-checkpoint/v4"}),
+                v4_mark,
+            ),
         ]
         for raw in stale:
             path.write_bytes(raw)
-            message = "not a repro-serve-checkpoint/v4 checkpoint"
+            message = "not a repro-serve-checkpoint/v5 checkpoint"
             with pytest.raises(ConfigurationError, match=message):
                 FleetService.restore(str(path), trace=trace)
             with pytest.raises(ConfigurationError, match=message):
@@ -273,7 +280,7 @@ class TestValidation:
         corrupt.write_bytes(_sealed(b"this is not a pickle"))
         with pytest.raises(
             ConfigurationError,
-            match=r"not a repro-serve-checkpoint/v4 checkpoint \(UnpicklingError\)",
+            match=r"not a repro-serve-checkpoint/v5 checkpoint \(UnpicklingError\)",
         ):
             FleetService.restore(str(corrupt))
         with pytest.raises(ConfigurationError, match="UnpicklingError"):

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SimulationError
@@ -193,3 +199,35 @@ class TestHeapCompaction:
             sim.at(t, lambda: None)
         sim.run_until(10.0)
         assert sim.dispatched_events == 3
+
+
+class TestPickling:
+    def test_fresh_process_keeps_tie_break_order(self, tmp_path) -> None:
+        """A simulator unpickled in a new interpreter orders a new event
+        behind a pending one at the same (time, priority), as the original
+        simulator would."""
+        log: list[str] = []
+        sim = Simulator()
+        sim.at(1.0, partial(log.append, "zero"))
+        sim.run_until(2.0)
+        sim.at(5.0, partial(log.append, "first"))
+        path = tmp_path / "sim.pkl"
+        path.write_bytes(pickle.dumps((sim, log)))
+        code = f"""
+import pickle
+from functools import partial
+with open({str(path)!r}, "rb") as handle:
+    sim, log = pickle.load(handle)
+sim.at(5.0, partial(log.append, "second"))
+sim.run_until(10.0)
+print(log)
+"""
+        src = Path(__file__).resolve().parents[2] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert out.stdout.strip() == "['zero', 'first', 'second']"

@@ -156,3 +156,93 @@ class TestRoundTrip:
         path = tmp_path / "nested" / "dir" / "t.jsonl"
         save_trace(trace, path)
         assert len(load_trace(path)) == len(trace)
+
+
+#: Marks a header field the hostile file leaves out.
+_DROP = object()
+
+
+def _edited(tmp_path, row=None, **changes):
+    """The tiny trace's file with header fields changed (``_DROP`` removes
+    one) and its first row, on line 2, replaced by ``row``."""
+    header = _tiny_trace().header()
+    for key, value in changes.items():
+        if value is _DROP:
+            del header[key]
+        else:
+            header[key] = value
+    rows = ["[0.5,0,0]", "[1.0,1,0]", "[1.0,0,1]", "[3.25,1,0]"]
+    if row is not None:
+        rows[0] = row
+    path = tmp_path / "hostile.jsonl"
+    path.write_text("\n".join([json.dumps(header), *rows]) + "\n")
+    return path
+
+
+def _truncated_gzip(tmp_path):
+    path = tmp_path / "hostile.jsonl.gz"
+    save_trace(generate_trace(TraceGenConfig(seed=3, duration_s=30.0)), path)
+    path.write_bytes(path.read_bytes()[:300])
+    return path
+
+
+def _not_gzip(tmp_path):
+    path = tmp_path / "hostile.jsonl.gz"
+    path.write_bytes(_edited(tmp_path).read_bytes())
+    return path
+
+
+def _not_utf8(tmp_path):
+    path = _edited(tmp_path)
+    path.write_bytes(b"\xff" + path.read_bytes())
+    return path
+
+
+#: (case, function that writes the file, what the error names besides the path)
+_HOSTILE = [
+    ("truncated-gzip", _truncated_gzip, "cannot read trace"),
+    ("not-gzip", _not_gzip, "cannot read trace"),
+    ("not-utf8", _not_utf8, "cannot read trace"),
+    ("no-duration", lambda p: _edited(p, duration_s=_DROP), "duration_s"),
+    (
+        "tenant-without-name",
+        lambda p: _edited(p, tenants=[{"slo_p99_ms": 60.0}, {"name": "b"}]),
+        "tenants[0] name",
+    ),
+    ("duration-text", lambda p: _edited(p, duration_s="sixty"), "duration_s"),
+    ("requests-text", lambda p: _edited(p, requests="two"), "requests"),
+    (
+        "slo-text",
+        lambda p: _edited(p, tenants=[{"name": "a", "slo_p99_ms": "fast"}]),
+        "tenants[0] slo_p99_ms",
+    ),
+    ("tenants-text", lambda p: _edited(p, tenants="abc"), "tenants"),
+    ("meta-list", lambda p: _edited(p, meta=[1, 2]), "meta"),
+    ("arrival-text", lambda p: _edited(p, row='["x",0,0]'), ":2: arrival_s"),
+    ("arrival-null", lambda p: _edited(p, row="[null,0,0]"), ":2: arrival_s"),
+    ("arrival-nan", lambda p: _edited(p, row="[NaN,0,0]"), ":2: arrival_s"),
+    ("tenant-text", lambda p: _edited(p, row='[1.0,"a",0]'), ":2: tenant_id"),
+]
+
+
+class TestHostileFiles:
+    @pytest.mark.parametrize(
+        "build, names", [case[1:] for case in _HOSTILE], ids=[c[0] for c in _HOSTILE]
+    )
+    def test_named_error_and_exit_2(self, tmp_path, capsys, build, names):
+        from repro.cli import main
+
+        path = build(tmp_path)
+        with pytest.raises(ConfigurationError) as caught:
+            load_trace(path)
+        assert str(path) in str(caught.value) and names in str(caught.value)
+        assert main(["fleet-trace", "--trace", str(path), "--nodes", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and names in err, err
+        assert "Traceback" not in err
+
+    def test_trace_rejects_non_finite_times(self):
+        with pytest.raises(ConfigurationError, match="arrivals must be finite"):
+            _tiny_trace(arrivals_s=np.array([0.5, np.nan, 1.0, 3.25]))
+        with pytest.raises(ConfigurationError, match="duration_s"):
+            _tiny_trace(duration_s=np.inf)
