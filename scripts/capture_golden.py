@@ -66,7 +66,7 @@ def fig13_summary() -> dict:
     }
 
 
-def fleet_summary(jobs: int | None = None) -> list[dict]:
+def fleet_summary(jobs: int = 1) -> list[dict]:
     """The reduced fleet-sim per-trial summaries."""
     from repro.experiments.fleet_sim import run_fleet_sim
 

@@ -9,16 +9,14 @@ Usage::
     python -m repro mix --ml cnn1 --policy KP --cpu stitch --intensity 4
 
 Every subcommand but ``list`` runs inside one frame (:func:`main`): the
-frame builds the run observer, profiles the handler under
-``REPRO_PROFILE=1``, turns a :class:`~repro.errors.ReproError` into a
-one-line ``<name>: <message>`` on stderr with exit status 2, prints the
-lines the handler returns, and writes the observability outputs.
+frame builds the run observer, turns a :class:`~repro.errors.ReproError`
+into a one-line ``<name>: <message>`` on stderr with exit status 2, prints
+the lines the handler returns, and writes the observability outputs.
 
 Observability: ``--trace-out DIR`` writes a Perfetto-loadable
 ``trace.json`` plus a run manifest into ``DIR``; ``--metrics-out FILE``
-writes the JSONL metric/record stream. The ``REPRO_TRACE`` environment
-variable provides a default trace directory when the flag is absent. See
-``docs/observability.md``.
+writes the JSONL metric/record stream. See ``docs/observability.md``.
+To profile a command, run it under ``python -m cProfile -o FILE -m repro``.
 """
 
 from __future__ import annotations
@@ -26,13 +24,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import fields
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.common import MixConfig, run_colocation
 from repro.experiments.registry import accepts, experiment_ids, run_experiment
-from repro.parallel import maybe_profiled
 
 #: JSONL rows buffered per incremental flush. The written file is
 #: byte-identical to an unbuffered write (see ``RunObserver``).
@@ -92,7 +88,7 @@ def _control_plane_configs(args: argparse.Namespace):
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-out", default=None, metavar="DIR",
-        help="write trace.json + manifest into DIR (default: $REPRO_TRACE)",
+        help="write trace.json + manifest into DIR",
     )
     parser.add_argument(
         "--metrics-out", default=None, metavar="FILE",
@@ -142,9 +138,9 @@ def _add_fleet_arguments(
     parser.add_argument("--trials", type=int, default=1, help=trials)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=int, default=1,
         help="worker processes for the trial sweep; results are identical "
-             "to a serial run (default REPRO_JOBS or 1)",
+             "to a serial run",
     )
 
 
@@ -182,9 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulated measurement horizon, seconds",
     )
     run.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for experiments with internal sweeps; "
-             "default REPRO_JOBS or 1",
+        "--jobs", type=int, default=1,
+        help="worker processes for experiments with internal sweeps",
     )
 
     report = sub.add_parser(
@@ -200,9 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="subset of experiment ids (default: all)",
     )
     report.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=int, default=1,
         help="worker processes for the experiment sweep; results are "
-             "identical to a serial run (default REPRO_JOBS or 1)",
+             "identical to a serial run",
     )
 
     fleet = sub.add_parser(
@@ -320,12 +315,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="enable the demand-driven autoscaler",
     )
     serve.add_argument(
-        "--min-nodes", type=int, default=1,
-        help="autoscaler floor (with --autoscale)",
+        "--min-nodes", type=int, default=None,
+        help="autoscaler floor (with --autoscale; default 1)",
     )
     serve.add_argument(
-        "--max-nodes", type=int, default=16,
-        help="autoscaler ceiling (with --autoscale)",
+        "--max-nodes", type=int, default=None,
+        help="autoscaler ceiling (with --autoscale; default 16)",
     )
     serve.add_argument(
         "--save", default=None, metavar="PATH",
@@ -379,12 +374,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="noisy-neighbor arrival rate (default scales with fleet size)",
     )
     incidents.add_argument(
-        "--intruder-demand", type=float, default=300.0,
-        help="noisy-neighbor per-request demand multiplier",
+        "--intruder-demand", type=float, default=None,
+        help="noisy-neighbor per-request demand multiplier (default 300)",
     )
     incidents.add_argument(
-        "--drop-fraction", type=float, default=0.5,
-        help="fraction of arrivals null-routed during routing-misconfig",
+        "--drop-fraction", type=float, default=None,
+        help="fraction of arrivals null-routed during routing-misconfig "
+             "(default 0.5)",
     )
     _add_trace_source_arguments(incidents, horizon=86400.0)
     _add_fleet_arguments(
@@ -435,6 +431,17 @@ def _trace_gen(args: argparse.Namespace):
     )
 
 
+def _given(args: argparse.Namespace, *dests: str) -> dict:
+    """The value of each of ``dests`` whose flag was passed, by dest (the
+    flags default to ``None`` so that a passed one can be told apart)."""
+    return {d: getattr(args, d) for d in dests if getattr(args, d) is not None}
+
+
+def _flag(dest: str) -> str:
+    """The command-line spelling of the flag stored under ``dest``."""
+    return "--" + dest.replace("_", "-")
+
+
 def _replay_kwargs(args: argparse.Namespace, observer) -> dict:
     """The keywords every trace-replay runner takes from the shared flags."""
     return dict(
@@ -452,7 +459,7 @@ def _run(args: argparse.Namespace, observer) -> list[str]:
         kwargs["ml"] = args.ml
     if args.duration is not None:
         kwargs["duration"] = args.duration
-    if args.jobs is not None and "jobs" in takes:
+    if "jobs" in takes:
         kwargs["jobs"] = args.jobs
     if "observer" in takes:
         kwargs["observer"] = observer
@@ -519,10 +526,13 @@ def _fleet_serve(args: argparse.Namespace, observer) -> list[str]:
     from repro.experiments.fleet_serve import format_fleet_serve, run_fleet_serve
     from repro.serve import AutoscalerConfig
 
-    autoscaler = (
-        AutoscalerConfig(min_nodes=args.min_nodes, max_nodes=args.max_nodes)
-        if args.autoscale else None
-    )
+    bounds = _given(args, "min_nodes", "max_nodes")
+    if bounds and not args.autoscale:
+        raise ConfigurationError(
+            f"{_flag(next(iter(bounds)))} bounds the autoscaler; it needs "
+            f"--autoscale"
+        )
+    autoscaler = AutoscalerConfig(**bounds) if args.autoscale else None
     result = run_fleet_serve(
         **_replay_kwargs(args, observer), window_s=args.window,
         epoch_s=args.epoch, commands=args.serve_commands,
@@ -556,12 +566,12 @@ def _fleet_incidents(args: argparse.Namespace, observer) -> list[str]:
     )
     from repro.incidents.faults import INCIDENT_KINDS, save_scenario
 
-    if args.scenario is not None and (
-        args.classes is not None or args.incident_seed is not None
-    ):
+    knobs = _given(args, "intruder_demand", "drop_fraction")
+    generator = _given(args, "classes", "incident_seed", "intruder_rate") | knobs
+    if args.scenario is not None and generator:
         raise ConfigurationError(
             "--scenario replays a saved schedule; it cannot be combined "
-            "with --classes or --incident-seed"
+            f"with {_flag(next(iter(generator)))}"
         )
     classes = INCIDENT_KINDS
     if args.classes is not None:
@@ -569,9 +579,8 @@ def _fleet_incidents(args: argparse.Namespace, observer) -> list[str]:
     result = run_fleet_incidents(
         **_replay_kwargs(args, observer), scenario_path=args.scenario,
         classes=classes, incident_seed=args.incident_seed,
-        intruder_rate_qps=args.intruder_rate,
-        intruder_demand=args.intruder_demand,
-        drop_fraction=args.drop_fraction, collect_telemetry=args.telemetry,
+        intruder_rate_qps=args.intruder_rate, **knobs,
+        collect_telemetry=args.telemetry,
     )
     lines = [format_fleet_incidents(result)]
     if args.save_scenario:
@@ -621,16 +630,13 @@ def main(argv: list[str] | None = None) -> int:
     running = args.command == "run"
     name = args.experiment if running else args.command
     observer = RunObserver(
-        ObsConfig.from_env(trace_out=args.trace_out, metrics_out=args.metrics_out),
+        ObsConfig(trace_dir=args.trace_out, metrics_path=args.metrics_out),
         name=name,
         flush_every=_METRICS_FLUSH_ROWS,
     )
-    # REPRO_PROFILE=1 dumps <name>.prof; the report suite dumps one per entry.
-    profiled = nullcontext() if args.command == "report" else maybe_profiled(name)
     started = time.perf_counter()
     try:
-        with profiled:
-            lines = args.handler(args, observer)
+        lines = args.handler(args, observer)
     except ReproError as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         return 2

@@ -123,7 +123,7 @@ def run_ablation_sensor_noise(
     batch_jobs: int = 2,
     seed: int = 0,
     levels: tuple[DegradationLevel, ...] = LEVELS,
-    jobs: int | None = None,
+    jobs: int = 1,
     observer: "RunObserver | None" = None,
 ) -> SensorNoiseAblationResult:
     """Sweep the degradation ladder over the KP fleet simulation."""

@@ -31,7 +31,7 @@ class Fig02Result:
 def run_fig02(
     machines: int = 1000,
     seed: int = 42,
-    jobs: int | None = None,
+    jobs: int = 1,
     observer: "RunObserver | None" = None,
 ) -> Fig02Result:
     """Regenerate the Fig 2 curve.

@@ -34,7 +34,7 @@ def _fig05_point(point: tuple[str, str | None, str, float]) -> float:
     return run_sensitivity(ml, antagonist, level, duration=duration)
 
 
-def run_fig05(duration: float = 40.0, jobs: int | None = None) -> Fig05Result:
+def run_fig05(duration: float = 40.0, jobs: int = 1) -> Fig05Result:
     """Run the 4x2 sensitivity matrix (plus 4 baselines), 12 points total.
 
     With ``jobs`` > 1 the points run on a process pool; normalization

@@ -52,7 +52,7 @@ def run_fig16(
     duration: float = 40.0,
     data_fractions: tuple[float, ...] = DATA_FRACTIONS,
     thread_fractions: tuple[float, ...] = THREAD_FRACTIONS,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> Fig16Result:
     """Run the locality sweep for ``ml`` (cnn1 or cnn2).
 

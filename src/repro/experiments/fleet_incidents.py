@@ -198,7 +198,7 @@ def run_fleet_incidents(
     window_s: float | None = None,
     trials: int = 1,
     seed: int = 0,
-    jobs: int | None = None,
+    jobs: int = 1,
     observer: "RunObserver | None" = None,
     detector_config: DetectorConfig | None = None,
     collect_telemetry: bool = False,

@@ -202,7 +202,7 @@ def run_fleet_serve(
     restore_path: str | None = None,
     trials: int = 1,
     seed: int = 0,
-    jobs: int | None = None,
+    jobs: int = 1,
     observer: "RunObserver | None" = None,
     sensors: SensorConfig | None = None,
     faults: ActuationFaultConfig | None = None,

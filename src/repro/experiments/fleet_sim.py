@@ -90,7 +90,7 @@ def run_fleet_sim(
     batch_eviction: bool = True,
     trials: int = 1,
     seed: int = 0,
-    jobs: int | None = None,
+    jobs: int = 1,
     observer: "RunObserver | None" = None,
     sensors: SensorConfig | None = None,
     faults: ActuationFaultConfig | None = None,

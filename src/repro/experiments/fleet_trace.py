@@ -165,7 +165,7 @@ def run_fleet_trace(
     window_s: float | None = None,
     trials: int = 1,
     seed: int = 0,
-    jobs: int | None = None,
+    jobs: int = 1,
     observer: "RunObserver | None" = None,
     sensors: SensorConfig | None = None,
     faults: ActuationFaultConfig | None = None,

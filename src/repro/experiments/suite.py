@@ -13,7 +13,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.experiments.registry import accepts, experiment_ids, run_experiment
-from repro.parallel import maybe_profiled, resolve_jobs, run_points
+from repro.parallel import run_points
 
 if TYPE_CHECKING:
     from repro.obs.recorder import RunObserver
@@ -50,10 +50,7 @@ def _suite_point(
         kwargs["observer"] = observer
     name = exp_id if ml is None else f"{exp_id}:{ml}"
     started = time.perf_counter()
-    # REPRO_PROFILE=1 dumps one <experiment>.prof per entry (and forces the
-    # suite serial, so the profile sees the real work in-process).
-    with maybe_profiled(name.replace(":", "_")):
-        _, text = run_experiment(exp_id, **kwargs)
+    _, text = run_experiment(exp_id, **kwargs)
     return SuiteEntry(
         exp_id=name,
         text=text,
@@ -77,7 +74,7 @@ def suite_points(
 def run_suite(
     experiments: list[str] | None = None,
     duration: float = 30.0,
-    jobs: int | None = None,
+    jobs: int = 1,
     observer: "RunObserver | None" = None,
 ) -> list[SuiteEntry]:
     """Execute the registry (or a subset) and collect formatted outputs.
@@ -95,13 +92,13 @@ def run_suite(
     points = suite_points(experiments, duration)
     observing = observer is not None and observer.enabled
     fn = _suite_point
-    if observing and resolve_jobs(jobs) == 1:
+    if observing and jobs == 1:
         fn = partial(_suite_point, observer=observer)
     entries = run_points(fn, points, jobs=jobs)
     if observing:
         observer.note_config(
             suite_duration=duration,
-            suite_jobs=resolve_jobs(jobs),
+            suite_jobs=jobs,
             suite_experiments=[e.exp_id for e in entries],
         )
         offset = 0.0

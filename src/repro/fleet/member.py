@@ -788,9 +788,3 @@ class FleetMember:
         return sum(
             task.throughput(measurement_end) for task in self.batch_task_history
         )
-
-    def rng_stream(self, base_seed: int, tag: int) -> np.random.Generator:
-        """A node-scoped RNG stream (deterministic in (seed, node, tag))."""
-        return np.random.default_rng(
-            np.random.SeedSequence((base_seed, self.index, tag))
-        )

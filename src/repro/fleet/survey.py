@@ -52,7 +52,7 @@ class FleetSurvey:
         """How many fixed-size machine blocks the survey spans."""
         return -(-self.machines // FLEET_BLOCK_MACHINES)
 
-    def machine_p99(self, jobs: int | None = None) -> np.ndarray:
+    def machine_p99(self, jobs: int = 1) -> np.ndarray:
         """Per-machine 99 %-ile utilization for the whole fleet, in [0, 1].
 
         ``jobs`` > 1 evaluates the seed-blocks on a process pool; the block
@@ -99,7 +99,7 @@ class FleetCdf:
 
 
 def fleet_bandwidth_cdf(
-    survey: FleetSurvey | None = None, jobs: int | None = None
+    survey: FleetSurvey | None = None, jobs: int = 1
 ) -> FleetCdf:
     """Regenerate the Fig 2 CDF from the fleet model."""
     survey = survey if survey is not None else FleetSurvey()

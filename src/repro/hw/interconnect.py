@@ -59,10 +59,6 @@ class UpiModel:
             remote_latency_factor=min(remote_latency, 8.0),
         )
 
-    def coherence_demand(self, remote_traffic_gbps: float) -> float:
-        """Extra demand injected at the home controller by remote traffic."""
-        return remote_traffic_gbps * self.spec.coherence_overhead
-
     def home_latency_injection(
         self, utilization: float, remote_sensitivity: float
     ) -> float:

@@ -64,10 +64,6 @@ class Placement:
         """Return a copy with different memory-routing weights."""
         return replace(self, mem_weights=dict(mem_weights))
 
-    def with_clos(self, clos: int) -> "Placement":
-        """Return a copy assigned to a different resctrl class of service."""
-        return replace(self, clos=clos)
-
     def overlaps_cores(self, other: "Placement") -> bool:
         """True if the two placements share any core (SMT colocation)."""
         return bool(self.cores & other.cores)

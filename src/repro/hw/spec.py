@@ -9,7 +9,7 @@ implementation choices), which we expose as ``remote_sensitivity``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
@@ -161,10 +161,6 @@ class MachineSpec:
     def total_cores(self) -> int:
         """Total physical core count across sockets."""
         return sum(s.cores for s in self.sockets)
-
-    def with_name(self, name: str) -> "MachineSpec":
-        """Return a copy of this spec under a different name."""
-        return replace(self, name=name)
 
 
 def tpu_host_spec() -> MachineSpec:

@@ -39,7 +39,7 @@ from repro.incidents.detect import (
     FleetView,
     NodeView,
 )
-from repro.incidents.faults import IncidentSchedule, IncidentSpec
+from repro.incidents.faults import INCIDENT_PARAMS, IncidentSchedule, IncidentSpec
 from repro.incidents.localize import Candidate, localize
 from repro.incidents.remediate import Remediator
 from repro.workloads.loadgen import OpenLoopGenerator
@@ -103,10 +103,10 @@ class IncidentEngine(FleetHooks):
         #: Per-node incremental journal scan state: (offset, failed count),
         #: keyed by member index so members added mid-run start at zero.
         self._journal_cursor: dict[int, tuple[int, int]] = {}
-        self._intruder_name = "intruder"
+        self._intruder_name = INCIDENT_PARAMS["noisy-neighbor"]["tenant"].default
         for spec in schedule.incidents:
             if spec.kind == "noisy-neighbor":
-                self._intruder_name = str(spec.param("tenant", "intruder"))
+                self._intruder_name = spec.param("tenant")
 
     # ------------------------------------------------------------- hooks
     def on_start(self, orchestrator: FleetOrchestrator, sim: "Simulator") -> None:
@@ -175,7 +175,7 @@ class IncidentEngine(FleetHooks):
             self._start_intruder(index, spec)
         elif spec.kind == "routing-misconfig":
             assert orch.router is not None
-            fraction = float(spec.param("drop_fraction", 0.5))
+            fraction = float(spec.param("drop_fraction"))
             orch.router = _NullRouteRouter(orch.router, fraction)
 
     def _clear(self, index: int) -> None:
@@ -188,8 +188,7 @@ class IncidentEngine(FleetHooks):
             # fresh telemetry confirms the reboot.
             orch.members[spec.node].restart()
         elif spec.kind == "noisy-neighbor":
-            name = str(spec.param("tenant", "intruder"))
-            generator = self._intruders.pop(name, None)
+            generator = self._intruders.pop(spec.param("tenant"), None)
             if generator is not None:
                 generator.stop()
         elif spec.kind == "routing-misconfig":
@@ -211,17 +210,16 @@ class IncidentEngine(FleetHooks):
             return
         queue.add_job(
             BatchJobSpec(
-                workload=str(workload),
-                intensity=int(spec.param("batch_intensity", 8)),
+                workload=workload, intensity=spec.param("batch_intensity")
             ),
             member=member,
         )
 
     def _start_intruder(self, index: int, spec: IncidentSpec) -> None:
         assert self._sim is not None
-        name = str(spec.param("tenant", "intruder"))
-        demand = float(spec.param("demand", 100.0))
-        rate = float(spec.param("rate_qps", 2.0))
+        name = spec.param("tenant")
+        demand = float(spec.param("demand"))
+        rate = float(spec.param("rate_qps"))
         generator = OpenLoopGenerator(
             sim=self._sim,
             rate_qps=rate,

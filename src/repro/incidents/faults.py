@@ -37,10 +37,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
+from repro.workloads.cpu.catalog import cpu_workload
 
 #: The incident classes, in canonical order.
 INCIDENT_KINDS = (
@@ -61,12 +63,57 @@ SCENARIO_FORMAT = "repro.incidents/1"
 _STREAM_SCHEDULE = 0x1C1D
 
 
+class Param(NamedTuple):
+    """One incident parameter: its default and what a valid value is."""
+
+    default: Any
+    #: What a valid value is, as an error message says it.
+    what: str
+    #: Whether a (JSON-clean) value is valid, its type included.
+    valid: Callable[[Any], bool]
+
+
+def _number(value: Any) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+#: The optional batch job that rides along a blackout or a stuck actuator.
+#: No ``batch_workload`` means no rider.
+_BATCH_RIDER = {
+    "batch_workload": Param(None, "a CPU workload name", lambda v: type(v) is str),
+    "batch_intensity": Param(
+        8, "an integer >= 1", lambda v: type(v) is int and v >= 1
+    ),
+}
+
+#: Each incident kind's params: name -> default and what a valid value is.
+INCIDENT_PARAMS: dict[str, dict[str, Param]] = {
+    "node-death": {},
+    "telemetry-blackout": _BATCH_RIDER,
+    "stuck-actuator": _BATCH_RIDER,
+    "noisy-neighbor": {
+        "tenant": Param(
+            "intruder", "a non-empty string", lambda v: type(v) is str and v != ""
+        ),
+        "rate_qps": Param(2.0, "a finite number > 0", lambda v: _number(v) and v > 0),
+        "demand": Param(100.0, "a finite number > 0", lambda v: _number(v) and v > 0),
+    },
+    "routing-misconfig": {
+        "drop_fraction": Param(
+            0.5, "a number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1
+        ),
+    },
+}
+
+
 @dataclass(frozen=True)
 class IncidentSpec:
     """One timed fault injection.
 
     ``params`` is a tuple of ``(key, value)`` pairs (kept as a tuple so the
-    spec stays hashable/frozen); :meth:`param` reads one with a default.
+    spec stays hashable/frozen), each one of the kind's
+    :data:`INCIDENT_PARAMS`; :meth:`param` reads one or its default.
     """
 
     kind: str
@@ -101,15 +148,37 @@ class IncidentSpec:
         object.__setattr__(
             self, "params", tuple(sorted(self.params, key=lambda kv: kv[0]))
         )
+        table = INCIDENT_PARAMS[self.kind]
+        for key, value in self.params:
+            if key not in table:
+                raise ConfigurationError(
+                    f"params.{key} is not a {self.kind} param (its params: "
+                    f"{', '.join(sorted(table)) or 'none'})"
+                )
+            if not table[key].valid(value):
+                raise ConfigurationError(
+                    f"params.{key} must be {table[key].what}, got {value!r}"
+                )
+        if table is _BATCH_RIDER and self.param("batch_workload") is not None:
+            workload = self.param("batch_workload")
+            intensity = self.param("batch_intensity")
+            try:
+                cpu_workload(workload, intensity)
+            except ReproError as exc:
+                raise ConfigurationError(
+                    f"params.batch_workload {workload!r} does not build with "
+                    f"batch_intensity {intensity}: {exc}"
+                ) from exc
 
     @property
     def end_s(self) -> float:
         """The instant the underlying fault clears."""
         return self.start_s + self.duration_s
 
-    def param(self, key: str, default=None):
-        """Read one ``params`` entry (last write wins), or ``default``."""
-        value = default
+    def param(self, key: str):
+        """Read one ``params`` entry (last write wins), or the kind's
+        default for it."""
+        value = INCIDENT_PARAMS[self.kind][key].default
         for k, v in self.params:
             if k == key:
                 value = v
@@ -121,7 +190,7 @@ class IncidentSpec:
         if self.kind in NODE_KINDS:
             return f"node:{self.node}"
         if self.kind == "noisy-neighbor":
-            return f"tenant:{self.param('tenant', 'intruder')}"
+            return f"tenant:{self.param('tenant')}"
         return "layer:routing"
 
     def as_dict(self) -> dict:
@@ -232,7 +301,7 @@ def default_schedule(
                 else 0.8 * nodes
             )
             params = (
-                ("tenant", "intruder"),
+                ("tenant", INCIDENT_PARAMS[kind]["tenant"].default),
                 ("rate_qps", rate),
                 ("demand", intruder_demand),
             )
@@ -265,7 +334,6 @@ def save_scenario(schedule: IncidentSchedule, path: str) -> None:
 _STRING = ("a string", (str,))
 _INTEGER = ("an integer", (int,))
 _NUMBER = ("a finite number", (int, float))
-_PARAM = ("a string or a finite number", (str, int, float))
 
 
 def _checked(value, where: str, accepted: tuple[str, tuple[type, ...]]):
@@ -323,12 +391,7 @@ def load_scenario(path: str) -> IncidentSchedule:
                 _checked(row["duration_s"], f"{at} duration_s", _NUMBER)
             ),
             "node": None if node is None else _checked(node, f"{at} node", _INTEGER),
-            "params": tuple(
-                sorted(
-                    (key, _checked(value, f"{at} params.{key}", _PARAM))
-                    for key, value in params.items()
-                )
-            ),
+            "params": tuple(params.items()),
         }
         try:
             incidents.append(IncidentSpec(**fields))

@@ -12,8 +12,8 @@ Three export surfaces behind one no-op-when-disabled observer:
   revision and wall time written next to the results, so every figure run
   is replayable.
 
-Wired into the CLI via ``--trace-out`` / ``--metrics-out`` and the
-``REPRO_TRACE`` environment variable; see ``docs/observability.md``.
+Wired into the CLI via ``--trace-out`` / ``--metrics-out``; see
+``docs/observability.md``.
 """
 
 from repro.obs.manifest import build_manifest, git_revision, write_manifest
@@ -23,7 +23,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.recorder import TRACE_ENV, ObsConfig, RunObserver
+from repro.obs.recorder import ObsConfig, RunObserver
 from repro.obs.trace import ChromeTraceBuilder
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "MetricsRegistry",
     "ObsConfig",
     "RunObserver",
-    "TRACE_ENV",
     "build_manifest",
     "git_revision",
     "write_manifest",

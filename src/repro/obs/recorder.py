@@ -8,7 +8,7 @@ simulation path pays only a falsy attribute check.
 
 Typical use::
 
-    config = ObsConfig.from_env(trace_out="out/", metrics_out="out/m.jsonl")
+    config = ObsConfig(trace_dir="out/", metrics_path="out/m.jsonl")
     with RunObserver(config, name="fig13") as obs:
         run_fig13(duration=16.0, observer=obs)
     # out/ now holds trace.json + manifest.json, m.jsonl the metric rows.
@@ -17,7 +17,6 @@ Typical use::
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
@@ -32,37 +31,28 @@ if TYPE_CHECKING:
     from repro.experiments.common import ColocationResult
     from repro.sim.tracing import TimelineTracer
 
-#: Environment variable naming a default trace output directory.
-TRACE_ENV = "REPRO_TRACE"
-
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """Where (and whether) one run's observability output goes."""
+    """Where (and whether) one run's observability output goes.
+
+    Either path may be given as a string; an empty one means no output.
+    """
 
     #: Directory receiving ``trace.json`` + ``manifest.json`` (created).
     trace_dir: Path | None = None
     #: File receiving the JSONL metric/record stream.
     metrics_path: Path | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("trace_dir", "metrics_path"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, Path(value) if value else None)
+
     @property
     def enabled(self) -> bool:
         """True when at least one output destination is configured."""
         return self.trace_dir is not None or self.metrics_path is not None
-
-    @classmethod
-    def from_env(
-        cls,
-        trace_out: str | os.PathLike | None = None,
-        metrics_out: str | os.PathLike | None = None,
-    ) -> "ObsConfig":
-        """Build a config from CLI values, falling back to ``REPRO_TRACE``."""
-        if trace_out is None:
-            trace_out = os.environ.get(TRACE_ENV) or None
-        return cls(
-            trace_dir=Path(trace_out) if trace_out else None,
-            metrics_path=Path(metrics_out) if metrics_out else None,
-        )
 
     @classmethod
     def disabled(cls) -> "ObsConfig":

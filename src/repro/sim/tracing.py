@@ -88,10 +88,6 @@ class TimelineTracer:
         self._open.clear()
         return closed
 
-    def for_track(self, track: str) -> list[TraceInterval]:
-        """All closed intervals on ``track``, in completion order."""
-        return [i for i in self.intervals if i.track == track]
-
     def kinds(self) -> set[str]:
         """The set of interval kinds recorded so far."""
         return {i.kind for i in self.intervals}

@@ -96,9 +96,3 @@ class FluidWork:
         if self._rate <= 0.0:
             return float("inf")
         return self._remaining / self._rate
-
-    def progress_fraction(self) -> float:
-        """Fraction of the original amount completed, in [0, 1]."""
-        if self.total <= 0:
-            return 1.0
-        return 1.0 - self._remaining / self.total

@@ -153,10 +153,6 @@ class Trace:
         """Requests per tenant (index-aligned with :attr:`tenants`)."""
         return np.bincount(self.tenant_ids, minlength=len(self.tenants))
 
-    def mean_rate_qps(self) -> float:
-        """Long-run mean arrival rate over the trace's full duration."""
-        return len(self) / self.duration_s
-
     def header(self) -> dict[str, Any]:
         """The JSON header object for this trace."""
         return {

@@ -1,4 +1,4 @@
-"""Distributed-training substrate: shards, workers, and the step barrier.
+"""Distributed-training substrate: the shard update model and the step barrier.
 
 CNN3 trains with the distributed-TensorFlow architecture of Fig 1: workers
 compute gradients on accelerators, push them to parameter-server shards, and
@@ -107,40 +107,3 @@ class PsUpdateModel:
     def standalone_update_time(self) -> float:
         """Update latency at standalone bandwidth, seconds."""
         return self.bytes_per_step_gb / self.standalone_bw_gbps
-
-
-@dataclass(frozen=True)
-class ParameterServerShard:
-    """One shard: an update model plus its position in the fan-out."""
-
-    shard_id: int
-    update: PsUpdateModel
-
-    def __post_init__(self) -> None:
-        if self.shard_id < 0:
-            raise ConfigurationError("shard_id must be >= 0")
-
-
-@dataclass(frozen=True)
-class WorkerModel:
-    """Per-step worker costs around the accelerator compute.
-
-    A worker computes gradients on its accelerator (step 1 of Fig 1),
-    pushes them to the parameter servers (step 2), and pulls updated
-    variables back (step 4). Push/pull cross the PCIe link and the
-    datacenter network; the paper runs one GPU worker to keep network noise
-    out, so the network term is a fixed per-step cost here.
-    """
-
-    #: Gradient bytes pushed per step, GB.
-    gradient_gb: float
-    #: Variable bytes pulled per step, GB.
-    variable_gb: float
-    #: Fixed network round-trip overhead per step, seconds.
-    network_overhead: float = 2e-3
-
-    def __post_init__(self) -> None:
-        if self.gradient_gb < 0 or self.variable_gb < 0:
-            raise ConfigurationError("transfer sizes must be >= 0")
-        if self.network_overhead < 0:
-            raise ConfigurationError("network_overhead must be >= 0")

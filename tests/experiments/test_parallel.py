@@ -8,29 +8,23 @@ a deterministic ``(base_seed, index)`` re-seed and fixed work partitioning.
 from __future__ import annotations
 
 import os
-import pstats
 import random
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.parallel as parallel_mod
 from repro.fleet.survey import FLEET_BLOCK_MACHINES, FleetSurvey
 from repro.errors import ExperimentError
 from repro.experiments.suite import run_suite
-from repro.parallel import (
-    PROFILE_DIR_ENV,
-    PROFILE_ENV,
-    SweepPool,
-    get_pool,
-    maybe_profiled,
-    point_seed,
-    profiling_enabled,
-    resolve_jobs,
-    run_points,
-    shutdown_pool,
-    sweep_context,
-)
+from repro.parallel import _chunk_size, point_seed, run_points, sweep_context
 
 
 def _square(x: int) -> int:
@@ -47,37 +41,20 @@ def _read_context(x: int) -> tuple[int, object]:
     return (x, sweep_context())
 
 
-def _getpid(_: int) -> int:
-    return os.getpid()
+def _touch_then_fail_at_zero(x: int) -> int:
+    """Marks each point that ran in the context directory; point 0 raises."""
+    (sweep_context() / str(x)).touch()
+    if x == 0:
+        raise ValueError("point 0 failed")
+    time.sleep(0.03)
+    return x
 
 
 @pytest.fixture
 def many_cpus(monkeypatch: pytest.MonkeyPatch):
     """Report several CPUs, so ``run_points`` takes the pool path even on a
-    single-CPU host; shut the pool down afterwards."""
+    single-CPU host."""
     monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 8)
-    yield
-    shutdown_pool()
-
-
-class TestResolveJobs:
-    def test_default_is_one(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs() == 1
-
-    def test_env_fallback(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        assert resolve_jobs() == 4
-        assert resolve_jobs(2) == 2  # explicit beats the env
-
-    def test_bad_env_raises(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(ExperimentError):
-            resolve_jobs()
-
-    def test_non_positive_raises(self) -> None:
-        with pytest.raises(ExperimentError):
-            resolve_jobs(0)
 
 
 class TestPointSeed:
@@ -116,6 +93,21 @@ class TestRunPoints:
 
     def test_empty_points(self) -> None:
         assert run_points(_square, []) == []
+
+    def test_non_positive_raises(self) -> None:
+        with pytest.raises(ExperimentError):
+            run_points(_square, [1, 2], jobs=0)
+
+    def test_failed_point_raises_without_running_the_rest(
+        self, many_cpus, tmp_path
+    ) -> None:
+        # 80 points on 2 workers: 8 chunks of 10. Point 0 fails at once, so
+        # the chunks that no worker has taken yet never start.
+        with pytest.raises(ValueError, match="point 0 failed"):
+            run_points(
+                _touch_then_fail_at_zero, range(80), jobs=2, context=tmp_path
+            )
+        assert len(list(tmp_path.iterdir())) < 80
 
 
 class TestChunkedDeterminism:
@@ -164,40 +156,6 @@ class TestPointSeedStatistics:
         assert 13.0 <= mean <= 19.0, f"mean bit flips {mean}"
 
 
-class TestSweepPoolLifecycle:
-    def test_close_is_idempotent_and_observable(self) -> None:
-        pool = SweepPool(workers=1)
-        assert not pool.closed
-        pool.close()
-        pool.close()
-        assert pool.closed
-
-    def test_map_after_close_raises(self) -> None:
-        pool = SweepPool(workers=1)
-        pool.close()
-        with pytest.raises(ExperimentError):
-            pool.map_points(_square, [1])
-
-    def test_context_manager_closes(self) -> None:
-        with SweepPool(workers=1) as pool:
-            assert pool.map_points(_square, [2, 3]) == [4, 9]
-        assert pool.closed
-
-    def test_get_pool_reuses_then_recreates(self) -> None:
-        try:
-            first = get_pool(2)
-            assert get_pool(2) is first  # same shape: same warm pool
-            third = get_pool(3)
-            assert third is not first
-            assert first.closed  # the replaced pool was shut down
-        finally:
-            shutdown_pool()
-
-    def test_invalid_worker_count(self) -> None:
-        with pytest.raises(ExperimentError):
-            SweepPool(workers=0)
-
-
 class TestSweepContext:
     def test_serial_path_installs_and_restores(self) -> None:
         context = ("trace", 42)
@@ -213,37 +171,56 @@ class TestSweepContext:
 
 class TestChunkSizing:
     def test_auto_sizing(self) -> None:
-        pool = SweepPool.__new__(SweepPool)
-        pool.workers = 2
         # ~4 chunks per worker, capped at 64, floor of 1.
-        assert pool._chunk_size(10) == 2
-        assert pool._chunk_size(1000) == 64
-        assert pool._chunk_size(3) == 1
+        assert _chunk_size(10, workers=2) == 2
+        assert _chunk_size(1000, workers=2) == 64
+        assert _chunk_size(3, workers=2) == 1
 
 
-class TestProfilingHook:
-    def test_disabled_by_default(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
-        assert not profiling_enabled()
+#: A child interpreter that runs sweeps inside pool workers. It reports 4
+#: CPUs, as ``many_cpus`` does, so every level takes the pool path.
+_NESTED_CHILD = textwrap.dedent(
+    """
+    import repro.parallel as parallel
 
-    def test_dumps_loadable_profile(
-        self, monkeypatch: pytest.MonkeyPatch, tmp_path
-    ) -> None:
-        monkeypatch.setenv(PROFILE_ENV, "1")
-        monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
-        with maybe_profiled("unit_probe"):
-            sum(range(1000))
-        out = tmp_path / "unit_probe.prof"
-        assert out.exists()
-        stats = pstats.Stats(str(out))
-        assert stats.total_calls > 0
+    parallel.os.cpu_count = lambda: 4
 
-    def test_profiling_forces_serial(
-        self, monkeypatch: pytest.MonkeyPatch, many_cpus
-    ) -> None:
-        monkeypatch.setenv(PROFILE_ENV, "1")
-        pids = run_points(_getpid, [0, 1, 2], jobs=7)
-        assert pids == [os.getpid()] * 3
+    def square(x):
+        return x * x
+
+    def inner_sweep(point):
+        jobs, n = point
+        return parallel.run_points(square, range(n), jobs=jobs)
+
+    for inner_jobs in (2, 3):
+        points = [(inner_jobs, n) for n in (3, 4, 5)]
+        got = parallel.run_points(inner_sweep, points, jobs=2)
+        assert got == [[x * x for x in range(n)] for n in (3, 4, 5)], got
+    print("ok")
+    """
+)
+
+
+class TestNestedSweep:
+    def test_sweeps_inside_pool_workers_return(self) -> None:
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )}
+        # Its own process group, so a hung child and its workers die together.
+        child = subprocess.Popen(
+            [sys.executable, "-c", _NESTED_CHILD], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("a sweep inside a pool worker did not return in 60 s")
+        assert child.returncode == 0, err
+        assert out.strip() == "ok"
 
 
 class TestFleetParallel:

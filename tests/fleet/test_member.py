@@ -167,12 +167,3 @@ class TestBatchJobs:
         assert member.batch_throughput(6.0) * 6.0 == pytest.approx(
             at_eviction, rel=1e-9
         )
-
-    def test_rng_stream_determinism(self, factory):
-        sim = Simulator()
-        member = _member(sim, factory)
-        a = member.rng_stream(42, 7).integers(0, 1 << 30, size=4)
-        b = member.rng_stream(42, 7).integers(0, 1 << 30, size=4)
-        c = member.rng_stream(42, 8).integers(0, 1 << 30, size=4)
-        assert list(a) == list(b)
-        assert list(a) != list(c)

@@ -34,11 +34,6 @@ class TestUpiModel:
     def test_remote_latency_capped(self, upi: UpiModel) -> None:
         assert upi.resolve(100 * upi.spec.peak_bw_gbps).remote_latency_factor <= 8.0
 
-    def test_coherence_demand(self, upi: UpiModel) -> None:
-        assert upi.coherence_demand(10.0) == pytest.approx(
-            10.0 * upi.spec.coherence_overhead
-        )
-
     def test_home_injection_scales_with_sensitivity(self, upi: UpiModel) -> None:
         low = upi.home_latency_injection(0.8, remote_sensitivity=0.7)
         high = upi.home_latency_injection(0.8, remote_sensitivity=2.6)

@@ -45,10 +45,6 @@ class TestPlacement:
         q = p.with_mem_weights({0: 3.0, 1: 1.0})
         assert q.mem_weights == {0: 0.75, 1: 0.25}
 
-    def test_with_clos(self) -> None:
-        p = Placement(cores=frozenset({0}), mem_weights={0: 1.0})
-        assert p.with_clos(2).clos == 2
-
     def test_negative_clos_rejected(self) -> None:
         with pytest.raises(ConfigurationError):
             Placement(cores=frozenset({0}), mem_weights={0: 1.0}, clos=-1)

@@ -79,10 +79,6 @@ class TestMachineSpec:
     def test_total_cores(self) -> None:
         assert MachineSpec().total_cores == 32
 
-    def test_with_name(self) -> None:
-        spec = MachineSpec().with_name("foo")
-        assert spec.name == "foo"
-
     def test_requires_sockets(self) -> None:
         with pytest.raises(ConfigurationError):
             MachineSpec(sockets=())

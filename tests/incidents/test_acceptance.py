@@ -34,7 +34,7 @@ _EXPECTED_PLAYBOOK = {
 def day(tmp_path_factory):
     out = tmp_path_factory.mktemp("incidents-obs")
     observer = RunObserver(
-        ObsConfig.from_env(metrics_out=str(out / "metrics.jsonl")),
+        ObsConfig(metrics_path=str(out / "metrics.jsonl")),
         name="fleet-incidents",
     )
     result = run_fleet_incidents(

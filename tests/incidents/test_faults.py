@@ -62,7 +62,8 @@ class TestIncidentSpec:
             params=(("drop_fraction", 0.2), ("drop_fraction", 0.7)),
         )
         assert spec.param("drop_fraction") == 0.7
-        assert spec.param("missing", "dflt") == "dflt"
+        unset = IncidentSpec(kind="routing-misconfig", start_s=0.0, duration_s=1.0)
+        assert unset.param("drop_fraction") == 0.5  # the kind's default
 
 
 class TestIncidentSchedule:
@@ -161,6 +162,12 @@ def _set(key, value, incident=None):
     return lambda tmp_path: _scenario(tmp_path, edit)
 
 
+def _set_param(incident, key, value):
+    def edit(data):
+        data["incidents"][incident].setdefault("params", {})[key] = value
+    return lambda tmp_path: _scenario(tmp_path, edit)
+
+
 def _drop_kind(data):
     del data["incidents"][0]["kind"]
 
@@ -180,6 +187,42 @@ _HOSTILE = [
     ("params-list", _set("params", [1, 2], 1), "incidents[1] params"),
     ("seed-text", _set("seed", "x"), "seed"),
     ("node-text", _set("node", "zero", 0), "incidents[0] node"),
+    # Incident params, by kind: [0] node-death, [1] telemetry-blackout,
+    # [3] noisy-neighbor, [4] routing-misconfig.
+    (
+        "drop-fraction-text",
+        _set_param(4, "drop_fraction", "half"),
+        "incidents[4]: params.drop_fraction",
+    ),
+    (
+        "drop-fraction-bool",
+        _set_param(4, "drop_fraction", True),
+        "incidents[4]: params.drop_fraction",
+    ),
+    (
+        "drop-fraction-range",
+        _set_param(4, "drop_fraction", 1.5),
+        "incidents[4]: params.drop_fraction",
+    ),
+    ("typo-param", _set_param(4, "typo_param", 1), "incidents[4]: params.typo_param"),
+    ("rate-text", _set_param(3, "rate_qps", "fast"), "incidents[3]: params.rate_qps"),
+    ("demand-negative", _set_param(3, "demand", -5), "incidents[3]: params.demand"),
+    ("tenant-empty", _set_param(3, "tenant", ""), "incidents[3]: params.tenant"),
+    (
+        "batch-workload-unknown",
+        _set_param(1, "batch_workload", "nosuch"),
+        "incidents[1]: params.batch_workload",
+    ),
+    (
+        "batch-intensity-fraction",
+        _set_param(1, "batch_intensity", 2.5),
+        "incidents[1]: params.batch_intensity",
+    ),
+    (
+        "node-death-param",
+        _set_param(0, "drop_fraction", 0.5),
+        "incidents[0]: params.drop_fraction",
+    ),
 ]
 
 

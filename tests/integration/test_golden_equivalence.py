@@ -76,9 +76,6 @@ class TestFleetSimEquivalence:
         import repro.parallel as parallel_mod
 
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
-        try:
-            assert _roundtrip(capture.fleet_summary(jobs=4)) == _golden(
-                "fleet_sim_small.json"
-            )
-        finally:
-            parallel_mod.shutdown_pool()
+        assert _roundtrip(capture.fleet_summary(jobs=4)) == _golden(
+            "fleet_sim_small.json"
+        )

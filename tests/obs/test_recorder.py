@@ -4,33 +4,18 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import ObsConfig, RunObserver, TRACE_ENV
+from repro.obs import ObsConfig, RunObserver
 from repro.sim.tracing import TimelineTracer
 
 
 class TestObsConfig:
     def test_disabled_by_default(self) -> None:
         assert not ObsConfig.disabled().enabled
-        assert not ObsConfig.from_env().enabled
+        assert not ObsConfig().enabled
 
     def test_enabled_with_either_output(self, tmp_path) -> None:
-        assert ObsConfig.from_env(trace_out=tmp_path).enabled
-        assert ObsConfig.from_env(metrics_out=tmp_path / "m.jsonl").enabled
-
-    def test_env_fallback(self, tmp_path, monkeypatch) -> None:
-        monkeypatch.setenv(TRACE_ENV, str(tmp_path))
-        config = ObsConfig.from_env()
-        assert config.enabled
-        assert config.trace_dir == tmp_path
-
-    def test_explicit_flag_beats_env(self, tmp_path, monkeypatch) -> None:
-        monkeypatch.setenv(TRACE_ENV, "/nonexistent")
-        config = ObsConfig.from_env(trace_out=tmp_path)
-        assert config.trace_dir == tmp_path
-
-    def test_empty_env_is_disabled(self, monkeypatch) -> None:
-        monkeypatch.setenv(TRACE_ENV, "")
-        assert not ObsConfig.from_env().enabled
+        assert ObsConfig(trace_dir=tmp_path).enabled
+        assert ObsConfig(metrics_path=tmp_path / "m.jsonl").enabled
 
 
 class TestDisabledObserver:

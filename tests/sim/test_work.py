@@ -45,12 +45,6 @@ class TestFluidWork:
         work.sync(100.0)
         assert work.remaining == 0.0
 
-    def test_progress_fraction(self) -> None:
-        work = FluidWork(4.0)
-        work.set_rate(1.0, now=0.0)
-        work.sync(1.0)
-        assert work.progress_fraction() == pytest.approx(0.25)
-
     def test_zero_amount_is_done(self) -> None:
         assert FluidWork(0.0).done
 

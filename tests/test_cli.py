@@ -99,13 +99,9 @@ class TestCliObservability:
         # Phase intervals, counters, metadata all present.
         assert {"X", "C", "M"} <= phases
 
-    def test_every_command_profiles_and_spans(
-        self, tmp_path, monkeypatch, capsys
-    ) -> None:
+    def test_every_command_spans(self, tmp_path, capsys) -> None:
         import json
 
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path / "prof"))
         report = tmp_path / "r.md"
         code = main([
             "report", "--only", "table1", "--out", str(report),
@@ -117,10 +113,6 @@ class TestCliObservability:
             "--trace-out", str(tmp_path / "mix"),
         ])
         assert code == 0
-        # report's suite dumps one profile per entry; the frame adds none.
-        assert sorted(p.name for p in (tmp_path / "prof").iterdir()) == [
-            "mix.prof", "table1.prof",
-        ]
         for run in ("report", "mix"):
             trace = json.loads((tmp_path / run / "trace.json").read_text())
             spans = [
@@ -129,13 +121,7 @@ class TestCliObservability:
             ]
             assert len(spans) == 1, run
 
-    def test_trace_env_var_default(self, tmp_path, monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "envout"))
-        assert main(["run", "fig03"]) == 0
-        assert (tmp_path / "envout" / "trace.json").exists()
-
     def test_no_flags_writes_nothing(self, tmp_path, monkeypatch) -> None:
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
         monkeypatch.chdir(tmp_path)
         assert main(["run", "fig03"]) == 0
         assert list(tmp_path.iterdir()) == []
@@ -237,13 +223,28 @@ class TestCliObservability:
         assert replay.splitlines()[3:] == out.splitlines()[3:-1]
 
     def test_fleet_incidents_scenario_conflicts(self, tmp_path, capsys) -> None:
-        for extra in (["--classes", "node-death"], ["--incident-seed", "9"]):
+        # Every schedule-generator flag, which a saved scenario would ignore.
+        for extra in (
+            ["--classes", "node-death"], ["--incident-seed", "9"],
+            ["--intruder-rate", "2"], ["--intruder-demand", "50"],
+            ["--drop-fraction", "0.2"],
+        ):
             code = main([
                 "fleet-incidents", "--scenario", str(tmp_path / "s.json"),
                 *extra,
             ])
             assert code == 2
-            assert "cannot be combined" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1, err
+            assert "cannot be combined" in err and extra[0] in err
+
+    @pytest.mark.parametrize("flag", ["--min-nodes", "--max-nodes"])
+    def test_fleet_serve_node_bounds_need_autoscale(self, flag, capsys) -> None:
+        assert main(["fleet-serve", "--trace-duration", "10", flag, "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert flag in captured.err and "--autoscale" in captured.err
 
     def test_fleet_incidents_missing_scenario(self, capsys) -> None:
         code = main(["fleet-incidents", "--scenario", "/does/not/exist.json"])

@@ -7,24 +7,6 @@ import pytest
 from repro import units
 
 
-class TestConversions:
-    def test_ms(self) -> None:
-        assert units.ms(8) == pytest.approx(8e-3)
-
-    def test_us(self) -> None:
-        assert units.us(250) == pytest.approx(250e-6)
-
-    def test_roundtrips(self) -> None:
-        assert units.to_ms(units.ms(7.5)) == pytest.approx(7.5)
-        assert units.to_us(units.us(42)) == pytest.approx(42)
-
-    def test_seconds_identity(self) -> None:
-        assert units.seconds(3) == 3.0
-
-    def test_gib_to_gb(self) -> None:
-        assert units.gib_to_gb(1.0) == pytest.approx(1.073741824)
-
-
 class TestClamp:
     def test_clamps(self) -> None:
         assert units.clamp(5.0, 0.0, 1.0) == 1.0

@@ -49,9 +49,6 @@ class TestTraceValidation:
         trace = _tiny_trace()
         assert trace.tenant_request_counts().tolist() == [2, 2]
 
-    def test_mean_rate(self):
-        assert _tiny_trace().mean_rate_qps() == pytest.approx(1.0)
-
     def test_rejects_decreasing_arrivals(self):
         with pytest.raises(ConfigurationError):
             _tiny_trace(arrivals_s=np.array([1.0, 0.5, 2.0, 3.0]))

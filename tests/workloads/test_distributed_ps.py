@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.ml.distributed import ParameterServerShard, PsUpdateModel
-from repro.workloads.ml.distributed import WorkerModel
+from repro.workloads.ml.distributed import PsUpdateModel
 from repro.errors import ConfigurationError
 
 
@@ -31,16 +30,3 @@ class TestPsUpdateModel:
             PsUpdateModel(shard_params_gb=0.0)
         with pytest.raises(ConfigurationError):
             PsUpdateModel(shard_params_gb=0.1, standalone_bw_gbps=0.0)
-
-
-class TestShardAndWorker:
-    def test_shard_validation(self) -> None:
-        with pytest.raises(ConfigurationError):
-            ParameterServerShard(shard_id=-1, update=PsUpdateModel(0.1))
-
-    def test_worker_validation(self) -> None:
-        WorkerModel(gradient_gb=0.1, variable_gb=0.1)
-        with pytest.raises(ConfigurationError):
-            WorkerModel(gradient_gb=-0.1, variable_gb=0.1)
-        with pytest.raises(ConfigurationError):
-            WorkerModel(gradient_gb=0.1, variable_gb=0.1, network_overhead=-1)
