@@ -24,16 +24,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.common import MixConfig, run_colocation
 from repro.experiments.registry import accepts, experiment_ids, run_experiment
-
-#: JSONL rows buffered per incremental flush. The written file is
-#: byte-identical to an unbuffered write (see ``RunObserver``).
-_METRICS_FLUSH_ROWS = 8192
-
 
 def _intensity(text: str) -> int | str:
     """Instances or threads as an int; an aggressor level string as-is."""
@@ -97,26 +91,66 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_trace_source_arguments(
-    parser: argparse.ArgumentParser, horizon: float
+    parser: argparse.ArgumentParser, horizon: float, shape: bool = False
 ) -> None:
-    """Where a replay's trace comes from: a file, or the generator."""
+    """Where a replay's trace comes from: a file, or the generator.
+
+    Every generator flag defaults to ``None`` and, but for ``--trace-seed``,
+    stores under the :class:`~repro.traces.TraceGenConfig` field it sets,
+    so :func:`_trace_gen` passes on only the flags given, and refuses them
+    next to ``--trace``. ``shape`` adds the diurnal, burst and churn flags.
+    """
+    flags: dict[str, str] = {}
+
+    def generator(flag: str, **kwargs) -> None:
+        flags[parser.add_argument(flag, default=None, **kwargs).dest] = flag
+
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="trace file to replay (.jsonl or .jsonl.gz; see docs/traces.md; "
              "default: a generated trace)",
     )
-    parser.add_argument(
-        "--trace-duration", type=float, default=horizon, metavar="SECONDS",
+    generator(
+        "--trace-duration", dest="duration_s", type=float, metavar="SECONDS",
         help=f"generated trace horizon (default: {horizon:g})",
     )
-    parser.add_argument(
-        "--trace-rate", type=float, default=40.0, metavar="QPS",
+    generator(
+        "--trace-rate", dest="rate_qps", type=float, metavar="QPS",
         help="generated long-run mean arrival rate across tenants",
     )
-    parser.add_argument(
-        "--trace-seed", type=int, default=None,
-        help="generator seed (default: --seed)",
+    generator(
+        "--trace-seed", type=int, help="generator seed (default: --seed)"
     )
+    if shape:
+        generator(
+            "--diurnal-amplitude", type=float,
+            help="peak-to-mean diurnal swing in [0, 1); 0 disables",
+        )
+        generator(
+            "--diurnal-peak-hour", type=float,
+            help="hour of day (0-24) at which load peaks",
+        )
+        generator(
+            "--burst-multiplier", type=float,
+            help="rate multiplier while a tenant bursts; 1 disables",
+        )
+        generator(
+            "--burst-on", dest="burst_on_s", type=float, metavar="SECONDS"
+        )
+        generator(
+            "--burst-off", dest="burst_off_s", type=float, metavar="SECONDS"
+        )
+        generator(
+            "--churn-active", dest="churn_active_s", type=float,
+            metavar="SECONDS",
+            help="mean active period before a tenant departs",
+        )
+        generator(
+            "--churn-idle", dest="churn_idle_s", type=float, metavar="SECONDS",
+            help="mean idle period before a departed tenant returns; "
+                 "0 disables",
+        )
+    parser.set_defaults(generator_flags=flags, trace_horizon=horizon)
 
 
 def _add_fleet_arguments(
@@ -232,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replay a workload trace over the fleet (time-of-day curves)",
     )
     trace.set_defaults(handler=_fleet_trace)
-    _add_trace_source_arguments(trace, horizon=86400.0)
+    _add_trace_source_arguments(trace, horizon=86400.0, shape=True)
     trace.add_argument(
         "--trace-gen", action="store_true",
         help="synthesize the trace instead (the default when --trace is "
@@ -242,33 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--save-trace", default=None, metavar="PATH",
         help="write the replayed trace to PATH (.gz suffix gzips)",
     )
-    # Each shape flag's dest is the TraceGenConfig field it sets.
-    trace.add_argument(
-        "--diurnal-amplitude", type=float, default=0.4,
-        help="peak-to-mean diurnal swing in [0, 1); 0 disables",
-    )
-    trace.add_argument(
-        "--diurnal-peak-hour", type=float, default=14.0,
-        help="hour of day (0-24) at which load peaks",
-    )
-    trace.add_argument(
-        "--burst-multiplier", type=float, default=4.0,
-        help="rate multiplier while a tenant bursts; 1 disables",
-    )
-    trace.add_argument("--burst-on", dest="burst_on_s", type=float,
-                       default=30.0, metavar="SECONDS")
-    trace.add_argument("--burst-off", dest="burst_off_s", type=float,
-                       default=570.0, metavar="SECONDS")
-    trace.add_argument(
-        "--churn-active", dest="churn_active_s", type=float,
-        default=4 * 3600.0, metavar="SECONDS",
-        help="mean active period before a tenant departs",
-    )
-    trace.add_argument(
-        "--churn-idle", dest="churn_idle_s", type=float, default=0.0,
-        metavar="SECONDS",
-        help="mean idle period before a departed tenant returns; 0 disables",
-    )
     _add_fleet_arguments(
         trace, "independent replays under different orchestrator seeds"
     )
@@ -277,10 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--window", type=float, default=None, metavar="SECONDS",
         help="accounting window for the time-of-day curves "
              "(default: horizon / 24)",
-    )
-    trace.add_argument(
-        "--no-telemetry", action="store_true",
-        help="skip per-interval telemetry collection (large replays)",
     )
     _add_control_plane_arguments(trace)
 
@@ -340,10 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--summary-json", default=None, metavar="PATH",
         help="write the per-trial summaries and epoch snapshots as JSON",
     )
-    serve.add_argument(
-        "--no-telemetry", action="store_true",
-        help="skip per-interval telemetry collection (large serves)",
-    )
 
     incidents = sub.add_parser(
         "fleet-incidents",
@@ -387,10 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
         incidents, "independent scenario replays (three fleet runs each)"
     )
     _add_horizon_arguments(incidents)
-    incidents.add_argument(
-        "--telemetry", action="store_true",
-        help="also collect per-interval fleet telemetry rows",
-    )
 
     mix = sub.add_parser("mix", help="run a single colocation mix")
     mix.set_defaults(handler=_mix)
@@ -412,22 +407,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _trace_gen(args: argparse.Namespace):
-    """The ``--trace-*`` generator config; ``None`` when ``--trace`` is set."""
+    """The generator config from the given generator flags; ``None`` when
+    ``--trace`` is set, which refuses them all."""
     from repro.traces import TraceGenConfig
 
+    given = _given(args, *args.generator_flags)
     if args.trace is not None:
+        if given:
+            raise ConfigurationError(
+                "--trace replays a saved trace; it cannot be combined with "
+                f"{args.generator_flags[next(iter(given))]}"
+            )
         return None
-    # fleet-trace's shape flags store under the TraceGenConfig field they set.
-    shape = {
-        f.name: getattr(args, f.name)
-        for f in fields(TraceGenConfig)
-        if f.name != "seed" and hasattr(args, f.name)
-    }
     return TraceGenConfig(
-        seed=args.trace_seed if args.trace_seed is not None else args.seed,
-        duration_s=args.trace_duration,
-        rate_qps=args.trace_rate,
-        **shape,
+        seed=given.pop("trace_seed", args.seed),
+        **{"duration_s": args.trace_horizon, **given},
     )
 
 
@@ -444,6 +438,9 @@ def _flag(dest: str) -> str:
 
 def _replay_kwargs(args: argparse.Namespace, observer) -> dict:
     """The keywords every trace-replay runner takes from the shared flags."""
+    if args.trials < 1:
+        # The runners refuse it only once their trace is built or loaded.
+        raise ConfigurationError("trials must be >= 1")
     return dict(
         trace_path=args.trace, gen=_trace_gen(args), nodes=args.nodes,
         policy=args.policy, routing=args.routing, ml=args.ml,
@@ -510,7 +507,6 @@ def _fleet_trace(args: argparse.Namespace, observer) -> list[str]:
     result = run_fleet_trace(
         **_replay_kwargs(args, observer), window_s=args.window,
         sensors=sensors, faults=faults,
-        collect_telemetry=not args.no_telemetry,
     )
     lines = [format_fleet_trace(result)]
     if args.save_trace:
@@ -538,7 +534,6 @@ def _fleet_serve(args: argparse.Namespace, observer) -> list[str]:
         epoch_s=args.epoch, commands=args.serve_commands,
         autoscaler=autoscaler, save_path=args.save,
         save_at_epoch=args.save_at, restore_path=args.restore,
-        collect_telemetry=not args.no_telemetry,
     )
     lines = [format_fleet_serve(result)]
     if args.save:
@@ -580,7 +575,6 @@ def _fleet_incidents(args: argparse.Namespace, observer) -> list[str]:
         **_replay_kwargs(args, observer), scenario_path=args.scenario,
         classes=classes, incident_seed=args.incident_seed,
         intruder_rate_qps=args.intruder_rate, **knobs,
-        collect_telemetry=args.telemetry,
     )
     lines = [format_fleet_incidents(result)]
     if args.save_scenario:
@@ -632,7 +626,6 @@ def main(argv: list[str] | None = None) -> int:
     observer = RunObserver(
         ObsConfig(trace_dir=args.trace_out, metrics_path=args.metrics_out),
         name=name,
-        flush_every=_METRICS_FLUSH_ROWS,
     )
     started = time.perf_counter()
     try:

@@ -112,11 +112,6 @@ class SensorNoiseAblationResult:
         return [o.efficiency for o in self.outcomes]
 
 
-def _run_level(config: FleetConfig) -> FleetResult:
-    """Module-level point evaluator (picklable for the process pool)."""
-    return run_fleet(config)
-
-
 def run_ablation_sensor_noise(
     duration: float = 8.0,
     nodes: int = 4,
@@ -155,7 +150,7 @@ def run_ablation_sensor_noise(
             )
         )
     results: list[FleetResult] = run_points(
-        _run_level, configs, jobs=jobs, base_seed=seed
+        run_fleet, configs, jobs=jobs, base_seed=seed
     )
     outcomes = []
     for level, result in zip(levels, results):

@@ -16,15 +16,12 @@ sweep context, so results are bit-identical for any ``--jobs`` value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ExperimentError
-from repro.experiments.fleet_trace import (
-    _format_hours,
-    _resolve_trace,
-    _trace_fleet_config,
-)
+from repro.experiments.fleet_sim import trial_configs
+from repro.experiments.fleet_trace import format_hours, replay_setup
 from repro.fleet.config import FleetConfig
 from repro.fleet.orchestrator import run_fleet
 from repro.incidents.detect import DetectorConfig
@@ -36,7 +33,7 @@ from repro.incidents.faults import (
     load_scenario,
 )
 from repro.incidents.score import Scorecard, score_trial
-from repro.parallel import point_seed, run_points, sweep_context
+from repro.parallel import run_points, sweep_context
 from repro.traces import Trace, TraceGenConfig
 
 if TYPE_CHECKING:
@@ -99,9 +96,13 @@ class FleetIncidentsResult:
 
 
 def _run_point(point: tuple[FleetConfig, str]) -> tuple[dict, dict]:
-    """One (config, mode) run — module-level for the process pool."""
+    """One (config, mode) run — module-level for the process pool.
+
+    The scorecard reads only the summary and the engine export, so the
+    per-interval telemetry rows are not collected.
+    """
     config, mode = point
-    trace, schedule, detector_config, collect_telemetry = sweep_context()
+    trace, schedule, detector_config = sweep_context()
     engine = IncidentEngine(
         schedule=(
             schedule
@@ -112,10 +113,7 @@ def _run_point(point: tuple[FleetConfig, str]) -> tuple[dict, dict]:
         detector_config=detector_config,
     )
     result = run_fleet(
-        config,
-        collect_telemetry=collect_telemetry,
-        trace=trace,
-        hooks=engine,
+        config, collect_telemetry=False, trace=trace, hooks=engine
     )
     return result.summary(), engine.export()
 
@@ -201,7 +199,6 @@ def run_fleet_incidents(
     jobs: int = 1,
     observer: "RunObserver | None" = None,
     detector_config: DetectorConfig | None = None,
-    collect_telemetry: bool = False,
 ) -> FleetIncidentsResult:
     """Run the incident scenario over a trace replay and score it.
 
@@ -210,14 +207,9 @@ def run_fleet_incidents(
     :func:`~repro.incidents.faults.default_schedule` over ``classes`` with
     ``incident_seed`` (default: ``seed``).
     """
-    if trials < 1:
-        raise ExperimentError("trials must be >= 1")
-    resolved_trace, source = _resolve_trace(
-        trace, trace_path, gen, duration, seed
-    )
-    base = _trace_fleet_config(
-        resolved_trace, nodes=nodes, policy=policy, routing=routing, ml=ml,
-        duration=duration, warmup=warmup, interval=interval,
+    resolved_trace, source, base = replay_setup(
+        trace, trace_path, gen, nodes=nodes, policy=policy, routing=routing,
+        ml=ml, duration=duration, warmup=warmup, interval=interval,
         window_s=window_s, seed=seed,
     )
     resolved_schedule, scenario_source = _resolve_schedule(
@@ -245,22 +237,19 @@ def run_fleet_incidents(
                 f"the {base.duration:.0f}s replay horizon"
             )
 
-    points: list[tuple[FleetConfig, str]] = []
-    for trial in range(trials):
-        config = replace(base, seed=point_seed(seed, trial))
-        for mode in MODES:
-            points.append((config, mode))
+    # One pool point per (trial, mode), so that --jobs spreads even a
+    # single trial's three runs.
+    points = [
+        (config, mode)
+        for config in trial_configs(base, trials, seed)
+        for mode in MODES
+    ]
     outcomes = run_points(
         _run_point,
         points,
         jobs=jobs,
         base_seed=seed,
-        context=(
-            resolved_trace,
-            resolved_schedule,
-            detector_config,
-            collect_telemetry,
-        ),
+        context=(resolved_trace, resolved_schedule, detector_config),
     )
 
     summaries: list[dict] = []
@@ -363,7 +352,7 @@ def format_fleet_incidents(result: FleetIncidentsResult) -> str:
     lines = [
         (
             f"fleet-incidents: {len(result.schedule)} incidents over "
-            f"{_format_hours(result.trace_duration_s).strip()} x {result.trials} "
+            f"{format_hours(result.trace_duration_s).strip()} x {result.trials} "
             f"trial(s) -> {result.nodes} nodes x {result.policy} "
             f"({result.routing} routing), ml={result.ml}"
         ),

@@ -17,22 +17,22 @@ to workers once via the sweep context, and per-trial seeds derive from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.control.actuators import ActuationFaultConfig
 from repro.control.sensors import SensorConfig
 from repro.errors import ExperimentError
 from repro.experiments.fleet_sim import (
-    TenantSummary,
-    _aggregate_tenants,
-    _record_tenants,
-    _tenant_table,
+    FleetTrials,
+    observe_trials,
+    tenant_table,
+    trial_configs,
 )
-from repro.experiments.fleet_trace import _resolve_trace, _trace_fleet_config
+from repro.experiments.fleet_trace import replay_setup
 from repro.fleet.config import FleetConfig
 from repro.fleet.orchestrator import FleetResult
-from repro.parallel import point_seed, run_points, sweep_context
+from repro.parallel import run_points, sweep_context
 from repro.serve import AutoscalerConfig, FleetService
 from repro.traces import Trace, TraceGenConfig
 
@@ -47,14 +47,9 @@ _COMMAND_VERBS = ("evict", "admit", "routing", "grow", "shrink")
 
 
 @dataclass(frozen=True)
-class FleetServeResult:
+class FleetServeResult(FleetTrials):
     """Aggregated outcome of one fleet-serve invocation."""
 
-    nodes: int
-    policy: str
-    routing: str
-    ml: str
-    trials: int
     source: str
     requests: int
     trace_duration_s: float
@@ -62,14 +57,6 @@ class FleetServeResult:
     #: Epochs stepped per trial (identical across trials).
     epochs: int
     autoscaled: bool
-    tenant_rows: tuple[TenantSummary, ...]
-    fraction_saturated: float
-    serving_yield: float
-    efficiency: float
-    #: One JSON-clean summary per trial, in trial order — the artifact the
-    #: determinism tests compare across ``jobs`` values.
-    summaries: tuple[dict, ...]
-    results: tuple[FleetResult, ...]
     #: Trial 0's epoch-boundary snapshots (JSON-clean rows).
     snapshots: tuple[dict, ...]
     #: Trial 0's applied-command audit log, ``(epoch, command)`` rows.
@@ -159,26 +146,42 @@ class _TrialOutcome:
     snapshots: tuple[dict, ...]
     commands: tuple[tuple[int, str], ...]
     epochs: int
+    epoch_s: float
+    autoscaled: bool
 
 
 def _run_trial(config: FleetConfig) -> _TrialOutcome:
-    """Module-level trial evaluator (picklable for the process pool)."""
-    trace, collect_telemetry, epoch_s, autoscaler, schedule = sweep_context()
-    service = FleetService(
-        config,
-        trace=trace,
-        collect_telemetry=collect_telemetry,
-        autoscaler=autoscaler,
-        epoch_s=epoch_s,
-    )
-    service.start()
+    """Module-level trial evaluator (picklable for the process pool).
+
+    Restores the checkpoint when the plan names one, else builds and
+    starts the service; checkpoints at the planned epoch when asked; then
+    serves to the horizon. Nothing the family reports reads the
+    per-interval telemetry rows, so they are not collected.
+    """
+    trace, epoch_s, autoscaler, schedule, save, restore = sweep_context()
+    if restore is not None:
+        service = FleetService.restore(restore, trace=trace)
+    else:
+        service = FleetService(
+            config,
+            trace=trace,
+            collect_telemetry=False,
+            autoscaler=autoscaler,
+            epoch_s=epoch_s,
+        )
+        service.start()
+    if save is not None:
+        path, epoch = save
+        drive_service(service, schedule, stop_at_epoch=epoch)
+        service.save(path)
     drive_service(service, schedule)
-    result = service.finish()
     return _TrialOutcome(
-        result=result,
+        result=service.finish(),
         snapshots=tuple(s.as_dict() for s in service.snapshots),
         commands=tuple(service.commands),
         epochs=service.epoch,
+        epoch_s=service.epoch_s,
+        autoscaled=service.autoscaler is not None,
     )
 
 
@@ -206,20 +209,18 @@ def run_fleet_serve(
     observer: "RunObserver | None" = None,
     sensors: SensorConfig | None = None,
     faults: ActuationFaultConfig | None = None,
-    collect_telemetry: bool = True,
 ) -> FleetServeResult:
     """Serve a workload trace through the epoch-stepped control plane.
 
     ``commands`` are ``EPOCH:VERB[:ARG]`` specs (see :func:`parse_schedule`);
     ``epoch_s`` defaults to the fleet control interval. ``save_path`` +
-    ``save_at_epoch`` checkpoint the live service mid-run and then continue
-    to the horizon; ``restore_path`` resumes a checkpoint against the same
-    trace instead of starting fresh (fleet shape then comes from the
-    checkpoint, and schedule entries at already-served epochs are skipped).
-    Checkpointing is single-run: both require ``trials == 1``.
+    ``save_at_epoch`` checkpoint trial 0's live service mid-run and then
+    continue to the horizon, so a saved run is the plain run;
+    ``restore_path`` resumes a checkpoint against the same trace instead of
+    starting fresh (fleet shape, epoch length and autoscaler then come from
+    the checkpoint, and schedule entries at already-served epochs are
+    skipped). Checkpointing is single-run: both require ``trials == 1``.
     """
-    if trials < 1:
-        raise ExperimentError("trials must be >= 1")
     if (save_path is None) != (save_at_epoch is None):
         raise ExperimentError(
             "pass save_path and save_at_epoch together"
@@ -231,112 +232,59 @@ def run_fleet_serve(
         raise ExperimentError("pass either save_path or restore_path")
     schedule = parse_schedule(commands)
 
-    resolved, source = _resolve_trace(trace, trace_path, gen, duration, seed)
-    base = _trace_fleet_config(
-        resolved, nodes=nodes, policy=policy, routing=routing, ml=ml,
-        duration=duration, warmup=warmup, interval=interval,
+    trace, source, base = replay_setup(
+        trace, trace_path, gen, nodes=nodes, policy=policy, routing=routing,
+        ml=ml, duration=duration, warmup=warmup, interval=interval,
         window_s=window_s, seed=seed, sensors=sensors, faults=faults,
     )
-
     if restore_path is not None:
-        service = FleetService.restore(restore_path, trace=resolved)
         source = f"restored({restore_path})"
-        drive_service(service, schedule)
-        outcomes = [_finish_outcome(service)]
-        base = service.config
-    elif save_path is not None:
-        service = FleetService(
-            base,
-            trace=resolved,
-            collect_telemetry=collect_telemetry,
-            autoscaler=autoscaler,
-            epoch_s=epoch_s,
-        )
-        service.start()
-        drive_service(service, schedule, stop_at_epoch=save_at_epoch)
-        service.save(save_path)
-        drive_service(service, schedule)
-        outcomes = [_finish_outcome(service)]
-    else:
-        configs = [
-            replace(base, seed=point_seed(seed, trial))
-            for trial in range(trials)
-        ]
-        outcomes = run_points(
-            _run_trial,
-            configs,
-            jobs=jobs,
-            base_seed=seed,
-            context=(
-                resolved, collect_telemetry, epoch_s, autoscaler, schedule,
-            ),
-        )
+    save = (save_path, save_at_epoch) if save_path is not None else None
+    outcomes = run_points(
+        _run_trial,
+        trial_configs(base, trials, seed),
+        jobs=jobs,
+        base_seed=seed,
+        context=(trace, epoch_s, autoscaler, schedule, save, restore_path),
+    )
 
+    # A restored run's fleet shape and plan are the checkpoint's, not the
+    # arguments'.
     results = [o.result for o in outcomes]
-    mean = lambda values: sum(values) / len(values)  # noqa: E731
-    result = FleetServeResult(
-        nodes=base.nodes,
-        policy=base.policy,
-        routing=base.routing,
-        ml=base.ml,
-        trials=trials,
+    result = FleetServeResult.aggregate(
+        results[0].config,
+        results,
         source=source,
-        requests=len(resolved),
-        trace_duration_s=resolved.duration_s,
-        epoch_s=float(epoch_s if epoch_s is not None else base.interval),
+        requests=len(trace),
+        trace_duration_s=trace.duration_s,
+        epoch_s=outcomes[0].epoch_s,
         epochs=outcomes[0].epochs,
-        autoscaled=autoscaler is not None,
-        tenant_rows=_aggregate_tenants(results),
-        fraction_saturated=mean([r.fraction_saturated for r in results]),
-        serving_yield=mean([r.serving_yield for r in results]),
-        efficiency=mean([r.efficiency for r in results]),
-        summaries=tuple(r.summary() for r in results),
-        results=tuple(results),
+        autoscaled=outcomes[0].autoscaled,
         snapshots=outcomes[0].snapshots,
         commands=outcomes[0].commands,
-        trace=resolved,
+        trace=trace,
     )
-    _observe(result, resolved, observer)
+    _observe(result, observer)
     return result
 
 
-def _finish_outcome(service: FleetService) -> _TrialOutcome:
-    return _TrialOutcome(
-        result=service.finish(),
-        snapshots=tuple(s.as_dict() for s in service.snapshots),
-        commands=tuple(service.commands),
-        epochs=service.epoch,
-    )
-
-
 def _observe(
-    result: FleetServeResult,
-    trace: Trace,
-    observer: "RunObserver | None",
+    result: FleetServeResult, observer: "RunObserver | None"
 ) -> None:
     if observer is None or not observer.enabled:
         return
-    observer.note_config(
-        fleet_nodes=result.nodes,
-        fleet_policy=result.policy,
-        fleet_routing=result.routing,
-        fleet_ml=result.ml,
-        fleet_trials=result.trials,
+    observe_trials(
+        observer,
+        result,
+        "serve",
         trace_source=result.source,
         trace_requests=result.requests,
         trace_duration_s=result.trace_duration_s,
         serve_epoch_s=result.epoch_s,
         serve_epochs=result.epochs,
         serve_autoscaled=result.autoscaled,
-        trace_tenants=[t.name for t in trace.tenants],
+        trace_tenants=[t.name for t in result.trace.tenants],
     )
-    for trial, summary in enumerate(result.summaries):
-        observer.note_seed(f"serve.trial{trial}.seed", int(summary["seed"]))
-        row = {k: v for k, v in summary.items() if k not in (
-            "windows", "window_fleet",
-        )}
-        observer.record("serve_run", trial=trial, **row)
-    _record_tenants(observer, "serve_tenant", result.tenant_rows)
     for row in result.snapshots[:_MAX_SNAPSHOT_ROWS]:
         observer.record("serve_epoch", trial=0, **row)
     for epoch, command in result.commands:
@@ -362,7 +310,7 @@ def format_fleet_serve(result: FleetServeResult) -> str:
             f" | trace source: {result.source}"
         ),
         "",
-        *_tenant_table(result.tenant_rows),
+        *tenant_table(result.tenant_rows),
     ]
     if result.commands:
         lines += ["", "commands applied (trial 0):"]

@@ -7,12 +7,17 @@ sense, so ``jobs > 1`` fans them out over a process pool with bit-identical
 results: each trial's :class:`~repro.fleet.config.FleetConfig` carries its
 own derived seed, and the fleet orchestrator draws every random stream from
 that seed alone.
+
+The trial frame the other fleet families build on lives here too: they seed
+their trials with :func:`trial_configs`, aggregate them into
+:class:`FleetTrials`, export them with :func:`observe_trials` and print
+them with :func:`tenant_table`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Sequence
 
 from repro.control.actuators import ActuationFaultConfig
 from repro.control.sensors import SensorConfig
@@ -49,8 +54,8 @@ class TenantSummary:
 
 
 @dataclass(frozen=True)
-class FleetSimResult:
-    """Aggregated outcome of one fleet-sim invocation."""
+class FleetTrials:
+    """Trials of one fleet shape, aggregated; the fleet families' result."""
 
     nodes: int
     policy: str
@@ -69,10 +74,43 @@ class FleetSimResult:
     #: The full per-trial results (validation, benchmarks, observability).
     results: tuple[FleetResult, ...]
 
+    @classmethod
+    def aggregate(
+        cls, config: FleetConfig, results: Sequence[FleetResult], **fields
+    ):
+        """Aggregate the per-trial ``results`` of ``config``'s fleet shape;
+        ``fields`` fill a subclass's own fields."""
 
-def _run_trial(config: FleetConfig) -> FleetResult:
-    """Module-level trial evaluator (picklable for the process pool)."""
-    return run_fleet(config)
+        def mean(name: str) -> float:
+            return sum(getattr(r, name) for r in results) / len(results)
+
+        return cls(
+            nodes=config.nodes,
+            policy=config.policy,
+            routing=config.routing,
+            ml=config.ml,
+            trials=len(results),
+            tenant_rows=aggregate_tenants(results),
+            fraction_saturated=mean("fraction_saturated"),
+            serving_yield=mean("serving_yield"),
+            batch_yield=mean("batch_yield"),
+            efficiency=mean("efficiency"),
+            batch_evictions=sum(r.batch_evictions for r in results),
+            summaries=tuple(r.summary() for r in results),
+            results=tuple(results),
+            **fields,
+        )
+
+
+def trial_configs(
+    base: FleetConfig, trials: int, seed: int
+) -> list[FleetConfig]:
+    """``base`` once per trial, each with its trial's derived seed."""
+    if trials < 1:
+        raise ExperimentError("trials must be >= 1")
+    return [
+        replace(base, seed=point_seed(seed, trial)) for trial in range(trials)
+    ]
 
 
 def run_fleet_sim(
@@ -94,7 +132,7 @@ def run_fleet_sim(
     observer: "RunObserver | None" = None,
     sensors: SensorConfig | None = None,
     faults: ActuationFaultConfig | None = None,
-) -> FleetSimResult:
+) -> FleetTrials:
     """Run the fleet simulation family and aggregate over trials.
 
     ``load`` is the aggregate per-node offered load across the two default
@@ -103,8 +141,6 @@ def run_fleet_sim(
     (:func:`repro.parallel.point_seed`) makes the output independent of the
     worker count.
     """
-    if trials < 1:
-        raise ExperimentError("trials must be >= 1")
     if duration <= warmup:
         # Keep short suite/report invocations (e.g. ``--duration 1``) valid:
         # scale the warmup with the horizon instead of rejecting the run.
@@ -127,37 +163,18 @@ def run_fleet_sim(
     )
     if load is not None:
         base = base.scaled_load(load / _DEFAULT_TOTAL_LOAD)
-    from dataclasses import replace
-
-    configs = [
-        replace(base, seed=point_seed(seed, trial)) for trial in range(trials)
-    ]
-    results: list[FleetResult] = run_points(
-        _run_trial, configs, jobs=jobs, base_seed=seed
+    results = run_points(
+        run_fleet, trial_configs(base, trials, seed), jobs=jobs, base_seed=seed
     )
-
-    tenant_rows = _aggregate_tenants(results)
-    mean = lambda values: sum(values) / len(values)  # noqa: E731
-    result = FleetSimResult(
-        nodes=nodes,
-        policy=base.policy,
-        routing=base.routing,
-        ml=base.ml,
-        trials=trials,
-        tenant_rows=tenant_rows,
-        fraction_saturated=mean([r.fraction_saturated for r in results]),
-        serving_yield=mean([r.serving_yield for r in results]),
-        batch_yield=mean([r.batch_yield for r in results]),
-        efficiency=mean([r.efficiency for r in results]),
-        batch_evictions=sum(r.batch_evictions for r in results),
-        summaries=tuple(r.summary() for r in results),
-        results=tuple(results),
-    )
+    result = FleetTrials.aggregate(base, results)
     _observe(result, observer)
     return result
 
 
-def _aggregate_tenants(results: list[FleetResult]) -> tuple[TenantSummary, ...]:
+def aggregate_tenants(
+    results: Sequence[FleetResult],
+) -> tuple[TenantSummary, ...]:
+    """Each tenant's outcome pooled over the per-trial ``results``."""
     rows = []
     for index in range(len(results[0].tenants)):
         slices = [r.tenants[index] for r in results]
@@ -181,20 +198,42 @@ def _aggregate_tenants(results: list[FleetResult]) -> tuple[TenantSummary, ...]:
     return tuple(rows)
 
 
-def _observe(result: FleetSimResult, observer: "RunObserver | None") -> None:
-    if observer is None or not observer.enabled:
-        return
+def observe_trials(
+    observer: "RunObserver", result: FleetTrials, scope: str, **config
+) -> None:
+    """Export what every fleet family shares: the fleet shape plus the
+    family's ``config`` keys, then each trial's seed and ``<scope>_run``
+    row, then one ``<scope>_tenant`` row per aggregated tenant."""
     observer.note_config(
         fleet_nodes=result.nodes,
         fleet_policy=result.policy,
         fleet_routing=result.routing,
         fleet_ml=result.ml,
         fleet_trials=result.trials,
+        **config,
     )
     for trial, summary in enumerate(result.summaries):
-        observer.note_seed(f"fleet.trial{trial}.seed", int(summary["seed"]))
-        observer.record("fleet_run", trial=trial, **summary)
-    _record_tenants(observer, "fleet_tenant", result.tenant_rows)
+        observer.note_seed(f"{scope}.trial{trial}.seed", int(summary["seed"]))
+        row = {k: v for k, v in summary.items() if k not in (
+            "windows", "window_fleet",
+        )}
+        observer.record(f"{scope}_run", trial=trial, **row)
+    for row in result.tenant_rows:
+        observer.record(
+            f"{scope}_tenant",
+            tenant=row.name,
+            slo_p99_ms=row.slo_p99_ms,
+            attainment=row.attainment,
+            goodput_qps=row.goodput_qps,
+            p99_ms=row.p99_ms,
+            slo_met_all_trials=row.slo_met_all_trials,
+        )
+
+
+def _observe(result: FleetTrials, observer: "RunObserver | None") -> None:
+    if observer is None or not observer.enabled:
+        return
+    observe_trials(observer, result, "fleet")
     for sample in result.results[0].telemetry[:_MAX_TELEMETRY_ROWS]:
         observer.record("fleet_telemetry", trial=0, **sample)
     for row in result.results[0].controller[:_MAX_CONTROLLER_ROWS]:
@@ -215,23 +254,7 @@ def _observe(result: FleetSimResult, observer: "RunObserver | None") -> None:
         ).observe(row.attainment)
 
 
-def _record_tenants(
-    observer: "RunObserver", kind: str, rows: tuple[TenantSummary, ...]
-) -> None:
-    """Export one ``kind`` record per aggregated tenant row."""
-    for row in rows:
-        observer.record(
-            kind,
-            tenant=row.name,
-            slo_p99_ms=row.slo_p99_ms,
-            attainment=row.attainment,
-            goodput_qps=row.goodput_qps,
-            p99_ms=row.p99_ms,
-            slo_met_all_trials=row.slo_met_all_trials,
-        )
-
-
-def _tenant_table(rows: tuple[TenantSummary, ...]) -> list[str]:
+def tenant_table(rows: tuple[TenantSummary, ...]) -> list[str]:
     """The per-tenant SLO table of the fleet families' reports."""
     lines = [
         f"{'tenant':<10} {'slo_p99':>8} {'p99':>9} {'attain':>7} "
@@ -247,7 +270,7 @@ def _tenant_table(rows: tuple[TenantSummary, ...]) -> list[str]:
     return lines
 
 
-def format_fleet_sim(result: FleetSimResult) -> str:
+def format_fleet_sim(result: FleetTrials) -> str:
     """Render the fleet-sim outcome as the CLI table."""
     lines = [
         (
@@ -256,7 +279,7 @@ def format_fleet_sim(result: FleetSimResult) -> str:
             f"trials={result.trials}"
         ),
         "",
-        *_tenant_table(result.tenant_rows),
+        *tenant_table(result.tenant_rows),
         "",
         f"fraction saturated   {result.fraction_saturated:.1%}",
         f"serving yield        {result.serving_yield:.1%}",

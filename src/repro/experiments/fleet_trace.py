@@ -13,7 +13,8 @@ node-local noise), isolating the scheduling variance from the workload.
 Trials are independent points in the :mod:`repro.parallel` sense: the trace
 ships to workers once via the sweep context, and per-trial seeds derive
 from :func:`repro.parallel.point_seed`, so results are bit-identical for
-any ``jobs`` value.
+any ``jobs`` value. The other replay families (``fleet-serve``,
+``fleet-incidents``) set up their replay with :func:`replay_setup` too.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from repro.control.actuators import ActuationFaultConfig
 from repro.control.sensors import SensorConfig
 from repro.errors import ExperimentError
 from repro.experiments.fleet_sim import (
-    TenantSummary,
-    _aggregate_tenants,
-    _record_tenants,
-    _tenant_table,
+    FleetTrials,
+    observe_trials,
+    tenant_table,
+    trial_configs,
 )
 from repro.fleet.config import FleetConfig
 from repro.fleet.orchestrator import (
@@ -36,7 +37,7 @@ from repro.fleet.orchestrator import (
     fleet_config_for_trace,
     run_fleet,
 )
-from repro.parallel import point_seed, run_points, sweep_context
+from repro.parallel import run_points, sweep_context
 from repro.traces import Trace, TraceGenConfig, generate_trace, load_trace
 
 if TYPE_CHECKING:
@@ -47,28 +48,14 @@ _MAX_WINDOW_ROWS = 4096
 
 
 @dataclass(frozen=True)
-class FleetTraceResult:
+class FleetTraceResult(FleetTrials):
     """Aggregated outcome of one fleet-trace invocation."""
 
-    nodes: int
-    policy: str
-    routing: str
-    ml: str
-    trials: int
     #: Where the trace came from (generator config, file path, or caller).
     source: str
     requests: int
     trace_duration_s: float
     window_s: float
-    tenant_rows: tuple[TenantSummary, ...]
-    fraction_saturated: float
-    serving_yield: float
-    efficiency: float
-    #: One JSON-clean summary per trial, in trial order — the artifact the
-    #: determinism tests compare across ``jobs`` values.
-    summaries: tuple[dict, ...]
-    #: The full per-trial results.
-    results: tuple[FleetResult, ...]
     #: Trial 0's per-(window, tenant) SLO curve rows.
     windows: tuple[dict, ...]
     #: Trial 0's per-window fleet curve rows (pooled yield + saturation).
@@ -82,37 +69,16 @@ def _run_trial(config: FleetConfig) -> FleetResult:
 
     The trace rides in on the sweep context — installed identically on the
     serial path and in every pool worker, so it never needs to survive a
-    per-point pickle round trip.
+    per-point pickle round trip. Nothing the family reports reads the
+    per-interval telemetry rows, so they are not collected.
     """
-    trace, collect_telemetry = sweep_context()
-    return run_fleet(config, collect_telemetry=collect_telemetry, trace=trace)
+    return run_fleet(config, collect_telemetry=False, trace=sweep_context())
 
 
-def _resolve_trace(
+def replay_setup(
     trace: Trace | None,
     trace_path: str | None,
     gen: TraceGenConfig | None,
-    duration: float | None,
-    seed: int,
-) -> tuple[Trace, str]:
-    """Materialize the trace and describe its provenance."""
-    provided = sum(x is not None for x in (trace, trace_path, gen))
-    if provided > 1:
-        raise ExperimentError(
-            "pass at most one of trace, trace_path or gen"
-        )
-    if trace is not None:
-        return trace, "caller"
-    if trace_path is not None:
-        return load_trace(trace_path), trace_path
-    if gen is None:
-        # Default: a short synthetic day scaled to the requested horizon.
-        gen = TraceGenConfig(seed=seed, duration_s=duration or 120.0)
-    return generate_trace(gen), f"generated(seed={gen.seed})"
-
-
-def _trace_fleet_config(
-    trace: Trace,
     *,
     nodes: int,
     policy: str,
@@ -125,12 +91,27 @@ def _trace_fleet_config(
     seed: int,
     sensors: SensorConfig | None = None,
     faults: ActuationFaultConfig | None = None,
-) -> FleetConfig:
-    """The fleet shape for replaying ``trace``.
+) -> tuple[Trace, str, FleetConfig]:
+    """The trace a replay family runs, where it came from, and the fleet
+    shape that replays it.
 
-    Horizon knobs left ``None`` keep :func:`fleet_config_for_trace`'s
-    trace-scaled defaults; ``duration`` is clipped to the trace horizon.
+    At most one of ``trace``, ``trace_path`` and ``gen`` may be given; with
+    none, a short synthetic day scaled to ``duration`` is generated. Horizon
+    knobs left ``None`` keep :func:`fleet_config_for_trace`'s trace-scaled
+    defaults; ``duration`` is clipped to the trace horizon.
     """
+    if sum(x is not None for x in (trace, trace_path, gen)) > 1:
+        raise ExperimentError(
+            "pass at most one of trace, trace_path or gen"
+        )
+    if trace is not None:
+        source = "caller"
+    elif trace_path is not None:
+        trace, source = load_trace(trace_path), trace_path
+    else:
+        if gen is None:
+            gen = TraceGenConfig(seed=seed, duration_s=duration or 120.0)
+        trace, source = generate_trace(gen), f"generated(seed={gen.seed})"
     overrides: dict = {
         "nodes": nodes,
         "policy": policy,
@@ -145,10 +126,10 @@ def _trace_fleet_config(
         overrides["interval"] = interval
     if window_s is not None:
         overrides["window_s"] = window_s
-    base = fleet_config_for_trace(trace, seed=seed, **overrides)
+    config = fleet_config_for_trace(trace, seed=seed, **overrides)
     if sensors is not None or faults is not None:
-        base = replace(base, sensors=sensors, faults=faults)
-    return base
+        config = replace(config, sensors=sensors, faults=faults)
+    return trace, source, config
 
 
 def run_fleet_trace(
@@ -169,7 +150,6 @@ def run_fleet_trace(
     observer: "RunObserver | None" = None,
     sensors: SensorConfig | None = None,
     faults: ActuationFaultConfig | None = None,
-    collect_telemetry: bool = True,
 ) -> FleetTraceResult:
     """Replay a workload trace over the fleet and aggregate over trials.
 
@@ -178,64 +158,43 @@ def run_fleet_trace(
     buckets for a day-long trace). ``jobs`` parallelizes trials with
     bit-identical results.
     """
-    if trials < 1:
-        raise ExperimentError("trials must be >= 1")
-    resolved, source = _resolve_trace(trace, trace_path, gen, duration, seed)
-    base = _trace_fleet_config(
-        resolved, nodes=nodes, policy=policy, routing=routing, ml=ml,
-        duration=duration, warmup=warmup, interval=interval,
+    trace, source, base = replay_setup(
+        trace, trace_path, gen, nodes=nodes, policy=policy, routing=routing,
+        ml=ml, duration=duration, warmup=warmup, interval=interval,
         window_s=window_s, seed=seed, sensors=sensors, faults=faults,
     )
-
-    configs = [
-        replace(base, seed=point_seed(seed, trial)) for trial in range(trials)
-    ]
-    results: list[FleetResult] = run_points(
+    results = run_points(
         _run_trial,
-        configs,
+        trial_configs(base, trials, seed),
         jobs=jobs,
         base_seed=seed,
-        context=(resolved, collect_telemetry),
+        context=trace,
     )
-
-    mean = lambda values: sum(values) / len(values)  # noqa: E731
-    result = FleetTraceResult(
-        nodes=base.nodes,
-        policy=base.policy,
-        routing=base.routing,
-        ml=base.ml,
-        trials=trials,
+    result = FleetTraceResult.aggregate(
+        base,
+        results,
         source=source,
-        requests=len(resolved),
-        trace_duration_s=resolved.duration_s,
+        requests=len(trace),
+        trace_duration_s=trace.duration_s,
         window_s=float(base.window_s or 0.0),
-        tenant_rows=_aggregate_tenants(results),
-        fraction_saturated=mean([r.fraction_saturated for r in results]),
-        serving_yield=mean([r.serving_yield for r in results]),
-        efficiency=mean([r.efficiency for r in results]),
-        summaries=tuple(r.summary() for r in results),
-        results=tuple(results),
         windows=results[0].windows,
         window_fleet=results[0].window_fleet,
-        trace=resolved,
+        trace=trace,
     )
-    _observe(result, resolved, observer)
+    _observe(result, observer)
     return result
 
 
 def _observe(
-    result: FleetTraceResult,
-    trace: Trace,
-    observer: "RunObserver | None",
+    result: FleetTraceResult, observer: "RunObserver | None"
 ) -> None:
     if observer is None or not observer.enabled:
         return
-    observer.note_config(
-        fleet_nodes=result.nodes,
-        fleet_policy=result.policy,
-        fleet_routing=result.routing,
-        fleet_ml=result.ml,
-        fleet_trials=result.trials,
+    trace = result.trace
+    observe_trials(
+        observer,
+        result,
+        "fleet",
         trace_source=result.source,
         trace_requests=result.requests,
         trace_duration_s=result.trace_duration_s,
@@ -244,13 +203,6 @@ def _observe(
         trace_meta=dict(trace.meta),
         trace_window_s=result.window_s,
     )
-    for trial, summary in enumerate(result.summaries):
-        observer.note_seed(f"fleet.trial{trial}.seed", int(summary["seed"]))
-        row = {k: v for k, v in summary.items() if k not in (
-            "windows", "window_fleet",
-        )}
-        observer.record("fleet_run", trial=trial, **row)
-    _record_tenants(observer, "fleet_tenant", result.tenant_rows)
     for row in result.windows[:_MAX_WINDOW_ROWS]:
         observer.record("fleet_window", trial=0, scope="tenant", **row)
     for row in result.window_fleet[:_MAX_WINDOW_ROWS]:
@@ -265,7 +217,8 @@ def _observe(
         ).observe(row.attainment)
 
 
-def _format_hours(seconds: float) -> str:
+def format_hours(seconds: float) -> str:
+    """A trace time as hours (``05.25h``) from one hour on, else seconds."""
     if seconds >= 3600:
         return f"{seconds / 3600:05.2f}h"
     return f"{seconds:6.1f}s"
@@ -276,26 +229,26 @@ def format_fleet_trace(result: FleetTraceResult) -> str:
     lines = [
         (
             f"fleet-trace: {result.requests} requests over "
-            f"{_format_hours(result.trace_duration_s).strip()} -> "
+            f"{format_hours(result.trace_duration_s).strip()} -> "
             f"{result.nodes} nodes x {result.policy} "
             f"({result.routing} routing), ml={result.ml}, "
             f"trials={result.trials}"
         ),
         f"trace source: {result.source}",
         "",
-        *_tenant_table(result.tenant_rows),
+        *tenant_table(result.tenant_rows),
     ]
     if result.window_fleet:
         lines += [
             "",
-            f"time-of-day curve (window = {_format_hours(result.window_s).strip()}, "
+            f"time-of-day curve (window = {format_hours(result.window_s).strip()}, "
             "trial 0):",
             f"{'start':>8} {'offered':>8} {'attain':>7} {'eff':>7} "
             f"{'saturated':>9}",
         ]
         for row in result.window_fleet:
             lines.append(
-                f"{_format_hours(row['start_s']):>8} {row['offered']:>8} "
+                f"{format_hours(row['start_s']):>8} {row['offered']:>8} "
                 f"{row['attainment']:>6.1%} {row['efficiency']:>6.1%} "
                 f"{row['fraction_saturated']:>8.1%}"
             )

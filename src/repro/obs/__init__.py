@@ -3,8 +3,9 @@
 Three export surfaces behind one no-op-when-disabled observer:
 
 * **JSONL metrics/records** (:mod:`repro.obs.metrics`,
-  :class:`RunObserver.records`): controller tick records, solver stats,
-  telemetry time-series and registry roll-ups, one JSON object per line.
+  :meth:`RunObserver.record`): controller tick records, solver stats,
+  telemetry time-series and registry roll-ups, one JSON object per line,
+  streamed to the metrics file as the run goes.
 * **Chrome trace events** (:mod:`repro.obs.trace`): `chrome://tracing` /
   Perfetto-loadable JSON built from :class:`~repro.sim.tracing.TimelineTracer`
   intervals, controller knob counters and THROTTLE/BOOST markers.

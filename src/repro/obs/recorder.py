@@ -74,13 +74,12 @@ def _plain(value):
 
 
 class _StreamingJsonlWriter:
-    """Buffered incremental JSONL emission: flush every N rows.
+    """Incremental JSONL emission: flush every N rows.
 
     Rows are serialized on arrival and appended to the target file in
     ``flush_every``-row batches, so a day-long fleet replay streams its
     metric rows to disk instead of holding millions of dicts until
-    finalize. The file content is byte-identical to the buffered-in-memory
-    path: same rows, same order, same ``json.dumps(row) + "\\n"`` framing.
+    finalize. Each row is framed as ``json.dumps(row) + "\\n"``.
     """
 
     def __init__(self, path: Path, flush_every: int) -> None:
@@ -113,28 +112,24 @@ class _StreamingJsonlWriter:
 class RunObserver:
     """Collects records, metrics and trace events for one run.
 
-    ``flush_every`` switches the JSONL record stream to incremental
-    buffered writes (see :class:`_StreamingJsonlWriter`): rows stream to
-    ``metrics_path`` in batches instead of accumulating in
-    :attr:`records`, bounding memory over day-long replays. The written
-    file is byte-identical either way; callers that introspect
-    :attr:`records` after a run should leave it unset.
+    Record rows stream to ``metrics_path`` in ``flush_every``-row batches
+    (see :class:`_StreamingJsonlWriter`), so memory stays bounded over
+    day-long replays; without a ``metrics_path`` they are dropped.
     """
 
     def __init__(
         self,
         config: ObsConfig,
         name: str = "run",
-        flush_every: int | None = None,
+        flush_every: int = 8192,
     ) -> None:
         self.config = config
         self.name = name
         self.enabled = config.enabled
         self.metrics = MetricsRegistry()
         self.trace = ChromeTraceBuilder()
-        self.records: list[dict] = []
         self._writer: _StreamingJsonlWriter | None = None
-        if flush_every is not None and config.metrics_path is not None:
+        if config.metrics_path is not None:
             self._writer = _StreamingJsonlWriter(
                 config.metrics_path, flush_every
             )
@@ -145,14 +140,9 @@ class RunObserver:
 
     # --------------------------------------------------------- raw records
     def record(self, kind: str, **fields) -> None:
-        """Append one JSONL row of ``kind`` to the record stream."""
-        if not self.enabled:
-            return
-        row = {"kind": kind, **_plain(fields)}
+        """Write one JSONL row of ``kind`` to the record stream."""
         if self._writer is not None:
-            self._writer.add(row)
-        else:
-            self.records.append(row)
+            self._writer.add({"kind": kind, **_plain(fields)})
 
     def note_seed(self, name: str, seed: int) -> None:
         """Register a seed for the manifest."""
@@ -276,20 +266,13 @@ class RunObserver:
         wall = time.perf_counter() - self._started
         written: list[Path] = []
 
-        metrics_path = self.config.metrics_path
-        if metrics_path is not None:
-            if self._writer is not None:
-                # Streaming mode: the record rows are already on disk (or
-                # pending); append the metrics snapshot and flush the tail.
-                for row in self.metrics.snapshot():
-                    self._writer.add(row)
-                self._writer.flush()
-            else:
-                metrics_path.parent.mkdir(parents=True, exist_ok=True)
-                with open(metrics_path, "w", encoding="utf-8") as handle:
-                    for row in self.records + self.metrics.snapshot():
-                        handle.write(json.dumps(row) + "\n")
-            written.append(metrics_path)
+        if self._writer is not None:
+            # The record rows are already on disk (or pending); append the
+            # metrics snapshot and flush the tail.
+            for row in self.metrics.snapshot():
+                self._writer.add(row)
+            self._writer.flush()
+            written.append(self._writer.path)
 
         trace_dir = self.config.trace_dir
         if trace_dir is not None:
@@ -298,7 +281,10 @@ class RunObserver:
             self.trace.write(trace_path)
             written.append(trace_path)
 
-        manifest_dir = trace_dir if trace_dir is not None else metrics_path.parent
+        manifest_dir = (
+            trace_dir if trace_dir is not None
+            else self.config.metrics_path.parent
+        )
         manifest_path = manifest_dir / f"{self.name}.manifest.json"
         write_manifest(
             manifest_path,

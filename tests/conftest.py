@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.node import Node
@@ -38,3 +40,15 @@ def machine(sim: Simulator, spec: MachineSpec) -> Machine:
 def node(sim: Simulator, spec: MachineSpec) -> Node:
     """A managed node with all host interfaces."""
     return Node.create(spec, sim)
+
+
+@pytest.fixture
+def metrics_rows():
+    """Finalize a run observer and parse its metrics file back into rows."""
+
+    def read(observer) -> list[dict]:
+        observer.finalize()
+        with open(observer.config.metrics_path, encoding="utf-8") as handle:
+            return [json.loads(line) for line in handle]
+
+    return read

@@ -131,6 +131,34 @@ class TestDeterminism:
         assert saved.snapshots == restored.snapshots
         assert saved.commands == restored.commands
 
+    def test_restore_reports_the_checkpointed_plan(self, tmp_path):
+        # The checkpoint, not the restoring call, fixes the epoch length
+        # and the autoscaler.
+        path = str(tmp_path / "ckpt.bin")
+        saved = _run(
+            save_path=path, save_at_epoch=4, epoch_s=1.5,
+            autoscaler=AutoscalerConfig(min_nodes=1, max_nodes=4),
+        )
+        restored = _run(restore_path=path, nodes=3, epoch_s=4.0)
+        assert (restored.epoch_s, restored.autoscaled) == (1.5, True)
+        assert restored.nodes == saved.nodes == 2
+        assert restored.summaries == saved.summaries
+
+    def test_saved_run_is_the_plain_run(self, tmp_path):
+        # A nonzero seed: trial 0 runs under its derived seed, and so must
+        # the run that checkpoints it.
+        path = str(tmp_path / "ckpt.bin")
+        plan = dict(
+            commands=["3:evict:search", "12:admit:search"], epoch_s=1.0, seed=3
+        )
+        plain = _run(**plan)
+        saved = _run(save_path=path, save_at_epoch=6, **plan)
+        restored = _run(restore_path=path, **plan)
+        for run in (saved, restored):
+            assert run.summaries == plain.summaries
+            assert run.snapshots == plain.snapshots
+            assert run.commands == plain.commands
+
 
 class TestWiring:
     def test_registry_entry(self):
@@ -144,19 +172,21 @@ class TestWiring:
         assert result.epochs > 0
         assert "fleet-serve:" in text
 
-    def test_observer_rows(self, tmp_path):
+    def test_observer_rows(self, tmp_path, metrics_rows):
         observer = RunObserver(
-            ObsConfig(trace_dir=str(tmp_path)), name="serve-test"
+            ObsConfig(
+                trace_dir=str(tmp_path), metrics_path=tmp_path / "m.jsonl"
+            ),
+            name="serve-test",
         )
         result = _run(
             gen=_gen(duration_s=10.0),
             commands=["2:evict:search"],
             observer=observer,
         )
-        kinds = {record["kind"] for record in observer.records}
+        rows = metrics_rows(observer)
+        kinds = {record["kind"] for record in rows}
         assert {"serve_run", "serve_tenant", "serve_epoch",
                 "serve_command"} <= kinds
-        epochs = [
-            r for r in observer.records if r["kind"] == "serve_epoch"
-        ]
+        epochs = [r for r in rows if r["kind"] == "serve_epoch"]
         assert len(epochs) == result.epochs

@@ -123,14 +123,15 @@ class TestWiring:
         assert result.nodes == 1
         assert text.startswith("fleet-sim: 1 nodes")
 
-    def test_observer_records(self, tmp_path):
+    def test_observer_records(self, tmp_path, metrics_rows):
         observer = RunObserver(
             ObsConfig(metrics_path=tmp_path / "m.jsonl"), name="fleet-sim"
         )
         _run(trials=2, observer=observer)
-        kinds = {record["kind"] for record in observer.records}
+        rows = metrics_rows(observer)
+        kinds = {record["kind"] for record in rows}
         assert {"fleet_run", "fleet_tenant", "fleet_telemetry"} <= kinds
-        runs = [r for r in observer.records if r["kind"] == "fleet_run"]
+        runs = [r for r in rows if r["kind"] == "fleet_run"]
         assert [r["trial"] for r in runs] == [0, 1]
         paths = observer.finalize(command="test")
         assert (tmp_path / "m.jsonl").exists()

@@ -109,14 +109,15 @@ class TestWiring:
         assert result.requests > 0
         assert text.startswith("fleet-trace:")
 
-    def test_observer_records(self, tmp_path):
+    def test_observer_records(self, tmp_path, metrics_rows):
         observer = RunObserver(
             ObsConfig(metrics_path=tmp_path / "m.jsonl"), name="fleet-trace"
         )
         _run(trials=1, observer=observer)
-        kinds = {record["kind"] for record in observer.records}
+        rows = metrics_rows(observer)
+        kinds = {record["kind"] for record in rows}
         assert {"fleet_run", "fleet_tenant", "fleet_window"} <= kinds
-        windows = [r for r in observer.records if r["kind"] == "fleet_window"]
+        windows = [r for r in rows if r["kind"] == "fleet_window"]
         assert {"tenant", "fleet"} == {r["scope"] for r in windows}
         config = observer._run_config
         assert config["trace_requests"] > 0

@@ -25,14 +25,14 @@ class TestSuite:
 
 class TestSuiteObservability:
     def test_serial_observer_collects_suite_and_experiment_data(
-        self, tmp_path
+        self, tmp_path, metrics_rows
     ) -> None:
         observer = RunObserver(
             ObsConfig(metrics_path=tmp_path / "m.jsonl"), name="report"
         )
         entries = run_suite(experiments=["fig02"], observer=observer)
         assert len(entries) == 1
-        kinds = {row["kind"] for row in observer.records}
+        kinds = {row["kind"] for row in metrics_rows(observer)}
         # Suite-level roll-up plus fig02's own deep export.
         assert "suite_entry" in kinds
         assert "fleet_cdf" in kinds
@@ -40,7 +40,9 @@ class TestSuiteObservability:
         # Per-experiment wall-clock spans land on the suite lane.
         assert len(observer.trace) >= 1
 
-    def test_parallel_suite_keeps_suite_level_view(self, tmp_path) -> None:
+    def test_parallel_suite_keeps_suite_level_view(
+        self, tmp_path, metrics_rows
+    ) -> None:
         observer = RunObserver(
             ObsConfig(metrics_path=tmp_path / "m.jsonl"), name="report"
         )
@@ -48,15 +50,16 @@ class TestSuiteObservability:
             experiments=["fig02", "table1"], observer=observer, jobs=2
         )
         assert len(entries) == 2
-        kinds = {row["kind"] for row in observer.records}
+        rows = metrics_rows(observer)
+        kinds = {row["kind"] for row in rows}
         # Workers cannot share the parent observer: no deep export...
         assert "fleet_cdf" not in kinds
         # ...but the suite roll-up is intact.
-        assert sum(1 for r in observer.records if r["kind"] == "suite_entry") == 2
+        assert sum(1 for r in rows if r["kind"] == "suite_entry") == 2
 
     def test_disabled_observer_changes_nothing(self) -> None:
         observer = RunObserver(ObsConfig.disabled())
         entries = run_suite(experiments=["fig02"], observer=observer)
         plain = run_suite(experiments=["fig02"])
         assert entries[0].text == plain[0].text
-        assert observer.records == []
+        assert observer.finalize() == []

@@ -336,7 +336,6 @@ class TestIncidents:
                     interval=10.0,
                     warmup=20.0,
                     seed=3,
-                    collect_telemetry=True,
                 ).artifact()
 
         parked, eager = run(False), run(True)
@@ -345,6 +344,37 @@ class TestIncidents:
         assert rem["alarms"] and rem["remediations"]
         kinds = {incident["kind"] for incident in parked["scenario"]["incidents"]}
         assert kinds == {"node-death", "telemetry-blackout", "stuck-actuator"}
+
+    def test_hooked_run_with_telemetry(self) -> None:
+        # The fleet-incidents family collects no telemetry rows; the same
+        # schedule on a plain hooked replay must match them too.
+        from repro.fleet.orchestrator import run_fleet
+        from repro.incidents.engine import IncidentEngine
+        from repro.incidents.faults import default_schedule
+
+        trace = generate_trace(
+            TraceGenConfig(seed=4, duration_s=600.0, rate_qps=2.0)
+        )
+        config = fleet_config_for_trace(
+            trace, nodes=4, routing="random", interval=10.0, warmup=20.0,
+            seed=3,
+        )
+        schedule = default_schedule(
+            config.duration, config.nodes, seed=3,
+            classes=("node-death", "telemetry-blackout", "stuck-actuator"),
+        )
+
+        def run(reference: bool) -> tuple[FleetResult, dict]:
+            engine = IncidentEngine(schedule, remediate=True)
+            with _mode(reference):
+                result = run_fleet(config, trace=trace, hooks=engine)
+            return result, engine.export()
+
+        (parked, parked_export), (eager, eager_export) = run(False), run(True)
+        assert parked.ticks_elided > 0
+        assert parked.telemetry
+        _assert_matches(parked, eager, fewer_events=False)
+        assert parked_export == eager_export
 
 
 _GEN = TraceGenConfig(seed=8, duration_s=240.0, rate_qps=0.5)

@@ -106,13 +106,14 @@ class TestPerClassOutcome:
 
 
 class TestObsExport:
-    def test_incident_alarm_remediation_records(self, day) -> None:
+    def test_incident_alarm_remediation_records(
+        self, day, metrics_rows
+    ) -> None:
         result, observer, _ = day
-        kinds = {r["kind"] for r in observer.records}
+        rows = metrics_rows(observer)
+        kinds = {r["kind"] for r in rows}
         assert {"incident", "alarm", "remediation"} <= kinds
-        incidents = [
-            r for r in observer.records if r["kind"] == "incident"
-        ]
+        incidents = [r for r in rows if r["kind"] == "incident"]
         assert sorted(r["incident_kind"] for r in incidents) == sorted(
             INCIDENT_KINDS
         )

@@ -28,25 +28,25 @@ class TestDisabledObserver:
         tracer = TimelineTracer()
         tracer.record("t", "cpu", 0.0, 1.0)
         assert obs.observe_tracer("p", tracer) == 0
-        assert obs.records == []
         assert len(obs.metrics) == 0
         assert len(obs.trace) == 0
         assert obs.finalize() == []
 
 
 class TestEnabledObserver:
-    def test_records_carry_kind(self, tmp_path) -> None:
+    def test_records_carry_kind(self, tmp_path, metrics_rows) -> None:
         obs = RunObserver(ObsConfig(metrics_path=tmp_path / "m.jsonl"))
         obs.record("tick", time=1.0, action="nop")
-        assert obs.records == [{"kind": "tick", "time": 1.0, "action": "nop"}]
+        assert metrics_rows(obs) == [
+            {"kind": "tick", "time": 1.0, "action": "nop"}
+        ]
 
-    def test_record_cleans_non_json_values(self, tmp_path) -> None:
+    def test_record_cleans_non_json_values(self, tmp_path, metrics_rows) -> None:
         obs = RunObserver(ObsConfig(metrics_path=tmp_path / "m.jsonl"))
         obs.record("run", cores=frozenset({2, 1}), path=tmp_path)
-        row = obs.records[0]
+        row = metrics_rows(obs)[0]
         assert sorted(row["cores"]) == [1, 2]
-        assert isinstance(row["path"], str)
-        json.dumps(row)
+        assert row["path"] == str(tmp_path)
 
     def test_finalize_writes_all_outputs(self, tmp_path) -> None:
         obs = RunObserver(
@@ -102,7 +102,9 @@ class TestEnabledObserver:
 
 
 class TestColocationExport:
-    def test_record_colocation_emits_streams(self, tmp_path) -> None:
+    def test_record_colocation_emits_streams(
+        self, tmp_path, metrics_rows
+    ) -> None:
         from repro.experiments.common import MixConfig, run_colocation
 
         obs = RunObserver(
@@ -114,14 +116,15 @@ class TestColocationExport:
             observer=obs,
             label="unit-mix",
         )
+        rows = metrics_rows(obs)
         kinds: dict[str, int] = {}
-        for row in obs.records:
+        for row in rows:
             kinds[row["kind"]] = kinds.get(row["kind"], 0) + 1
         assert kinds.get("run") == 1
         assert kinds.get("solver_stats") == 1
         assert kinds.get("tick", 0) > 0
         assert kinds.get("telemetry", 0) > 0
-        tick = next(r for r in obs.records if r["kind"] == "tick")
+        tick = next(r for r in rows if r["kind"] == "tick")
         assert {"time", "action_hi", "action_lo", "backfill_cores",
                 "lo_cores", "lo_prefetchers"} <= set(tick)
         assert obs.metrics.counter("colocation.controller_ticks").value > 0

@@ -1,8 +1,9 @@
-"""The buffered streaming JSONL writer vs the in-memory default."""
+"""The streaming JSONL writer behind every observer's record stream."""
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 from repro.obs import ObsConfig, RunObserver
 
@@ -14,23 +15,6 @@ def _emit(obs: RunObserver, rows: int) -> None:
 
 
 class TestStreamingWriter:
-    def test_file_identical_to_buffered_path(self, tmp_path) -> None:
-        buffered = RunObserver(
-            ObsConfig(metrics_path=tmp_path / "buffered.jsonl"), name="a"
-        )
-        streamed = RunObserver(
-            ObsConfig(metrics_path=tmp_path / "streamed.jsonl"),
-            name="b",
-            flush_every=7,
-        )
-        for obs in (buffered, streamed):
-            _emit(obs, 100)
-            obs.finalize()
-        assert (
-            (tmp_path / "buffered.jsonl").read_bytes()
-            == (tmp_path / "streamed.jsonl").read_bytes()
-        )
-
     def test_rows_reach_disk_before_finalize(self, tmp_path) -> None:
         path = tmp_path / "m.jsonl"
         obs = RunObserver(
@@ -39,7 +23,6 @@ class TestStreamingWriter:
         _emit(obs, 25)
         # Two full batches flushed; the 5-row tail is still pending.
         assert sum(1 for _ in path.open()) == 20
-        assert obs.records == []  # streamed rows are not retained
         obs.finalize()
         rows = [json.loads(line) for line in path.open()]
         assert sum(1 for r in rows if r["kind"] == "tick") == 25
@@ -60,12 +43,24 @@ class TestStreamingWriter:
         assert [row["seq"] for row in ticks] == list(range(11))
 
     def test_no_metrics_path_ignores_flush_every(self, tmp_path) -> None:
+        # Without a metrics file the rows have nowhere to go: recording
+        # them must not grow the observer.
         obs = RunObserver(
-            ObsConfig(trace_dir=tmp_path), name="t", flush_every=4
+            ObsConfig(trace_dir=tmp_path / "out"), name="t", flush_every=4
         )
-        obs.record("tick", seq=0)
-        assert obs.records  # in-memory path still active
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _emit(obs, 10_000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 256 * 1024
         obs.finalize()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "t.manifest.json", "trace.json",
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     def test_empty_stream_still_writes_file(self, tmp_path) -> None:
         path = tmp_path / "m.jsonl"

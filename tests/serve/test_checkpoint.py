@@ -293,7 +293,7 @@ class TestCorruptCheckpoint:
 
     _ARGS = [
         "fleet-serve", "--trace-duration", "40", "--trace-rate", "10",
-        "--nodes", "2", "--no-telemetry",
+        "--nodes", "2",
     ]
 
     def test_bit_flips_exit_2_with_one_line(self, tmp_path, capsys) -> None:

@@ -156,7 +156,7 @@ class TestCliObservability:
         code = main([
             "fleet-serve", "--trace-duration", "20", "--trace-rate", "12",
             "--trace-seed", "11", "--nodes", "2", "--seed", "5",
-            "--epoch", "1", "--no-telemetry",
+            "--epoch", "1",
             "--command", "3:evict:search", "--command", "8:admit:search",
             "--summary-json", str(summary),
         ])
@@ -175,7 +175,7 @@ class TestCliObservability:
         base = [
             "fleet-serve", "--trace-duration", "20", "--trace-rate", "12",
             "--trace-seed", "11", "--nodes", "2", "--seed", "5",
-            "--epoch", "1", "--no-telemetry", "--command", "3:evict:search",
+            "--epoch", "1", "--command", "3:evict:search",
         ]
         assert main(base + ["--save", str(ckpt), "--save-at", "6"]) == 0
         saved = capsys.readouterr().out
@@ -237,6 +237,35 @@ class TestCliObservability:
             err = capsys.readouterr().err
             assert err.count("\n") == 1, err
             assert "cannot be combined" in err and extra[0] in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (command, flag, "1")
+            for command in ("fleet-trace", "fleet-serve", "fleet-incidents")
+            for flag in ("--trace-duration", "--trace-rate", "--trace-seed")
+        ]
+        + [
+            ("fleet-trace", flag, value)
+            for flag, value in (
+                ("--diurnal-amplitude", "0.9"), ("--diurnal-peak-hour", "4"),
+                ("--burst-multiplier", "2"), ("--burst-on", "5"),
+                ("--burst-off", "50"), ("--churn-active", "600"),
+                ("--churn-idle", "0"),
+            )
+        ],
+    )
+    def test_generator_flag_refused_with_trace(
+        self, command, flag, value, tmp_path, capsys
+    ) -> None:
+        # The trace file need not exist: the refusal comes before any run.
+        trace = str(tmp_path / "missing.jsonl.gz")
+        assert main([command, "--trace", trace, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert "Traceback" not in captured.err
+        assert "cannot be combined" in captured.err and flag in captured.err
 
     @pytest.mark.parametrize("flag", ["--min-nodes", "--max-nodes"])
     def test_fleet_serve_node_bounds_need_autoscale(self, flag, capsys) -> None:
