@@ -63,6 +63,7 @@ class AcceleratorDevice:
         self._busy = False
         self.busy_time = 0.0
         self.ops_completed = 0
+        self._op_label = f"{spec.name}:op"
 
     @property
     def queue_depth(self) -> int:
@@ -97,7 +98,7 @@ class AcceleratorDevice:
         self.sim.after(
             duration,
             partial(self._finish, duration, on_complete),
-            label=f"{self.spec.name}:op",
+            label=self._op_label,
         )
 
     def _finish(self, duration: float, on_complete: Callable[[], None]) -> None:

@@ -63,27 +63,24 @@ class PcieLink:
 
     # ------------------------------------------------------------ internal
     def _rebalance(self) -> None:
+        """Share the link equally among the (non-empty) active transfers."""
         now = self.sim.now
-        if not self._active:
-            return
         share = self.spec.peak_bw_gbps / len(self._active)
         label = self._xfer_label
         for entry in self._active:
-            entry.work.set_rate(share, now=now)
+            due = entry.work.retime(share, now)
             if entry.handle is not None:
                 entry.handle.cancel()
-            entry.handle = self.sim.after(
-                entry.work.eta(), entry.finisher, label=label
-            )
+            entry.handle = self.sim.at(due, entry.finisher, label=label)
 
     def _finish(self, entry: _Transfer) -> None:
-        entry.work.sync(self.sim.now)
-        if not entry.work.done and not entry.work.retire_residue(
-            now=self.sim.now
-        ):
+        now = self.sim.now
+        entry.work.sync(now)
+        if not entry.work.done and not entry.work.retire_residue(now=now):
             return  # stale event; a newer handle owns completion
         if entry in self._active:
             self._active.remove(entry)
             self.bytes_moved_gb += entry.work.total
             entry.on_complete()
-            self._rebalance()
+            if self._active:
+                self._rebalance()

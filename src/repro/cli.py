@@ -297,6 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fleet_arguments(
         serve, "independent serves under different orchestrator seeds"
     )
+    # Unset shape flags stay None, so a restore can tell a given flag from
+    # a default; the runner's defaults are the other commands' (4 nodes,
+    # KP, least-loaded, rnn1).
+    serve.set_defaults(nodes=None, policy=None, routing=None, ml=None)
     _add_horizon_arguments(serve)
     serve.add_argument(
         "--window", type=float, default=None, metavar="SECONDS",
@@ -314,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "(repeatable)",
     )
     serve.add_argument(
-        "--autoscale", action="store_true",
+        "--autoscale", action="store_true", default=None,
         help="enable the demand-driven autoscaler",
     )
     serve.add_argument(
@@ -442,10 +446,10 @@ def _replay_kwargs(args: argparse.Namespace, observer) -> dict:
         # The runners refuse it only once their trace is built or loaded.
         raise ConfigurationError("trials must be >= 1")
     return dict(
-        trace_path=args.trace, gen=_trace_gen(args), nodes=args.nodes,
-        policy=args.policy, routing=args.routing, ml=args.ml,
+        trace_path=args.trace, gen=_trace_gen(args),
         duration=args.duration, warmup=args.warmup, interval=args.interval,
         trials=args.trials, seed=args.seed, jobs=args.jobs, observer=observer,
+        **_given(args, "nodes", "policy", "routing", "ml"),
     )
 
 
@@ -529,6 +533,8 @@ def _fleet_serve(args: argparse.Namespace, observer) -> list[str]:
             f"--autoscale"
         )
     autoscaler = AutoscalerConfig(**bounds) if args.autoscale else None
+    if args.restore is not None:
+        _refuse_restore_overrides(args)
     result = run_fleet_serve(
         **_replay_kwargs(args, observer), window_s=args.window,
         epoch_s=args.epoch, commands=args.serve_commands,
@@ -552,6 +558,32 @@ def _fleet_serve(args: argparse.Namespace, observer) -> list[str]:
         lines.append(f"wrote {args.summary_json}")
     observer.note_seed("fleet.seed", args.seed)
     return lines
+
+
+def _refuse_restore_overrides(args: argparse.Namespace) -> None:
+    """A restore resumes the checkpoint's fleet shape, horizon and serve
+    plan: refuse any flag that sets one of them to another value."""
+    from repro.serve import checkpoint_meta
+
+    plan = checkpoint_meta(args.restore)["plan"]
+    scaler = plan["autoscaler"] or {}
+    fixed = {
+        "nodes": plan["nodes"], "policy": plan["policy"],
+        "routing": plan["routing"], "ml": plan["ml"], "epoch": plan["epoch_s"],
+        "autoscale": bool(scaler), "min_nodes": scaler.get("min_nodes"),
+        "max_nodes": scaler.get("max_nodes"), "duration": plan["duration"],
+        "warmup": plan["warmup"], "interval": plan["interval"],
+        "window": plan["window_s"],
+    }
+    for dest, value in _given(args, *fixed).items():
+        resolved = value
+        if dest == "duration" and plan["trace_s"] is not None:
+            resolved = min(value, plan["trace_s"])  # as the run clips it
+        if resolved != fixed[dest]:
+            raise ConfigurationError(
+                f"{_flag(dest)} {value} differs from the checkpoint's "
+                f"{fixed[dest]}; --restore resumes the checkpoint's plan"
+            )
 
 
 def _fleet_incidents(args: argparse.Namespace, observer) -> list[str]:

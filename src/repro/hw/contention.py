@@ -32,7 +32,9 @@ bugs (see docs/model.md §"Solve signature invariants").
 There is one memo: a process-wide dict per :class:`MachineSpec`, keyed on
 the signature and shared by every solver built from an equal spec. The
 machine's recompute loop skips the solve entirely when the signature has
-not changed (``Machine.notify_change``). Cache observability flows through
+not changed (``Machine.notify_change``), and a solver's id-keyed signature
+memo keeps the result each signature resolved to, so a repeat solve reads
+it without hashing the signature again. Cache observability flows through
 :class:`SolverStats` (per solver and the module-level aggregate), surfaced
 via ``Machine.solver_stats`` and the experiment harness. Reference mode
 (``REPRO_REFERENCE=1``, see :mod:`repro.reference`) disables the memo for
@@ -44,7 +46,8 @@ from __future__ import annotations
 
 import enum
 import types
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
+from operator import attrgetter
 from typing import Mapping
 
 from repro.errors import ConfigurationError
@@ -125,12 +128,22 @@ GLOBAL_STATS = SolverStats()
 #: :meth:`ContentionSolver.__getstate__`).
 _SOLVE_MEMO: dict[MachineSpec, dict[tuple, "SolveResult"]] = {}
 
+#: Moves whenever any per-spec memo is cleared. A solver's signature-memo
+#: entry keeps the result its signature resolved to and the generation it
+#: was resolved in, and serves it only while the generation stands: the
+#: shared memo then still maps that signature to that very result.
+_generation = 0
+
+_VERSION = attrgetter("version")
+
 
 def clear_shared_cache() -> None:
     """Empty the process-wide solve memo (benchmark/test hook).
 
     Clears each per-spec dict in place, so live solvers stay bound to it.
     """
+    global _generation
+    _generation += 1
     for memo in _SOLVE_MEMO.values():
         memo.clear()
 
@@ -221,7 +234,8 @@ class TrafficSource:
             self.threads,
             self.clos,
             int(self.priority),
-            self.prefetch,
+            # A tuple of floats hashes in C; the frozen profile would not.
+            astuple(self.prefetch),
             self.working_set_mb,
             self.llc_intensity,
             self.llc_miss_traffic_gain,
@@ -369,9 +383,13 @@ class ContentionSolver:
         self._knob_version = 0
         self._knob_sig: tuple | None = None
         #: Whole-signature memo for :meth:`solve_signature`, keyed by
-        #: (source ids, bank version, knob version, LLC versions); values
-        #: pin the source objects (see solve_signature).
-        self._sig_memo: dict[tuple, tuple] = {}
+        #: (source ids, bank version, knob version, LLC versions). Each
+        #: entry is ``[sources, bank, signature, result, generation]``: it
+        #: pins the source objects (see solve_signature), and :meth:`solve`
+        #: fills in the result once the signature resolves.
+        self._sig_memo: dict[tuple, list] = {}
+        #: The entry the last :meth:`solve_signature` call returned from.
+        self._entry: list | None = None
         self._priority_mode = False
         self._mba_caps: dict[int, float] = {}
         self._snc_enabled = False
@@ -386,6 +404,7 @@ class ContentionSolver:
         #: LLC membership is fixed at construction; keep the iteration order
         #: pre-sorted so the per-solve signature build avoids a sort.
         self._llc_sorted = sorted(llcs.items())
+        self._llc_models = tuple(llc for _, llc in self._llc_sorted)
         self._empty_result: SolveResult | None = None
 
     def __getstate__(self) -> dict:
@@ -395,6 +414,7 @@ class ContentionSolver:
         state = self.__dict__.copy()
         del state["_memo"]
         state["_sig_memo"] = {}
+        state["_entry"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -511,11 +531,12 @@ class ContentionSolver:
             tuple(map(id, sources)),
             bank.version,
             self._knob_version,
-            tuple(llc.version for _, llc in self._llc_sorted),
+            tuple(map(_VERSION, self._llc_models)),
         )
         memo = self._sig_memo
         hit = memo.get(key)
         if hit is not None and hit[1] is bank:
+            self._entry = hit
             return hit[2]
         sig = (
             tuple(self.source_signature(s) for s in sources),
@@ -524,7 +545,7 @@ class ContentionSolver:
         )
         if len(memo) >= 128:
             memo.clear()
-        memo[key] = (list(sources), bank, sig)
+        self._entry = memo[key] = [list(sources), bank, sig, None, -1]
         return sig
 
     def note_short_circuit(self) -> None:
@@ -604,6 +625,7 @@ class ContentionSolver:
         machine's recompute loop computes it anyway for its short-circuit
         check); when omitted it is derived here.
         """
+        global _generation
         self.stats.solves += 1
         GLOBAL_STATS.solves += 1
         if not sources:
@@ -615,18 +637,31 @@ class ContentionSolver:
 
         if signature is None:
             signature = self.solve_signature(sources)
+        entry = self._entry
+        if entry is None or entry[2] is not signature:
+            entry = None
+        elif entry[4] == _generation:
+            # The result this signature resolved to, read without hashing
+            # the signature again.
+            self.stats.cache_hits += 1
+            GLOBAL_STATS.cache_hits += 1
+            return entry[3]
         memo = self._memo
         result = memo.get(signature)
         if result is not None:
             self.stats.cache_hits += 1
             GLOBAL_STATS.cache_hits += 1
-            return result
-        self.stats.cache_misses += 1
-        GLOBAL_STATS.cache_misses += 1
-        result = self._solve(sources)
-        if len(memo) >= _SOLVE_MEMO_SIZE:
-            memo.clear()
-        memo[signature] = result
+        else:
+            self.stats.cache_misses += 1
+            GLOBAL_STATS.cache_misses += 1
+            result = self._solve(sources)
+            if len(memo) >= _SOLVE_MEMO_SIZE:
+                memo.clear()
+                _generation += 1
+            memo[signature] = result
+        if entry is not None:
+            entry[3] = result
+            entry[4] = _generation
         return result
 
     def _solve(self, sources: list[TrafficSource]) -> SolveResult:

@@ -61,6 +61,9 @@ class Machine:
         self.solver = ContentionSolver(spec, self.topology, self.prefetchers, self.llcs)
         self.telemetry = TelemetryAccumulator()
         self._tasks: dict[str, AttachedTask] = {}
+        #: ``_tasks``' values, rebuilt on attach and detach, so a recompute
+        #: round copies nothing.
+        self._task_order: tuple[AttachedTask, ...] = ()
         self._state: SolveResult = empty_solve_result(spec)
         self._in_recompute = False
         self._dirty = False
@@ -111,6 +114,7 @@ class Machine:
         if task.task_id in self._tasks:
             raise TopologyError(f"task {task.task_id!r} already attached")
         self._tasks[task.task_id] = task
+        self._task_order = tuple(self._tasks.values())
         self.notify_change()
 
     def detach(self, task_id: str) -> None:
@@ -118,6 +122,7 @@ class Machine:
         if task_id not in self._tasks:
             raise TopologyError(f"task {task_id!r} not attached")
         del self._tasks[task_id]
+        self._task_order = tuple(self._tasks.values())
         self.notify_change()
 
     def tasks(self) -> list[AttachedTask]:
@@ -182,7 +187,7 @@ class Machine:
                     )
                 self._dirty = False
                 now = self.sim.now
-                tasks = list(self._tasks.values())
+                tasks = self._task_order
                 if now != self._synced_at:
                     # Fluid progress only accrues as simulated time advances;
                     # repeat rounds at one instant skip the whole sync pass.

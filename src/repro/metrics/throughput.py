@@ -29,7 +29,7 @@ class ThroughputMeter:
         """Integrate at the current rate up to ``now``."""
         if now < self._last_sync - 1e-9:
             raise MeasurementError(f"sync backwards: {now} < {self._last_sync}")
-        span = max(0.0, now - self._last_sync)
+        span = now - self._last_sync
         if span > 0:
             start = self._last_sync
             if (

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, ExperimentError
@@ -40,7 +41,7 @@ if TYPE_CHECKING:
     from repro.traces.schema import Trace
 
 #: Checkpoint container format tag; bump on any incompatible change.
-CHECKPOINT_FORMAT = "repro-serve-checkpoint/v5"
+CHECKPOINT_FORMAT = "repro-serve-checkpoint/v6"
 
 #: Ends a checkpoint file, followed by the SHA-256 (hex) of the container
 #: before it.
@@ -281,18 +282,37 @@ class FleetService:
         """Checkpoint the live service to ``path``; returns the metadata.
 
         The file is a pickled container: a small metadata dict (format
-        tag, epoch, simulated time, trace digest) plus the pickled service
-        graph as an opaque payload, so a restorer can validate
-        compatibility before deserializing simulator state. A
+        tag, epoch, simulated time, trace digest, and the plan the service
+        runs: fleet shape, horizon, epoch length and autoscaler bounds)
+        plus the pickled service graph as an opaque payload, so a restorer
+        can validate compatibility before deserializing simulator state. A
         SHA-256 of the container follows it, so a damaged file is refused
         before any of it is unpickled.
         """
         self._require_live()
+        config = self.config
+        trace = self.orchestrator._trace
         meta = {
             "format": CHECKPOINT_FORMAT,
             "epoch": self.epoch,
             "time_s": self.time_s,
             "trace_digest": self.trace_digest,
+            "plan": {
+                "nodes": config.nodes,
+                "policy": config.policy,
+                "routing": config.routing,
+                "ml": config.ml,
+                "duration": config.duration,
+                "warmup": config.warmup,
+                "interval": config.interval,
+                "window_s": config.window_s,
+                "epoch_s": self.epoch_s,
+                "autoscaler": (
+                    None if self.autoscaler is None
+                    else asdict(self.autoscaler.config)
+                ),
+                "trace_s": None if trace is None else trace.duration_s,
+            },
         }
         blob = dict(meta)
         blob["payload"] = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)

@@ -126,6 +126,11 @@ class Simulator:
         return self._dispatched
 
     @property
+    def scheduled_events(self) -> int:
+        """Total events scheduled so far: the sequence counter."""
+        return self._sequence
+
+    @property
     def pending_events(self) -> int:
         """Events currently in the heap, including dead (cancelled) ones."""
         return len(self._heap)
@@ -260,6 +265,9 @@ class Simulator:
                         self._cancelled_pending -= 1
                     continue
                 self._now = event.time
+                # Out of the heap now: a later cancel() of this handle must
+                # not count a heap tombstone.
+                event.on_cancel = None
                 event.callback()
                 self._dispatched += 1
                 if budget is not None:

@@ -14,9 +14,10 @@ class FluidWork:
     """A quantity of work draining at a piecewise-constant rate.
 
     The owner is responsible for calling :meth:`sync` whenever the rate may
-    have changed (the :class:`~repro.sim.engine.Simulator` rate-listener hook
-    does this), then :meth:`set_rate` with the new rate. Between syncs the
-    rate is constant, so completion time is analytic.
+    have changed (:meth:`~repro.hw.machine.Machine.notify_change` pushes new
+    rates to every task), then :meth:`set_rate` or :meth:`retime` with the
+    new rate. Between syncs the rate is constant, so completion time is
+    analytic.
     """
 
     __slots__ = ("_remaining", "_rate", "_last_sync", "total")
@@ -61,10 +62,21 @@ class FluidWork:
 
     def set_rate(self, rate: float, *, now: float) -> None:
         """Sync to ``now`` and switch to a new drain ``rate`` (>= 0)."""
+        self.retime(rate, now)
+
+    def retime(self, rate: float, now: float) -> float:
+        """Sync to ``now``, switch to a new drain ``rate`` (>= 0), and return
+        the absolute completion instant at that rate (``inf`` if stalled):
+        the float ``Simulator.after(eta())`` would schedule at."""
         if rate < 0:
             raise SimulationError(f"negative rate {rate}")
         self.sync(now)
         self._rate = rate
+        if self._remaining <= _EPSILON:
+            return now
+        if rate <= 0.0:
+            return math.inf
+        return now + self._remaining / rate
 
     def retire_residue(self, *, now: float) -> bool:
         """Zero out sub-resolution float residue at a completion event.

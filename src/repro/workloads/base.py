@@ -105,11 +105,13 @@ class Task:
         #: no progress (the freezer/empty-cpuset state a controller puts a
         #: task in when it throttles it to zero cores).
         self.parked = False
-        #: (profile, suffix, demand_scale) -> TrafficSource. Sources are
+        #: (id(profile), suffix, demand_scale) -> (TrafficSource, profile);
+        #: the entry pins the profile, which keeps its id valid. Sources are
         #: immutable and derive only from the profile and the placement, so
         #: reusing instances keeps their memoized canonical keys warm across
         #: solves; cleared whenever the placement (or parked state) changes.
-        self._source_cache: dict[tuple, TrafficSource] = {}
+        #: Subclasses may keep entries of their own here.
+        self._source_cache: dict = {}
         #: Subclasses' phase-speed memo, keyed on ``id()`` of the solve result
         #: (and profile). The solver cache interns results, so the same few
         #: identities recur; each entry pins the objects its key names, which
@@ -117,11 +119,13 @@ class Task:
         self._speed_memo: dict = {}
 
     def __getstate__(self) -> dict:
-        """Pickle without the speed memo: its ``id()`` keys would name other
-        objects once unpickled, and they differ from run to run, which would
-        make checkpoint bytes unrepeatable."""
+        """Pickle without the speed memo and the source cache: their
+        ``id()`` keys would name other objects once unpickled, and they
+        differ from run to run, which would make checkpoint bytes
+        unrepeatable."""
         state = self.__dict__.copy()
         state["_speed_memo"] = {}
+        state["_source_cache"] = {}
         return state
 
     # ----------------------------------------------------------- placement
@@ -191,10 +195,10 @@ class Task:
         object for the same (profile, placement) makes repeat signature
         computations nearly free.
         """
-        key = (profile, suffix, demand_scale)
+        key = (id(profile), suffix, demand_scale)
         cached = self._source_cache.get(key)
         if cached is not None:
-            return cached
+            return cached[0]
         source = TrafficSource(
             source_id=f"{self.task_id}:{suffix}",
             task_id=self.task_id,
@@ -212,5 +216,5 @@ class Task:
             smt_aggression=profile.smt_aggression,
             smt_sensitivity=profile.smt_sensitivity,
         )
-        self._source_cache[key] = source
+        self._source_cache[key] = (source, profile)
         return source

@@ -76,7 +76,12 @@ class BatchTask(Task):
     def traffic_sources(self) -> list[TrafficSource]:
         if not self.started or self.parked:
             return []
-        return [self._make_source(self.profile.phase)]
+        # One list for every solve, dropped with the rest of the cache.
+        sources = self._source_cache.get("phase")
+        if sources is None:
+            sources = [self._make_source(self.profile.phase)]
+            self._source_cache["phase"] = sources
+        return sources
 
     def sync(self, now: float) -> None:
         self.meter.sync(now)

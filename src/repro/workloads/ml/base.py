@@ -19,9 +19,11 @@ separation Fig 3 demonstrates.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 from repro.accel.device import AcceleratorDevice, OpCost
@@ -367,10 +369,16 @@ class _Lane:
     demand: float = 1.0
     iteration: int = 0
     work: FluidWork | None = None
-    handle: Event | None = None
-    #: Completion callback, built once per lane so rate-change reschedules
-    #: don't allocate a fresh closure each time.
-    finisher: Callable[[], None] | None = None
+    #: When the host phase completes at the current rate; ``inf`` outside a
+    #: host phase, before its first rate push and while stalled.
+    due: float = math.inf
+    #: The server's due-change count when ``due`` was last set: lanes due at
+    #: one instant complete in stamp order.
+    stamp: int = 0
+
+
+#: Host lanes order by due instant, then stamp.
+_DUE_ORDER = attrgetter("due", "stamp")
 
 
 class InferenceServerTask(Task):
@@ -400,6 +408,12 @@ class InferenceServerTask(Task):
         self._lanes: set[_Lane] = set()
         self._host_lanes: set[_Lane] = set()
         self._host_speed = 1.0
+        #: The one pending host-phase completion event, for ``_armed``, the
+        #: lane due first.
+        self._host_event: Event | None = None
+        self._armed: _Lane | None = None
+        #: Lane due changes so far (the next stamp).
+        self._stamps = 0
         #: demand multiplier -> scaled OpCost. Demands come from a small set
         #: of trace job families, so this stays a handful of entries.
         self._op_memo: dict[float, OpCost] = {}
@@ -440,17 +454,19 @@ class InferenceServerTask(Task):
         """Kill the server mid-flight: every queued and in-flight request
         is dropped without completing (a node crash, not a drain).
 
-        Host-phase completion events are cancelled here; continuations an
+        The host-phase completion event is cancelled here; continuations an
         in-flight lane already registered with the PCIe links or the
         accelerator queue still fire, but the stopped-server guards in the
         pipeline stages turn them into no-ops, so no completion is ever
         reported for an aborted request.
         """
-        for lane in list(self._lanes):
-            if lane.handle is not None:
-                lane.handle.cancel()
-                lane.handle = None
+        if self._host_event is not None:
+            self._host_event.cancel()
+            self._host_event = None
+        self._armed = None
+        for lane in self._host_lanes:
             lane.work = None
+            lane.due = math.inf
         self._lanes.clear()
         had_host = bool(self._host_lanes)
         self._host_lanes.clear()
@@ -488,7 +504,7 @@ class InferenceServerTask(Task):
         return [source]
 
     def sync(self, now: float) -> None:
-        # Deliberately lazy: lane works self-sync inside every ``set_rate``
+        # Deliberately lazy: lane works self-sync inside every ``retime``
         # and at completion, and nothing reads their remaining work between
         # rate changes, so eager integration here would be pure overhead.
         pass
@@ -510,18 +526,16 @@ class InferenceServerTask(Task):
         # Safe to iterate the live set: nothing below mutates membership
         # (completion callbacks only run from the event loop, never inline).
         for lane in self._host_lanes:
-            if lane.work is None:
+            if unchanged and lane.due != math.inf:
+                # This lane already runs at ``speed``, so its due instant
+                # is exact.
                 continue
-            if (
-                unchanged
-                and lane.handle is not None
-                and not lane.handle.cancelled
-            ):
-                # This lane already runs at ``speed`` with a valid pending
-                # completion event — both its rate and event time are exact.
-                continue
-            lane.work.set_rate(speed, now=now)
-            self._reschedule(lane)
+            due = lane.work.retime(speed, now)
+            if due != lane.due:
+                lane.due = due
+                lane.stamp = self._stamps
+                self._stamps += 1
+        self._arm()
 
     # ------------------------------------------------------------- metrics
     def performance(self, measurement_end: float) -> float:
@@ -535,7 +549,6 @@ class InferenceServerTask(Task):
     # ------------------------------------------------------------ internal
     def _start_lane(self, request_start: float, demand: float = 1.0) -> None:
         lane = _Lane(request_start=request_start, demand=demand)
-        lane.finisher = partial(self._host_complete, lane)
         self._lanes.add(lane)
         self._enter_host(lane)
 
@@ -562,46 +575,50 @@ class InferenceServerTask(Task):
             self.tracer.begin(self.task_id, "cpu", self.sim.now)
         self.machine.notify_change()
 
-    def _reschedule(self, lane: _Lane) -> None:
-        if lane.work is None:
-            if lane.handle is not None:
-                lane.handle.cancel()
-                lane.handle = None
-            return
-        eta = lane.work.eta()
-        if eta == float("inf"):
-            if lane.handle is not None:
-                lane.handle.cancel()
-                lane.handle = None
-            return
-        if (
-            lane.handle is not None
-            and not lane.handle.cancelled
-            and lane.handle.time == self.sim.now + eta
-        ):
-            # Unchanged completion instant — keep the pending event.
-            return
-        if lane.handle is not None:
-            lane.handle.cancel()
-        lane.handle = self.sim.after(eta, lane.finisher, label=self._lane_label)
+    def _arm(self) -> None:
+        """Hold the completion event for the lane due first.
 
-    def _host_complete(self, lane: _Lane) -> None:
-        if lane.work is None:
-            return
-        lane.work.sync(self.sim.now)
-        if not lane.work.done and not lane.work.retire_residue(
-            now=self.sim.now
-        ):
-            self._reschedule(lane)
+        Ties go to the lower stamp, the order in which one event per lane
+        would fire. The pending event is kept while the same lane stays
+        first at the same instant.
+        """
+        first = min(self._host_lanes, key=_DUE_ORDER, default=None)
+        if first is not None and first.due == math.inf:
+            first = None
+        event = self._host_event
+        if event is not None:
+            if first is self._armed and event.time == first.due:
+                return
+            event.cancel()
+        self._armed = first
+        self._host_event = None
+        if first is not None:
+            self._host_event = self.sim.at(
+                first.due, self._host_phase_done, label=self._lane_label
+            )
+
+    def _host_phase_done(self) -> None:
+        """The armed lane's event: end its host phase, or re-arm when a
+        residue above rounding noise is left."""
+        lane = self._armed
+        self._host_event = None
+        self._armed = None
+        now = self.sim.now
+        work = lane.work
+        work.sync(now)
+        if not work.done and not work.retire_residue(now=now):
+            lane.due = now + work.eta()
+            lane.stamp = self._stamps
+            self._stamps += 1
+            self._arm()
             return
         lane.work = None
-        if lane.handle is not None:
-            lane.handle.cancel()
-            lane.handle = None
+        lane.due = math.inf
         self._host_lanes.discard(lane)
         if self.tracer is not None and not self._host_lanes:
-            self.tracer.end(self.task_id, "cpu", self.sim.now)
+            self.tracer.end(self.task_id, "cpu", now)
         self.machine.notify_change()
+        self._arm()
         self._enter_pcie_in(lane)
 
     def _enter_pcie_in(self, lane: _Lane) -> None:

@@ -10,6 +10,7 @@ and off, across every paper policy).
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -164,6 +165,49 @@ class TestSolveMemo:
         sig_rev = solver.solve_signature(list(reversed(sources)))
         # Order-sensitivity guarantees bit-identical float summation on hits.
         assert sig_fwd != sig_rev
+
+
+    def test_signature_covers_each_prefetch_field(self) -> None:
+        solver = _solver()
+        base = _sources()[0]
+        for name in ("traffic_gain", "off_demand", "off_speed"):
+            profile = replace(
+                base.prefetch, **{name: getattr(base.prefetch, name) * 0.95}
+            )
+            changed = replace(base, prefetch=profile)
+            assert solver.solve_signature([changed]) != solver.solve_signature(
+                [base]
+            ), name
+
+
+class TestHeldResult:
+    """A signature-memo entry serves the result its signature resolved to
+    only while the shared memo still holds that result."""
+
+    def test_repeat_solve_reads_the_held_result(self) -> None:
+        solver = _solver()
+        sources = _sources()
+        first = solver.solve(sources)
+        assert solver._entry[3] is first
+        assert solver.solve(sources) is first
+        assert solver.stats.cache_hits == 1
+
+    def test_size_clear_turns_a_held_result_into_a_miss(
+        self, monkeypatch
+    ) -> None:
+        monkeypatch.setattr(contention, "_SOLVE_MEMO_SIZE", 2)
+        solver = _solver()
+        ml, cpu = _sources()
+        solver.solve([ml])
+        solver.solve([cpu])
+        solver.solve([ml, cpu])  # the memo is full: cleared, then filled
+        assert len(solver._memo) == 1
+        assert solver.stats.cache_misses == 3
+        solver.solve([ml])  # its held result predates the clear
+        assert solver.stats.cache_misses == 4
+        assert solver.stats.cache_hits == 0
+        solver.solve([ml])
+        assert solver.stats.cache_hits == 1
 
 
 class TestMbaCapSetter:

@@ -221,24 +221,27 @@ class TestValidation:
         service.step()
         service.save(str(path))
         blob = pickle.loads(path.read_bytes())
-        assert blob["format"] == CHECKPOINT_FORMAT == "repro-serve-checkpoint/v5"
+        assert blob["format"] == CHECKPOINT_FORMAT == "repro-serve-checkpoint/v6"
         blob["format"] = "repro-serve-checkpoint/v1"
         path.write_bytes(_sealed(pickle.dumps(blob)))
-        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v5"):
+        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v6"):
             FleetService.restore(str(path), trace=trace)
         # A real v1 or v3 payload names classes that no longer exist; the
         # format check must refuse it before ``pickle.loads`` can hit them.
         # A v3 file also ends in the v3 digest trailer. A v4 payload still
         # unpickles, but without the simulator's event counter and with
-        # the old fleet books, so it too must be refused by its tag.
+        # the old fleet books, so it too must be refused by its tag, and so
+        # must a v5 payload, whose inference lanes each hold their own
+        # host-phase event.
         v1 = b"crepro.hw.contention\n_KnobDict\n."
         v3 = b"crepro.core.kelp\nKelpRuntime\n."
         with pytest.raises(AttributeError):
             pickle.loads(v1)
         with pytest.raises(ModuleNotFoundError):
             pickle.loads(v3)
-        v3_mark = _DIGEST_MARK.replace(b"/v5 ", b"/v3 ")
-        v4_mark = _DIGEST_MARK.replace(b"/v5 ", b"/v4 ")
+        v3_mark = _DIGEST_MARK.replace(b"/v6 ", b"/v3 ")
+        v4_mark = _DIGEST_MARK.replace(b"/v6 ", b"/v4 ")
+        v5_mark = _DIGEST_MARK.replace(b"/v6 ", b"/v5 ")
         stale = [
             _sealed(pickle.dumps({**blob, "payload": v1})),
             _sealed(
@@ -251,10 +254,14 @@ class TestValidation:
                 pickle.dumps({**blob, "format": "repro-serve-checkpoint/v4"}),
                 v4_mark,
             ),
+            _sealed(
+                pickle.dumps({**blob, "format": "repro-serve-checkpoint/v5"}),
+                v5_mark,
+            ),
         ]
         for raw in stale:
             path.write_bytes(raw)
-            message = "not a repro-serve-checkpoint/v5 checkpoint"
+            message = "not a repro-serve-checkpoint/v6 checkpoint"
             with pytest.raises(ConfigurationError, match=message):
                 FleetService.restore(str(path), trace=trace)
             with pytest.raises(ConfigurationError, match=message):
@@ -280,7 +287,7 @@ class TestValidation:
         corrupt.write_bytes(_sealed(b"this is not a pickle"))
         with pytest.raises(
             ConfigurationError,
-            match=r"not a repro-serve-checkpoint/v5 checkpoint \(UnpicklingError\)",
+            match=r"not a repro-serve-checkpoint/v6 checkpoint \(UnpicklingError\)",
         ):
             FleetService.restore(str(corrupt))
         with pytest.raises(ConfigurationError, match="UnpicklingError"):

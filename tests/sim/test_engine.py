@@ -200,6 +200,43 @@ class TestHeapCompaction:
         sim.run_until(10.0)
         assert sim.dispatched_events == 3
 
+    def test_scheduled_events_counts(self, sim: Simulator) -> None:
+        for t in (1.0, 2.0, 3.0):
+            sim.at(t, lambda: None).cancel()
+        assert sim.scheduled_events == 3
+
+    def test_cancelling_a_fired_event_counts_no_tombstone(
+        self, sim: Simulator
+    ) -> None:
+        fired = sim.at(1.0, lambda: None)
+        sim.at(2.0, lambda: None)
+        sim.run_until(1.5)
+        fired.cancel()
+        assert sim.cancelled_pending == 0
+
+    def test_tombstones_counted_exactly_after_rnn1_colocation(
+        self, monkeypatch
+    ) -> None:
+        from repro.experiments import common
+
+        sims: list[Simulator] = []
+
+        class Recording(Simulator):
+            def __init__(self) -> None:
+                super().__init__()
+                sims.append(self)
+
+        monkeypatch.setattr(common, "Simulator", Recording)
+        common.run_colocation(
+            common.MixConfig(
+                ml="rnn1", policy="KP", cpu="stream", intensity=12, duration=8.0
+            )
+        )
+        assert sims
+        for sim in sims:
+            tombstones = sum(1 for entry in sim._heap if entry[3].cancelled)
+            assert sim.cancelled_pending == tombstones
+
 
 class TestPickling:
     def test_fresh_process_keeps_tie_break_order(self, tmp_path) -> None:

@@ -32,6 +32,14 @@ class TestFluidWork:
         work.set_rate(4.0, now=2.0)  # 6 remaining at t=2
         assert work.eta() == pytest.approx(1.5)
 
+    def test_retime_returns_the_due_instant(self) -> None:
+        work = FluidWork(10.0)
+        assert work.retime(0.0, now=1.0) == math.inf  # stalled
+        assert work.retime(2.0, now=1.0) == 1.0 + work.eta() == 6.0
+        assert work.retime(4.0, now=3.0) == 4.5  # 6 remaining at t=3
+        assert work.retime(4.0, now=4.5) == 4.5  # done: due now
+        assert work.done
+
     def test_done_at_zero(self) -> None:
         work = FluidWork(1.0)
         work.set_rate(1.0, now=0.0)

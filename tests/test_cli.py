@@ -280,3 +280,78 @@ class TestCliObservability:
         assert code == 2
         err = capsys.readouterr().err
         assert "scenario file not found" in err
+
+
+_SERVE = [
+    "fleet-serve", "--trace-duration", "20", "--trace-rate", "12",
+    "--trace-seed", "11", "--nodes", "2", "--seed", "5", "--epoch", "1",
+]
+
+
+@pytest.fixture(scope="module")
+def serve_checkpoints(tmp_path_factory) -> dict[str, str]:
+    """Checkpoints of the same serve with and without the autoscaler."""
+    root = tmp_path_factory.mktemp("serve")
+    paths = {"plain": str(root / "plain.bin"), "scaled": str(root / "scaled.bin")}
+    save = ["--save-at", "6", "--save"]
+    assert main(_SERVE + save + [paths["plain"]]) == 0
+    scaled = ["--autoscale", "--min-nodes", "2"]
+    assert main(_SERVE + scaled + save + [paths["scaled"]]) == 0
+    return paths
+
+
+class TestFleetServeRestoreFlags:
+    """A restore resumes the checkpoint's fleet shape, horizon and plan, so
+    each flag that sets one of them must match it or be left out."""
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("plain", ["--nodes", "5"]),
+            ("plain", ["--policy", "BL"]),
+            ("plain", ["--routing", "random"]),
+            ("plain", ["--ml", "cnn1"]),
+            ("plain", ["--epoch", "4"]),
+            ("plain", ["--autoscale"]),
+            ("scaled", ["--autoscale", "--min-nodes", "3"]),
+            ("scaled", ["--autoscale", "--max-nodes", "3"]),
+            ("plain", ["--duration", "10"]),
+            ("plain", ["--warmup", "0.25"]),
+            ("plain", ["--interval", "3"]),
+            ("plain", ["--window", "7"]),
+        ],
+    )
+    def test_conflicting_flag_exits_2(
+        self, kind, extra, serve_checkpoints, capsys
+    ) -> None:
+        capsys.readouterr()
+        args = _SERVE + extra + ["--restore", serve_checkpoints[kind]]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert "Traceback" not in captured.err
+        # The flag, the value given, and the checkpoint's value.
+        given = " ".join(extra[-2:]) if len(extra) > 1 else "--autoscale True"
+        assert given in captured.err and "the checkpoint's" in captured.err
+
+    @pytest.mark.parametrize("kind", ["plain", "scaled"])
+    def test_the_checkpoints_own_values_pass(
+        self, kind, serve_checkpoints, capsys
+    ) -> None:
+        from repro.serve import checkpoint_meta
+
+        path = serve_checkpoints[kind]
+        plan = checkpoint_meta(path)["plan"]
+        own = [
+            "--policy", plan["policy"], "--routing", plan["routing"],
+            "--ml", plan["ml"], "--warmup", str(plan["warmup"]),
+            "--interval", str(plan["interval"]),
+            "--window", str(plan["window_s"]),
+            # Past the trace, which the run clips it to, as the save did.
+            "--duration", "500",
+        ]
+        if plan["autoscaler"] is not None:
+            own += ["--autoscale", "--min-nodes", "2", "--max-nodes", "16"]
+        assert main(_SERVE + own + ["--restore", path]) == 0
+        assert "fleet-serve:" in capsys.readouterr().out

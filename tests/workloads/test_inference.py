@@ -8,6 +8,7 @@ from repro.errors import WorkloadError
 from repro.hw.machine import Machine
 from repro.hw.placement import Placement
 from repro.hw.spec import tpu_host_spec
+from repro.reference import reference_mode
 from repro.sim import Simulator
 from repro.sim.tracing import TimelineTracer
 from repro.workloads.loadgen import ClosedLoopGenerator, SerialGenerator
@@ -89,3 +90,63 @@ class TestSpecHelpers:
         capacity = spec.standalone_capacity(tpu_v1_device(), spec.default_cores)
         assert capacity > 0
         assert spec.target_qps(tpu_v1_device(), spec.default_cores) < capacity
+
+
+def _live_lane_events(sim: Simulator, server) -> int:
+    label = f"{server.task_id}:lane"
+    return sum(
+        1 for _, _, _, event in sim._heap
+        if event.label == label and not event.cancelled
+    )
+
+
+class TestHostLaneEvent:
+    """The server holds one pending host-phase completion event, for the
+    lane due first, however many lanes are in their host phase."""
+
+    def test_one_live_event_while_host_phases_overlap(self, sim: Simulator) -> None:
+        machine, server = make_server(sim)
+        ClosedLoopGenerator(server, concurrency=6).start()
+        overlapping = 0
+        for step in range(1, 200):
+            sim.run_until(step * 1e-3)
+            if len(server._host_lanes) >= 2:
+                overlapping += 1
+                assert _live_lane_events(sim, server) == 1
+        assert overlapping > 50
+
+    def test_abort_leaves_no_lane_event(self, sim: Simulator) -> None:
+        machine, server = make_server(sim)
+        for _ in range(4):
+            server.submit()
+        sim.run_until(1e-3)
+        assert len(server._host_lanes) == 4
+        assert _live_lane_events(sim, server) == 1
+        server.abort()
+        assert _live_lane_events(sim, server) == 0
+
+    def test_kp_cell_work_pin(self, monkeypatch) -> None:
+        """One rnn1+stream KP cell dispatches and solves exactly what one
+        event per lane did, and schedules far fewer events (22,998 with one
+        event per lane)."""
+        from repro.experiments import common
+
+        sims: list[Simulator] = []
+
+        class Recording(Simulator):
+            def __init__(self) -> None:
+                super().__init__()
+                sims.append(self)
+
+        monkeypatch.setattr(common, "Simulator", Recording)
+        result = common.run_colocation(
+            common.MixConfig(
+                ml="rnn1", policy="KP", cpu="stream", intensity=12, duration=10.0
+            )
+        )
+        cell = sims[0]
+        assert result.events_dispatched == cell.dispatched_events == 11_188
+        # Reference mode has no signature short-circuit: one more solve.
+        solves = 5_602 if reference_mode() else 5_601
+        assert result.solver_stats["solves"] == solves
+        assert cell.scheduled_events <= 14_100
