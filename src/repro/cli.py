@@ -297,10 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fleet_arguments(
         serve, "independent serves under different orchestrator seeds"
     )
-    # Unset shape flags stay None, so a restore can tell a given flag from
-    # a default; the runner's defaults are the other commands' (4 nodes,
-    # KP, least-loaded, rnn1).
-    serve.set_defaults(nodes=None, policy=None, routing=None, ml=None)
+    # Unset shape flags and seed stay None, so a restore can tell a given
+    # flag from a default; the runner's defaults are the other commands' (4
+    # nodes, KP, least-loaded, rnn1, seed 0).
+    serve.set_defaults(nodes=None, policy=None, routing=None, ml=None, seed=None)
     _add_horizon_arguments(serve)
     serve.add_argument(
         "--window", type=float, default=None, metavar="SECONDS",
@@ -535,6 +535,8 @@ def _fleet_serve(args: argparse.Namespace, observer) -> list[str]:
     autoscaler = AutoscalerConfig(**bounds) if args.autoscale else None
     if args.restore is not None:
         _refuse_restore_overrides(args)
+    if args.seed is None:
+        args.seed = 0
     result = run_fleet_serve(
         **_replay_kwargs(args, observer), window_s=args.window,
         epoch_s=args.epoch, commands=args.serve_commands,
@@ -563,9 +565,16 @@ def _fleet_serve(args: argparse.Namespace, observer) -> list[str]:
 def _refuse_restore_overrides(args: argparse.Namespace) -> None:
     """A restore resumes the checkpoint's fleet shape, horizon and serve
     plan: refuse any flag that sets one of them to another value."""
+    from repro.parallel import point_seed
     from repro.serve import checkpoint_meta
 
     plan = checkpoint_meta(args.restore)["plan"]
+    if args.seed is not None and point_seed(args.seed, 0) != plan["seed"]:
+        raise ConfigurationError(
+            f"--seed {args.seed} derives trial seed {point_seed(args.seed, 0)}, "
+            f"not the checkpoint's {plan['seed']}; --restore resumes the "
+            f"checkpoint's plan"
+        )
     scaler = plan["autoscaler"] or {}
     fixed = {
         "nodes": plan["nodes"], "policy": plan["policy"],

@@ -293,34 +293,29 @@ class CoreThrottleGovernor:
         )
 
 
-class MbaGovernor:
-    """MBA: feedback control over one CLOS's memory-bandwidth throttle.
+#: resctrl class of service holding the MBA-throttled low-priority tasks.
+LO_CLOS = 2
+#: MBA exposes coarse steps; we use 10 % granularity like real hardware.
+MBA_STEP = 10
+MBA_MIN = 10
+MBA_MAX = 100
 
-    Steps the MB% cap down under bandwidth/latency pressure and back up
-    when both clear, within ``[floor, ceiling]``. The cap is emitted as a
-    knob write only on a non-NOP tick; the
+
+class MbaGovernor:
+    """MBA: feedback control over the ``LO_CLOS`` memory-bandwidth throttle.
+
+    Steps the MB% cap down by ``MBA_STEP`` under bandwidth/latency pressure
+    and back up when both clear, within ``[MBA_MIN, MBA_MAX]``. The cap is
+    emitted as a knob write only on a non-NOP tick; the
     actuator facade's read-back dedup additionally drops re-writes of a
     value already in effect at the clamp bounds.
     """
 
-    def __init__(
-        self,
-        node: "Node",
-        profile: QosProfile,
-        ml_cores: int,
-        clos: int,
-        step: int = 10,
-        floor: int = 10,
-        ceiling: int = 100,
-    ) -> None:
+    def __init__(self, node: "Node", profile: QosProfile, ml_cores: int) -> None:
         self._node = node
         self.profile = profile
         self._ml_cores = ml_cores
-        self._clos = clos
-        self._step = step
-        self._floor = floor
-        self._ceiling = ceiling
-        self.mb_percent = ceiling
+        self.mb_percent = MBA_MAX
 
     def decide(self, m: KelpMeasurements) -> GovernorDecision:
         """One MBA feedback step."""
@@ -329,12 +324,12 @@ class MbaGovernor:
             m.socket_latency
         ):
             action = Action.THROTTLE
-            self.mb_percent = max(self._floor, self.mb_percent - self._step)
+            self.mb_percent = max(MBA_MIN, self.mb_percent - MBA_STEP)
         elif profile.socket_bw.below(m.socket_bw) and profile.socket_latency.below(
             m.socket_latency
         ):
             action = Action.BOOST
-            self.mb_percent = min(self._ceiling, self.mb_percent + self._step)
+            self.mb_percent = min(MBA_MAX, self.mb_percent + MBA_STEP)
         else:
             action = Action.NOP
         spare = len(self._node.accel_socket_cores()[self._ml_cores:])
@@ -347,7 +342,7 @@ class MbaGovernor:
             lo_prefetchers=self.mb_percent,
             backfill_cores=0,
             mb_percent=(
-                (self._clos, self.mb_percent)
+                (LO_CLOS, self.mb_percent)
                 if action is not Action.NOP
                 else None
             ),

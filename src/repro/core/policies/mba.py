@@ -15,7 +15,7 @@ Fig 11/12 encoding) and as an ``("mb_percent", …)`` extra.
 
 from __future__ import annotations
 
-from repro.control.governors import MbaGovernor
+from repro.control.governors import LO_CLOS, MBA_MAX, MbaGovernor
 from repro.core.policies.base import (
     CpuTaskPlan,
     IsolationPolicy,
@@ -25,13 +25,6 @@ from repro.core.policies.base import (
 from repro.hw.placement import Placement
 from repro.workloads.cpu.base import BatchProfile
 
-#: resctrl class of service holding the throttled low-priority tasks.
-LO_CLOS = 2
-#: MBA exposes coarse steps; we use 10 % granularity like real hardware.
-MBA_STEP = 10
-MBA_MIN = 10
-MBA_MAX = 100
-
 
 class MbaPolicy(IsolationPolicy):
     """Feedback control over the low-priority CLOS's MB% throttle."""
@@ -40,15 +33,7 @@ class MbaPolicy(IsolationPolicy):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._governor = MbaGovernor(
-            self.node,
-            self.profile,
-            self.ml_cores,
-            clos=LO_CLOS,
-            step=MBA_STEP,
-            floor=MBA_MIN,
-            ceiling=MBA_MAX,
-        )
+        self._governor = MbaGovernor(self.node, self.profile, self.ml_cores)
         self._make_loop(self._governor, reader="mba")
 
     @classmethod

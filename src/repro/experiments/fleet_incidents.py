@@ -24,7 +24,6 @@ from repro.experiments.fleet_sim import trial_configs
 from repro.experiments.fleet_trace import format_hours, replay_setup
 from repro.fleet.config import FleetConfig
 from repro.fleet.orchestrator import run_fleet
-from repro.incidents.detect import DetectorConfig
 from repro.incidents.engine import IncidentEngine
 from repro.incidents.faults import (
     INCIDENT_KINDS,
@@ -102,7 +101,7 @@ def _run_point(point: tuple[FleetConfig, str]) -> tuple[dict, dict]:
     per-interval telemetry rows are not collected.
     """
     config, mode = point
-    trace, schedule, detector_config = sweep_context()
+    trace, schedule = sweep_context()
     engine = IncidentEngine(
         schedule=(
             schedule
@@ -110,7 +109,6 @@ def _run_point(point: tuple[FleetConfig, str]) -> tuple[dict, dict]:
             else IncidentSchedule(seed=schedule.seed)
         ),
         remediate=(mode == "rem"),
-        detector_config=detector_config,
     )
     result = run_fleet(
         config, collect_telemetry=False, trace=trace, hooks=engine
@@ -198,7 +196,6 @@ def run_fleet_incidents(
     seed: int = 0,
     jobs: int = 1,
     observer: "RunObserver | None" = None,
-    detector_config: DetectorConfig | None = None,
 ) -> FleetIncidentsResult:
     """Run the incident scenario over a trace replay and score it.
 
@@ -249,7 +246,7 @@ def run_fleet_incidents(
         points,
         jobs=jobs,
         base_seed=seed,
-        context=(resolved_trace, resolved_schedule, detector_config),
+        context=(resolved_trace, resolved_schedule),
     )
 
     summaries: list[dict] = []

@@ -480,9 +480,9 @@ class FleetOrchestrator:
         queue.tick(m for m in members if m.alive and m.accepts_batch)
 
     # ----------------------------------------------------------- lifecycle
-    def kill_member(self, index: int, requeue: bool = True) -> int:
+    def kill_member(self, index: int) -> int:
         """Take a member down *cleanly*: fail it, pull it from rotation,
-        and (by default) requeue its batch work on healthy nodes.
+        and requeue its batch work on healthy nodes.
 
         This is the orchestrator-aware death path — the routing table is
         updated immediately, so only the requests already on the node are
@@ -496,17 +496,17 @@ class FleetOrchestrator:
         self.requests_dropped += dropped
         member.in_rotation = False
         member.accepts_batch = False
-        if requeue and self._queue is not None:
+        if self._queue is not None:
             self._queue.requeue_node(member)
         return dropped
 
-    def quarantine_member(self, index: int, requeue: bool = True) -> int:
+    def quarantine_member(self, index: int) -> int:
         """Stop routing traffic and batch work to a member (it may still
         be running — quarantine is reversible). Returns jobs requeued."""
         member = self.members[index]
         member.in_rotation = False
         member.accepts_batch = False
-        if requeue and self._queue is not None:
+        if self._queue is not None:
             return self._queue.requeue_node(member)
         return 0
 

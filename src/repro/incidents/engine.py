@@ -35,7 +35,6 @@ from repro.fleet.routing import Router
 from repro.incidents.detect import (
     Alarm,
     DetectorBank,
-    DetectorConfig,
     FleetView,
     NodeView,
 )
@@ -81,15 +80,9 @@ class _NullRouteRouter(Router):
 class IncidentEngine(FleetHooks):
     """Fault injection, detection and (optional) auto-remediation."""
 
-    def __init__(
-        self,
-        schedule: IncidentSchedule,
-        remediate: bool = False,
-        detector_config: DetectorConfig | None = None,
-    ) -> None:
+    def __init__(self, schedule: IncidentSchedule, remediate: bool = False) -> None:
         self.schedule = schedule
         self.remediate = remediate
-        self._detector_config = detector_config or DetectorConfig()
         #: Per-tick counted counters: ``(time, offered, completed, good)``.
         self.ticks: list[tuple[float, int, int, int]] = []
         #: Every alarm with its ranked candidates, in firing order.
@@ -114,10 +107,7 @@ class IncidentEngine(FleetHooks):
         self._sim = sim
         self._expected_router = orchestrator.router
         self._journal_cursor = {}
-        self._bank = DetectorBank(
-            interval=orchestrator.config.interval,
-            config=self._detector_config,
-        )
+        self._bank = DetectorBank(interval=orchestrator.config.interval)
         if self.remediate:
             assert self._expected_router is not None
             self.remediator = Remediator(

@@ -64,15 +64,11 @@ class Node:
         spec: MachineSpec,
         sim: Simulator,
         accel_socket: int = ACCEL_SOCKET,
-        hi_subdomain: int | None = None,
-        lo_subdomain: int | None = None,
     ) -> "Node":
         """Assemble a node with all host interfaces over a fresh machine.
 
-        ``accel_socket`` selects which socket hosts the accelerator;
-        ``hi_subdomain``/``lo_subdomain`` default to the first and last
-        subdomain of that socket (identical to the historical constants for
-        socket 0 on the two-channel-group presets).
+        ``accel_socket`` selects which socket hosts the accelerator; the
+        high- and low-priority subdomains are that socket's first and last.
         """
         machine = Machine(spec, sim)
         topo = machine.topology
@@ -82,21 +78,6 @@ class Node:
                 f"(machine has {topo.num_sockets} sockets)"
             )
         subdomains = topo.subdomains_of_socket(accel_socket)
-        if hi_subdomain is None:
-            hi_subdomain = subdomains[0]
-        if lo_subdomain is None:
-            lo_subdomain = subdomains[-1]
-        for name, sub in (("hi", hi_subdomain), ("lo", lo_subdomain)):
-            if sub not in subdomains:
-                raise ConfigurationError(
-                    f"{name}_subdomain {sub} does not belong to socket "
-                    f"{accel_socket} (its subdomains: {subdomains})"
-                )
-        if hi_subdomain == lo_subdomain and len(subdomains) > 1:
-            raise ConfigurationError(
-                "hi_subdomain and lo_subdomain must differ on multi-"
-                "subdomain sockets"
-            )
         return cls(
             machine=machine,
             msr=MsrInterface(machine),
@@ -105,8 +86,8 @@ class Node:
             numa=NumaPolicy(machine),
             perf=PerfCounters(machine),
             accel_socket=accel_socket,
-            hi_subdomain=hi_subdomain,
-            lo_subdomain=lo_subdomain,
+            hi_subdomain=subdomains[0],
+            lo_subdomain=subdomains[-1],
         )
 
     @property

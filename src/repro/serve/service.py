@@ -41,7 +41,7 @@ if TYPE_CHECKING:
     from repro.traces.schema import Trace
 
 #: Checkpoint container format tag; bump on any incompatible change.
-CHECKPOINT_FORMAT = "repro-serve-checkpoint/v6"
+CHECKPOINT_FORMAT = "repro-serve-checkpoint/v7"
 
 #: Ends a checkpoint file, followed by the SHA-256 (hex) of the container
 #: before it.
@@ -283,7 +283,8 @@ class FleetService:
 
         The file is a pickled container: a small metadata dict (format
         tag, epoch, simulated time, trace digest, and the plan the service
-        runs: fleet shape, horizon, epoch length and autoscaler bounds)
+        runs: fleet shape, horizon, seed, epoch length and autoscaler
+        bounds)
         plus the pickled service graph as an opaque payload, so a restorer
         can validate compatibility before deserializing simulator state. A
         SHA-256 of the container follows it, so a damaged file is refused
@@ -306,6 +307,7 @@ class FleetService:
                 "warmup": config.warmup,
                 "interval": config.interval,
                 "window_s": config.window_s,
+                "seed": config.seed,
                 "epoch_s": self.epoch_s,
                 "autoscaler": (
                     None if self.autoscaler is None

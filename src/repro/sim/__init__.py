@@ -14,6 +14,8 @@ Public surface:
 * :class:`~repro.sim.events.Event` / :func:`~repro.sim.engine.Simulator.at` /
   :func:`~repro.sim.engine.Simulator.after` — scheduling.
 * :class:`~repro.sim.work.FluidWork` — a drainable quantity of work.
+* :class:`~repro.sim.work.FluidPool` — one owner's fluid works and the one
+  event that completes them.
 * :class:`~repro.sim.tracing.TimelineTracer` — phase-interval traces (Fig 3).
 """
 
@@ -21,10 +23,11 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.sim.gantt import render_gantt
 from repro.sim.tracing import TimelineTracer, TraceInterval
-from repro.sim.work import FluidWork
+from repro.sim.work import FluidPool, FluidWork
 
 __all__ = [
     "Event",
+    "FluidPool",
     "FluidWork",
     "Simulator",
     "TimelineTracer",

@@ -97,8 +97,9 @@ class Simulator:
     breaks ties exactly as the original would have. The simulator
     knows nothing of rates: when shared hardware state changes,
     :meth:`repro.hw.machine.Machine.notify_change` syncs the attached tasks
-    at the old rates, re-solves contention and pushes the new rates, and the
-    tasks reschedule their own completion events.
+    at the old rates, re-solves contention and pushes the new rates, and
+    each task's :class:`~repro.sim.work.FluidPool` re-arms its completion
+    event.
     """
 
     def __init__(self) -> None:

@@ -29,22 +29,17 @@ class TraceInterval:
 
 @dataclass
 class TimelineTracer:
-    """Collects :class:`TraceInterval` records, optionally filtered by track."""
+    """Collects :class:`TraceInterval` records."""
 
-    enabled: bool = True
     intervals: list[TraceInterval] = field(default_factory=list)
     _open: dict[tuple[str, str], tuple[float, str]] = field(default_factory=dict)
 
     def begin(self, track: str, kind: str, now: float, detail: str = "") -> None:
         """Open an interval of ``kind`` on ``track`` at time ``now``."""
-        if not self.enabled:
-            return
         self._open[(track, kind)] = (now, detail)
 
     def end(self, track: str, kind: str, now: float) -> None:
         """Close the matching open interval; silently ignores unmatched ends."""
-        if not self.enabled:
-            return
         opened = self._open.pop((track, kind), None)
         if opened is None:
             return
@@ -57,8 +52,6 @@ class TimelineTracer:
         self, track: str, kind: str, start: float, end: float, detail: str = ""
     ) -> None:
         """Record a complete interval directly."""
-        if not self.enabled:
-            return
         self.intervals.append(
             TraceInterval(track=track, kind=kind, start=start, end=end, detail=detail)
         )

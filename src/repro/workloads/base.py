@@ -105,8 +105,8 @@ class Task:
         #: no progress (the freezer/empty-cpuset state a controller puts a
         #: task in when it throttles it to zero cores).
         self.parked = False
-        #: (id(profile), suffix, demand_scale) -> (TrafficSource, profile);
-        #: the entry pins the profile, which keeps its id valid. Sources are
+        #: id(profile) -> (TrafficSource, profile); the entry pins the
+        #: profile, which keeps its id valid. Sources are
         #: immutable and derive only from the profile and the placement, so
         #: reusing instances keeps their memoized canonical keys warm across
         #: solves; cleared whenever the placement (or parked state) changes.
@@ -185,24 +185,23 @@ class Task:
         raise NotImplementedError
 
     # ------------------------------------------------------------- helpers
-    def _make_source(
-        self, profile: HostPhaseProfile, suffix: str = "host", demand_scale: float = 1.0
-    ) -> TrafficSource:
-        """Build a traffic source for a host phase under this placement.
+    def _make_source(self, profile: HostPhaseProfile) -> TrafficSource:
+        """Build the ``<task_id>:host`` traffic source for a host phase
+        under this placement.
 
         Instances are cached until the placement changes: the solver memoizes
         per-source canonical keys on the instance, so handing it the same
         object for the same (profile, placement) makes repeat signature
         computations nearly free.
         """
-        key = (id(profile), suffix, demand_scale)
+        key = id(profile)
         cached = self._source_cache.get(key)
         if cached is not None:
             return cached[0]
         source = TrafficSource(
-            source_id=f"{self.task_id}:{suffix}",
+            source_id=f"{self.task_id}:host",
             task_id=self.task_id,
-            demand_gbps=profile.bw_gbps * demand_scale,
+            demand_gbps=profile.bw_gbps,
             mem_weights=self._placement.mem_weights,
             cores=self._placement.cores,
             threads=profile.threads,

@@ -19,11 +19,9 @@ separation Fig 3 demonstrates.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from typing import Callable
 
 from repro.accel.device import AcceleratorDevice, OpCost
@@ -35,14 +33,9 @@ from repro.hw.machine import Machine
 from repro.hw.placement import Placement
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.throughput import ThroughputMeter
-from repro.sim.events import Event
 from repro.sim.tracing import TimelineTracer
-from repro.sim.work import FluidWork
+from repro.sim.work import FluidPool, FluidWork
 from repro.workloads.base import HostPhaseProfile, Task, phase_speed
-
-
-def _noop() -> None:
-    """Default host-phase continuation (picklable, unlike ``lambda: None``)."""
 
 
 # --------------------------------------------------------------------------
@@ -104,11 +97,10 @@ class TrainingTask(Task):
         self.meter = ThroughputMeter(warmup_until=warmup_until)
         self.steps_completed = 0
         self._barrier = barrier
-        self._host_work: FluidWork | None = None
+        #: The host phase in progress (at most one); its owner is the
+        #: phase's continuation.
+        self._host = FluidPool(self.sim, f"{task_id}:host", self._host_phase_done)
         self._host_profile: HostPhaseProfile | None = None
-        self._host_handle: Event | None = None
-        self._host_on_complete: Callable[[], None] = _noop
-        self._host_speed = 1.0
         self._accel_pending = False
         self._host_pending = False
 
@@ -118,40 +110,27 @@ class TrainingTask(Task):
         self._begin_step()
 
     def stop(self) -> None:
-        if self._host_handle is not None:
-            self._host_handle.cancel()
-            self._host_handle = None
-        self._host_work = None
+        self._host.clear()
         super().stop()
 
     # ------------------------------------------------------------ protocol
     def traffic_sources(self) -> list[TrafficSource]:
-        if not self.started or self._host_work is None or self._host_profile is None:
+        if not self.started or not self._host.works:
             return []
         return [self._make_source(self._host_profile)]
 
     def sync(self, now: float) -> None:
         # Deliberately lazy: fluid drain is linear between rate changes, so
         # deferred integration is lossless. The host work self-syncs inside
-        # every ``set_rate`` and at phase completion, and the step meter
+        # every ``retime`` and at phase completion, and the step meter
         # (rate 0, discrete ``add_units`` credits) syncs in ``_finish_step``
         # and on every ``throughput`` read.
         pass
 
     def apply_rates(self, result: SolveResult, now: float) -> None:
-        work = self._host_work
-        profile = self._host_profile
-        if work is None or profile is None:
+        if not self._host.works:
             return
-        speed = self._phase_speed_for(result, profile)
-        handle = self._host_handle
-        if speed == self._host_speed and handle is not None and not handle.cancelled:
-            # Rate unchanged and a completion event is pending: fluid
-            # progress is linear, so the scheduled instant is still exact.
-            return
-        self._host_speed = speed
-        work.set_rate(speed, now=now)
-        self._reschedule_host()
+        self._host.set_rate(self._phase_speed_for(result, self._host_profile), now)
 
     def _phase_speed_for(self, result: SolveResult, profile: HostPhaseProfile) -> float:
         key = (id(result), id(profile))
@@ -257,52 +236,13 @@ class TrainingTask(Task):
         profile: HostPhaseProfile,
         on_complete: Callable[[], None],
     ) -> None:
-        self._host_work = FluidWork(duration, now=self.sim.now)
-        self._host_profile = profile
-        self._host_on_complete = on_complete
+        self._host_profile = profile  # read by traffic_sources
+        self._host.add(duration, on_complete)
         self.machine.notify_change()  # publishes the new source; sets rates
 
-    def _reschedule_host(self) -> None:
-        if self._host_work is None:
-            self._cancel_host_handle()
-            return
-        eta = self._host_work.eta()
-        if eta == float("inf"):
-            self._cancel_host_handle()
-            return
-        handle = self._host_handle
-        if (
-            handle is not None
-            and not handle.cancelled
-            and handle.time == self.sim.now + eta
-        ):
-            # The pending completion event already fires at exactly the
-            # recomputed instant (typical when a re-solve leaves this task's
-            # rate unchanged) — keep it instead of churning the event heap.
-            return
-        self._cancel_host_handle()
-        self._host_handle = self.sim.after(
-            eta, self._host_phase_event, label=f"{self.task_id}:host"
-        )
-
-    def _cancel_host_handle(self) -> None:
-        if self._host_handle is not None:
-            self._host_handle.cancel()
-            self._host_handle = None
-
-    def _host_phase_event(self) -> None:
-        if self._host_work is None:
-            return
-        self._host_work.sync(self.sim.now)
-        if not self._host_work.done and not self._host_work.retire_residue(
-            now=self.sim.now
-        ):
-            self._reschedule_host()
-            return
-        self._host_work = None
-        self._host_profile = None
-        self._host_handle = None
-        on_complete = self._host_on_complete
+    def _host_phase_done(
+        self, work: FluidWork, on_complete: Callable[[], None]
+    ) -> None:
         self.machine.notify_change()  # the host source disappeared
         on_complete()
 
@@ -368,17 +308,6 @@ class _Lane:
     #: Service-demand multiplier (1.0 = the spec's nominal request).
     demand: float = 1.0
     iteration: int = 0
-    work: FluidWork | None = None
-    #: When the host phase completes at the current rate; ``inf`` outside a
-    #: host phase, before its first rate push and while stalled.
-    due: float = math.inf
-    #: The server's due-change count when ``due`` was last set: lanes due at
-    #: one instant complete in stamp order.
-    stamp: int = 0
-
-
-#: Host lanes order by due instant, then stamp.
-_DUE_ORDER = attrgetter("due", "stamp")
 
 
 class InferenceServerTask(Task):
@@ -406,18 +335,11 @@ class InferenceServerTask(Task):
         self.completion_listeners: list[Callable[[float, float], None]] = []
         self._pending: deque[tuple[float, float]] = deque()
         self._lanes: set[_Lane] = set()
-        self._host_lanes: set[_Lane] = set()
-        self._host_speed = 1.0
-        #: The one pending host-phase completion event, for ``_armed``, the
-        #: lane due first.
-        self._host_event: Event | None = None
-        self._armed: _Lane | None = None
-        #: Lane due changes so far (the next stamp).
-        self._stamps = 0
+        #: The lanes in their host phase; each work's owner is its lane.
+        self._host = FluidPool(self.sim, f"{task_id}:lane", self._host_phase_done)
         #: demand multiplier -> scaled OpCost. Demands come from a small set
         #: of trace job families, so this stays a handful of entries.
         self._op_memo: dict[float, OpCost] = {}
-        self._lane_label = f"{task_id}:lane"
         self.submitted = 0
 
     # ----------------------------------------------------------- submission
@@ -460,25 +382,18 @@ class InferenceServerTask(Task):
         pipeline stages turn them into no-ops, so no completion is ever
         reported for an aborted request.
         """
-        if self._host_event is not None:
-            self._host_event.cancel()
-            self._host_event = None
-        self._armed = None
-        for lane in self._host_lanes:
-            lane.work = None
-            lane.due = math.inf
+        had_host = bool(self._host.works)
+        self._host.clear()
         self._lanes.clear()
-        had_host = bool(self._host_lanes)
-        self._host_lanes.clear()
         self._pending.clear()
         if self.started and had_host:
             self.machine.notify_change()  # the host sources vanished
 
     # ------------------------------------------------------------ protocol
     def traffic_sources(self) -> list[TrafficSource]:
-        if not self.started or not self._host_lanes:
+        if not self.started or not self._host.works:
             return []
-        n = len(self._host_lanes)
+        n = len(self._host.works)
         key = ("lanes", n)
         source = self._source_cache.get(key)
         if source is None:
@@ -510,7 +425,7 @@ class InferenceServerTask(Task):
         pass
 
     def apply_rates(self, result: SolveResult, now: float) -> None:
-        if not self._host_lanes:
+        if not self._host.works:
             return
         memo = self._speed_memo.get(id(result))
         if memo is not None and memo[0] is result:
@@ -521,21 +436,7 @@ class InferenceServerTask(Task):
             if len(self._speed_memo) >= 128:
                 self._speed_memo.clear()
             self._speed_memo[id(result)] = (result, speed)
-        unchanged = speed == self._host_speed
-        self._host_speed = speed
-        # Safe to iterate the live set: nothing below mutates membership
-        # (completion callbacks only run from the event loop, never inline).
-        for lane in self._host_lanes:
-            if unchanged and lane.due != math.inf:
-                # This lane already runs at ``speed``, so its due instant
-                # is exact.
-                continue
-            due = lane.work.retime(speed, now)
-            if due != lane.due:
-                lane.due = due
-                lane.stamp = self._stamps
-                self._stamps += 1
-        self._arm()
+        self._host.set_rate(speed, now)
 
     # ------------------------------------------------------------- metrics
     def performance(self, measurement_end: float) -> float:
@@ -569,56 +470,15 @@ class InferenceServerTask(Task):
     def _enter_host(self, lane: _Lane) -> None:
         if not self.started:  # aborted server: drop the zombie lane
             return
-        lane.work = FluidWork(self.spec.host_time * lane.demand, now=self.sim.now)
-        self._host_lanes.add(lane)
-        if self.tracer is not None and len(self._host_lanes) == 1:
+        self._host.add(self.spec.host_time * lane.demand, lane)
+        if self.tracer is not None and len(self._host.works) == 1:
             self.tracer.begin(self.task_id, "cpu", self.sim.now)
         self.machine.notify_change()
 
-    def _arm(self) -> None:
-        """Hold the completion event for the lane due first.
-
-        Ties go to the lower stamp, the order in which one event per lane
-        would fire. The pending event is kept while the same lane stays
-        first at the same instant.
-        """
-        first = min(self._host_lanes, key=_DUE_ORDER, default=None)
-        if first is not None and first.due == math.inf:
-            first = None
-        event = self._host_event
-        if event is not None:
-            if first is self._armed and event.time == first.due:
-                return
-            event.cancel()
-        self._armed = first
-        self._host_event = None
-        if first is not None:
-            self._host_event = self.sim.at(
-                first.due, self._host_phase_done, label=self._lane_label
-            )
-
-    def _host_phase_done(self) -> None:
-        """The armed lane's event: end its host phase, or re-arm when a
-        residue above rounding noise is left."""
-        lane = self._armed
-        self._host_event = None
-        self._armed = None
-        now = self.sim.now
-        work = lane.work
-        work.sync(now)
-        if not work.done and not work.retire_residue(now=now):
-            lane.due = now + work.eta()
-            lane.stamp = self._stamps
-            self._stamps += 1
-            self._arm()
-            return
-        lane.work = None
-        lane.due = math.inf
-        self._host_lanes.discard(lane)
-        if self.tracer is not None and not self._host_lanes:
-            self.tracer.end(self.task_id, "cpu", now)
+    def _host_phase_done(self, work: FluidWork, lane: _Lane) -> None:
+        if self.tracer is not None and not self._host.works:
+            self.tracer.end(self.task_id, "cpu", self.sim.now)
         self.machine.notify_change()
-        self._arm()
         self._enter_pcie_in(lane)
 
     def _enter_pcie_in(self, lane: _Lane) -> None:

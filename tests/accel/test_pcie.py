@@ -82,3 +82,25 @@ class TestPcieLink:
         sim.run_until(87_000.0)
         assert completed[0] == len(starts)
         assert link.active_transfers == 0
+
+    def test_one_live_event_however_many_transfers(self, sim: Simulator) -> None:
+        link = PcieLink(PcieSpec(peak_bw_gbps=10.0), sim, name="x")
+        done: list[float] = []
+
+        def finish() -> None:
+            done.append(sim.now)
+
+        for start, size in ((0.0, 4.0), (0.1, 2.0), (0.2, 3.0), (0.2, 0.5)):
+            sim.at(start, lambda size=size: link.transfer(size, finish))
+        shared = 0
+        for step in range(1, 200):
+            sim.run_until(step * 0.01)
+            if link.active_transfers >= 2:
+                shared += 1
+                live = [
+                    event for _, _, _, event in sim._heap
+                    if event.label == "x:xfer" and not event.cancelled
+                ]
+                assert len(live) == 1
+        assert shared > 50
+        assert len(done) == 4 and link.active_transfers == 0

@@ -6,7 +6,8 @@ import pytest
 
 from repro.node import Node
 from repro.core.policies import make_policy
-from repro.core.policies.mba import LO_CLOS, MBA_MAX, MBA_MIN, MbaPolicy
+from repro.control.governors import LO_CLOS, MBA_MAX, MBA_MIN
+from repro.core.policies.mba import MbaPolicy
 from repro.hw.placement import Placement
 from repro.workloads.cpu.base import BatchTask
 from repro.workloads.cpu.catalog import cpu_workload

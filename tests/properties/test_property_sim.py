@@ -61,7 +61,7 @@ class TestFluidWorkProperties:
         now = 0.0
         integral = 0.0
         for dt, rate in segments:
-            work.set_rate(rate, now=now)
+            work.retime(rate, now=now)
             now += dt
             integral += rate * dt
         work.sync(now)
@@ -73,7 +73,7 @@ class TestFluidWorkProperties:
     @settings(max_examples=60, deadline=None)
     def test_eta_consistency(self, amount: float, rate: float) -> None:
         work = FluidWork(amount)
-        work.set_rate(rate, now=0.0)
+        work.retime(rate, now=0.0)
         eta = work.eta()
         work.sync(eta)
         assert work.done

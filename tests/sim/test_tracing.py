@@ -33,13 +33,6 @@ class TestTimelineTracer:
         tracer.record("t", "tpu", 1.0, 2.0)
         assert tracer.total_time("t", "cpu") == pytest.approx(1.5)
 
-    def test_disabled_records_nothing(self) -> None:
-        tracer = TimelineTracer(enabled=False)
-        tracer.begin("t", "cpu", 0.0)
-        tracer.end("t", "cpu", 1.0)
-        tracer.record("t", "cpu", 0.0, 1.0)
-        assert tracer.intervals == []
-
     def test_kinds(self) -> None:
         tracer = TimelineTracer()
         tracer.record("t", "cpu", 0.0, 1.0)

@@ -319,6 +319,7 @@ class TestFleetServeRestoreFlags:
             ("plain", ["--warmup", "0.25"]),
             ("plain", ["--interval", "3"]),
             ("plain", ["--window", "7"]),
+            ("plain", ["--seed", "9"]),
         ],
     )
     def test_conflicting_flag_exits_2(
@@ -347,7 +348,7 @@ class TestFleetServeRestoreFlags:
             "--policy", plan["policy"], "--routing", plan["routing"],
             "--ml", plan["ml"], "--warmup", str(plan["warmup"]),
             "--interval", str(plan["interval"]),
-            "--window", str(plan["window_s"]),
+            "--window", str(plan["window_s"]), "--seed", "5",
             # Past the trace, which the run clips it to, as the save did.
             "--duration", "500",
         ]

@@ -110,7 +110,7 @@ class TestHostLaneEvent:
         overlapping = 0
         for step in range(1, 200):
             sim.run_until(step * 1e-3)
-            if len(server._host_lanes) >= 2:
+            if len(server._host.works) >= 2:
                 overlapping += 1
                 assert _live_lane_events(sim, server) == 1
         assert overlapping > 50
@@ -120,7 +120,7 @@ class TestHostLaneEvent:
         for _ in range(4):
             server.submit()
         sim.run_until(1e-3)
-        assert len(server._host_lanes) == 4
+        assert len(server._host.works) == 4
         assert _live_lane_events(sim, server) == 1
         server.abort()
         assert _live_lane_events(sim, server) == 0
