@@ -38,6 +38,9 @@ if TYPE_CHECKING:
 _STREAM_NOISE = 0x53_4E
 _STREAM_DROPOUT = 0x53_44
 
+#: The perf reader name of a node's control loop (each node runs one).
+CONTROL_READER = "control"
+
 
 class SensorSuite(Protocol):
     """Anything that yields one :class:`KelpMeasurements` per control tick."""
@@ -51,20 +54,18 @@ class PerfectSensors:
     """Zero-latency, zero-noise sensing.
 
     One windowed :meth:`~repro.hostif.perf.PerfCounters.read_kelp` per
-    call, through the node's named perf reader: the four Algorithm 1
-    measurements since this reader's previous read.
+    call, through the node's :data:`CONTROL_READER`: the four Algorithm 1
+    measurements since the control loop's previous read.
     """
 
-    def __init__(self, node: "Node", reader: str = "kelp") -> None:
+    def __init__(self, node: "Node") -> None:
         self._node = node
-        #: The perf reader name this suite's windows are kept under.
-        self.reader = reader
 
     def sample(self) -> KelpMeasurements:
         """One fresh windowed perf read."""
         node = self._node
         return KelpMeasurements(
-            *node.perf.read_kelp(self.reader, node.accel_socket, node.hi_subdomain)
+            *node.perf.read_kelp(CONTROL_READER, node.accel_socket, node.hi_subdomain)
         )
 
 
@@ -213,7 +214,7 @@ class SensorConfig:
 
 
 def build_sensor_suite(
-    node: "Node", reader: str, config: SensorConfig | None = None
+    node: "Node", config: SensorConfig | None = None
 ) -> SensorSuite:
     """Assemble the sensor stack a policy's control loop reads through.
 
@@ -222,7 +223,7 @@ def build_sensor_suite(
     freshest publish). ``config=None`` or an all-zero config returns plain
     :class:`PerfectSensors`.
     """
-    suite: SensorSuite = PerfectSensors(node, reader=reader)
+    suite: SensorSuite = PerfectSensors(node)
     if config is None or not config.degraded:
         return suite
     if config.noise_sigma > 0:

@@ -184,9 +184,9 @@ class IsolationPolicy(abc.ABC):
         return list(self.control_plane.journal)
 
     # ------------------------------------------------------------ helpers
-    def _make_loop(self, governor: Governor, reader: str) -> ControlLoop:
+    def _make_loop(self, governor: Governor) -> ControlLoop:
         """Assemble this policy's control loop over its plane and sensors."""
-        suite = build_sensor_suite(self.node, reader, self.sensor_config)
+        suite = build_sensor_suite(self.node, self.sensor_config)
         self._loop = ControlLoop(self.node, governor, suite, self.control_plane)
         return self._loop
 

@@ -36,7 +36,7 @@ class CoreThrottlePolicy(IsolationPolicy):
         self._governor = CoreThrottleGovernor(
             self.node, self.profile, self.ml_cores
         )
-        self._make_loop(self._governor, reader="ct")
+        self._make_loop(self._governor)
 
     @classmethod
     def default_qos_profile(cls, spec, ml_cores: int):

@@ -31,7 +31,7 @@ class KelpPolicy(IsolationPolicy):
     def prepare(self) -> None:
         self.node.machine.set_snc(True)
         self._apply_cat()
-        self._make_loop(KelpGovernor(self.node, self.profile), reader="kelp")
+        self._make_loop(KelpGovernor(self.node, self.profile))
 
     def ml_placement(self) -> Placement:
         cores = self.node.hi_subdomain_cores()[: self.ml_cores]

@@ -34,7 +34,7 @@ class MbaPolicy(IsolationPolicy):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._governor = MbaGovernor(self.node, self.profile, self.ml_cores)
-        self._make_loop(self._governor, reader="mba")
+        self._make_loop(self._governor)
 
     @classmethod
     def default_qos_profile(cls, spec, ml_cores: int):

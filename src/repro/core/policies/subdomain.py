@@ -30,10 +30,7 @@ class SubdomainPolicy(IsolationPolicy):
     def prepare(self) -> None:
         self.node.machine.set_snc(True)
         self._apply_cat()
-        self._make_loop(
-            KelpGovernor(self.node, self.profile, manage_cores=False),
-            reader="kelp",
-        )
+        self._make_loop(KelpGovernor(self.node, self.profile, manage_cores=False))
 
     def ml_placement(self) -> Placement:
         cores = self.node.hi_subdomain_cores()[: self.ml_cores]

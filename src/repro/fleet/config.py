@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from repro.control.actuators import ActuationFaultConfig
 from repro.control.sensors import SensorConfig
 from repro.errors import ConfigurationError
+from repro.workloads.cpu.catalog import cpu_workload
 
 #: Routing strategies understood by :func:`repro.fleet.routing.make_router`.
 ROUTING_NAMES = ("random", "least-loaded", "interference-aware")
@@ -69,6 +70,9 @@ class BatchJobSpec:
     def __post_init__(self) -> None:
         if not self.workload:
             raise ConfigurationError("batch job needs a workload name")
+        # Build the profile once, so a bad workload or intensity is refused
+        # here rather than when the queue places the job.
+        cpu_workload(self.workload, self.intensity)
 
 
 def default_tenants() -> tuple[TenantSpec, ...]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.node import Node
 from repro.control.actuators import ActuationFaultConfig
-from repro.control.sensors import SensorConfig
+from repro.control.sensors import CONTROL_READER, SensorConfig
 from repro.core.measurements import KelpMeasurements
 from repro.core.policies import IsolationPolicy, make_policy
 from repro.core.watermarks import QosProfile
@@ -87,12 +87,11 @@ class _Park:
     """What a parked member's skipped reads depend on, fixed at parking,
     and the two grid runs those reads fall on."""
 
-    __slots__ = ("profile", "reader", "fields", "tick_from", "sample_from", "horizon")
+    __slots__ = ("profile", "fields", "tick_from", "sample_from", "horizon")
 
     def __init__(
         self,
         profile: QosProfile,
-        reader: str,
         fields: tuple,
         tick_from: float,
         sample_from: float,
@@ -100,8 +99,6 @@ class _Park:
     ) -> None:
         #: The member profile the sampler's hot predicate reads.
         self.profile = profile
-        #: The control loop's perf reader name.
-        self.reader = reader
         #: The record fields every skipped tick repeats (see ControlLoop.steady).
         self.fields = fields
         #: First skipped instant of the member's policy loop grid.
@@ -607,13 +604,11 @@ class FleetMember:
             return
         node = self.node
         loop = self.policy.loop
-        reader = getattr(loop.sensors, "reader", None)
         telemetry = node.machine.telemetry
         perf = node.perf
         since = telemetry.state_since
         if (
-            reader is None
-            or perf.mark_time(reader) < since
+            perf.mark_time(CONTROL_READER) < since
             or perf.mark_time(FLEET_READER) < since
             or not loop.quiet
         ):
@@ -657,7 +652,6 @@ class FleetMember:
         last_sample = self._sample_clock.last
         self.park = _Park(
             profile,
-            reader,
             fields,
             tick_from=now if pending is None else pending.time,
             sample_from=now if sampling else last_sample + self._interval,
@@ -695,7 +689,7 @@ class FleetMember:
         performed in dispatch order (at one instant the tick, at
         ``PRIORITY_CONTROL``, comes before the sample, at
         ``PRIORITY_OBSERVE``) at their original instants, so the
-        integrals, the ``kelp`` and ``fleet`` reader marks, the control
+        integrals, the ``control`` and ``fleet`` reader marks, the control
         records and the telemetry snapshots come out exactly as if the
         member had never parked. The policy loop is re-armed at its first
         grid instant after now, unless it was stopped meanwhile.
@@ -721,7 +715,7 @@ class FleetMember:
         for now, is_sample in reads:
             # The skipped read itself, at its own instant: integrals, marks
             # and reading come out exactly as if it had run on time.
-            reader = FLEET_READER if is_sample else park.reader
+            reader = FLEET_READER if is_sample else CONTROL_READER
             reading = perf.read_kelp(reader, node.accel_socket, node.hi_subdomain, now)
             if is_sample:
                 sample = (now, reading)

@@ -198,12 +198,6 @@ class TrafficSource:
     _ckey: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Memoized full per-source solve signature: ``(bank, bank_version,
-    #: signature)``. Valid while the owning prefetcher bank is the same
-    #: object at the same version (see ContentionSolver.source_signature).
-    _sig: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.demand_gbps < 0:
@@ -377,15 +371,14 @@ class ContentionSolver:
             for mc_id in topology.mc_ids()
         }
         self._upi = UpiModel(spec.upi)
-        #: Bumped whenever any solver knob changes; versions the memoized
-        #: knob signature. Knob attributes are properties (and MBA caps go
+        #: Bumped whenever any solver knob changes; part of the signature
+        #: memo's key. Knob attributes are properties (and MBA caps go
         #: through :meth:`set_mba_cap`) so every write is tracked.
         self._knob_version = 0
-        self._knob_sig: tuple | None = None
         #: Whole-signature memo for :meth:`solve_signature`, keyed by
         #: (source ids, bank version, knob version, LLC versions). Each
-        #: entry is ``[sources, bank, signature, result, generation]``: it
-        #: pins the source objects (see solve_signature), and :meth:`solve`
+        #: entry is ``[sources, signature, result, generation]``: it pins
+        #: the source objects (see solve_signature), and :meth:`solve`
         #: fills in the result once the signature resolves.
         self._sig_memo: dict[tuple, list] = {}
         #: The entry the last :meth:`solve_signature` call returned from.
@@ -474,40 +467,6 @@ class ContentionSolver:
         self._knob_version += 1
 
     # ------------------------------------------------------------ caching
-    def _knob_signature(self) -> tuple:
-        memo = self._knob_sig
-        if memo is not None and memo[0] == self._knob_version:
-            return memo[1]
-        sig = (
-            self._snc_enabled,
-            self._priority_mode,
-            self._qos_aware_prefetch,
-            tuple(sorted(self._mba_caps.items())),
-        )
-        self._knob_sig = (self._knob_version, sig)
-        return sig
-
-    def _llc_state_signature(self) -> tuple:
-        return tuple(
-            (socket_id, llc.state_key()) for socket_id, llc in self._llc_sorted
-        )
-
-    def source_signature(self, source: TrafficSource) -> tuple:
-        """Canonical per-source key, including its prefetcher-bank state.
-
-        Memoized on the source instance against the bank's identity and
-        version counter: tasks hand the solver the same source objects every
-        round, so between prefetcher writes this is a couple of attribute
-        compares instead of a tuple build.
-        """
-        bank = self.prefetchers
-        memo = source._sig
-        if memo is not None and memo[0] is bank and memo[1] == bank.version:
-            return memo[2]
-        sig = source.canonical_key() + (bank.enabled_fraction(source.cores),)
-        object.__setattr__(source, "_sig", (bank, bank.version, sig))
-        return sig
-
     def solve_signature(self, sources: list[TrafficSource]) -> tuple | None:
         """The canonical, hashable key of one solve.
 
@@ -535,17 +494,25 @@ class ContentionSolver:
         )
         memo = self._sig_memo
         hit = memo.get(key)
-        if hit is not None and hit[1] is bank:
+        if hit is not None:
             self._entry = hit
-            return hit[2]
+            return hit[1]
         sig = (
-            tuple(self.source_signature(s) for s in sources),
-            self._knob_signature(),
-            self._llc_state_signature(),
+            tuple(s.canonical_key() for s in sources),
+            tuple(bank.enabled_fraction(s.cores) for s in sources),
+            (
+                self._snc_enabled,
+                self._priority_mode,
+                self._qos_aware_prefetch,
+                tuple(sorted(self._mba_caps.items())),
+            ),
+            tuple(
+                (socket_id, llc.state_key()) for socket_id, llc in self._llc_sorted
+            ),
         )
         if len(memo) >= 128:
             memo.clear()
-        self._entry = memo[key] = [list(sources), bank, sig, None, -1]
+        self._entry = memo[key] = [list(sources), sig, None, -1]
         return sig
 
     def note_short_circuit(self) -> None:
@@ -638,14 +605,14 @@ class ContentionSolver:
         if signature is None:
             signature = self.solve_signature(sources)
         entry = self._entry
-        if entry is None or entry[2] is not signature:
+        if entry is None or entry[1] is not signature:
             entry = None
-        elif entry[4] == _generation:
+        elif entry[3] == _generation:
             # The result this signature resolved to, read without hashing
             # the signature again.
             self.stats.cache_hits += 1
             GLOBAL_STATS.cache_hits += 1
-            return entry[3]
+            return entry[2]
         memo = self._memo
         result = memo.get(signature)
         if result is not None:
@@ -660,8 +627,8 @@ class ContentionSolver:
                 _generation += 1
             memo[signature] = result
         if entry is not None:
-            entry[3] = result
-            entry[4] = _generation
+            entry[2] = result
+            entry[3] = _generation
         return result
 
     def _solve(self, sources: list[TrafficSource]) -> SolveResult:

@@ -2,8 +2,10 @@
 
 The :class:`Machine` owns the hardware models, the set of attached tasks, the
 telemetry accumulator, and the recompute loop that keeps fluid rates
-consistent: any state change calls :meth:`Machine.notify_change`, which syncs
-all tasks at the old rates, re-solves contention, and pushes new rates.
+consistent: any state change calls :meth:`Machine.notify_change`, which
+collects every task's traffic sources, re-solves contention, and pushes the
+new rates to every task. Each task integrates its own progress at the old
+rates when it adopts new ones.
 """
 
 from __future__ import annotations
@@ -39,11 +41,9 @@ class AttachedTask(Protocol):
     def traffic_sources(self) -> list[TrafficSource]:
         """Current active sources (may be empty while idle)."""
 
-    def sync(self, now: float) -> None:
-        """Integrate progress at the rates in force since the last sync."""
-
     def apply_rates(self, result: SolveResult, now: float) -> None:
-        """Adopt new rates; reschedule any pending completion events."""
+        """Integrate progress up to ``now`` at the rates in force, adopt the
+        new ones and reschedule any pending completion events."""
 
 
 class Machine:
@@ -71,10 +71,6 @@ class Machine:
         #: :meth:`notify_change` only marks work as deferred.
         self._hold = 0
         self._deferred = False
-        #: Simulated instant every attached task was last synced at. Fluid
-        #: progress only accrues as time advances, so repeat recompute
-        #: rounds at one instant skip the whole sync pass.
-        self._synced_at = -1.0
         #: Solve signature of the state currently in force; ``None`` both
         #: before the first solve and whenever caching is disabled.
         self._last_signature: object | None = None
@@ -142,7 +138,7 @@ class Machine:
 
         A control tick writes several knobs back-to-back at the same
         simulated instant; without the hold every write triggers a full
-        sync/solve/apply round. Under the hold, notifications are deferred
+        solve/apply round. Under the hold, notifications are deferred
         and a single recompute runs when the outermost hold ends (only if
         any arrived). No simulated time passes inside the hold, so the
         final state — solved from the final knob values — is identical to
@@ -166,9 +162,9 @@ class Machine:
         Fast path: the solver's *solve signature* canonically captures every
         input the solve depends on. When the signature matches the state
         already in force, the solve (and the redundant telemetry segment) is
-        skipped entirely — tasks are still synced and re-offered the current
-        rates, because phase changes may need to reschedule completion events
-        even when contention is unchanged.
+        skipped entirely — tasks are still re-offered the current rates,
+        because phase changes may need to reschedule completion events even
+        when contention is unchanged.
         """
         if self._hold:
             self._deferred = True
@@ -188,12 +184,6 @@ class Machine:
                 self._dirty = False
                 now = self.sim.now
                 tasks = self._task_order
-                if now != self._synced_at:
-                    # Fluid progress only accrues as simulated time advances;
-                    # repeat rounds at one instant skip the whole sync pass.
-                    for task in tasks:
-                        task.sync(now)
-                    self._synced_at = now
                 sources: list[TrafficSource] = []
                 for task in tasks:
                     sources.extend(task.traffic_sources())

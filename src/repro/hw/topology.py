@@ -2,8 +2,8 @@
 
 Numbering conventions used throughout the library:
 
-* **Cores** are numbered globally: socket ``s`` owns cores
-  ``[s * cores_per_socket, (s+1) * cores_per_socket)``.
+* **Cores** are numbered globally in socket order: socket ``s`` owns the
+  contiguous id range starting after the preceding sockets' cores.
 * **Subdomains** (== channel groups == memory controllers) are numbered
   globally in socket order: socket ``s`` owns the contiguous id range
   starting at the sum of the preceding sockets' channel-group counts. With
@@ -98,11 +98,6 @@ class Topology:
     def num_subdomains(self) -> int:
         """Total channel groups across all sockets."""
         return self._num_subdomains
-
-    def cores_per_socket(self, socket: int) -> int:
-        """Physical core count of ``socket``."""
-        self._check_socket(socket)
-        return self.spec.sockets[socket].cores
 
     # -------------------------------------------------------------- cores
     def socket_of_core(self, core: int) -> int:

@@ -11,7 +11,6 @@ clean and no-remediation counterfactual runs. See ``docs/incidents.md``.
 from repro.incidents.detect import (
     Alarm,
     DetectorBank,
-    DetectorConfig,
     FleetView,
     NodeView,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "Candidate",
     "ConservativeGovernor",
     "DetectorBank",
-    "DetectorConfig",
     "FleetView",
     "INCIDENT_KINDS",
     "IncidentEngine",

@@ -29,7 +29,7 @@ across serial and ``--jobs N`` sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -90,27 +90,27 @@ class Alarm:
         return data
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Thresholds shared by the detector bank (deterministic knobs only)."""
+# Detector thresholds: plain deterministic constants, no RNG.
 
-    #: Consecutive stale telemetry exports before silence fires.
-    silence_ticks: int = 2
-    #: Sliding window (ticks) for the attainment-rate comparison.
-    attainment_window: int = 3
-    #: Fire when windowed good/offered falls below this...
-    attainment_floor: float = 0.8
-    #: ...and re-arm only after it recovers above this (hysteresis).
-    attainment_clear: float = 0.9
-    #: Minimum windowed offered count before the ratio is trusted.
-    attainment_min_offered: int = 8
-    #: New failed journal writes over the divergence window before firing.
-    divergence_failures: int = 3
-    divergence_window: int = 2
-    #: Saturation rise above the node's own baseline before firing.
-    saturation_jump: float = 0.3
-    #: EWMA weight for the saturation baseline (updated while quiet).
-    saturation_alpha: float = 0.2
+#: Consecutive stale telemetry exports before silence fires.
+SILENCE_TICKS = 2
+#: Sliding window (ticks) for the attainment-rate comparison.
+ATTAINMENT_WINDOW = 3
+#: Fire when windowed good/offered falls below this...
+ATTAINMENT_FLOOR = 0.8
+#: ...and re-arm only after it recovers above this (hysteresis).
+ATTAINMENT_CLEAR = 0.9
+#: Minimum windowed offered count before the ratio is trusted.
+ATTAINMENT_MIN_OFFERED = 8
+#: New failed journal writes over the divergence window before firing.
+DIVERGENCE_FAILURES = 3
+DIVERGENCE_WINDOW = 2
+#: Saturation rise above the node's own baseline before firing.
+SATURATION_JUMP = 0.3
+#: EWMA weight for the saturation baseline (updated while quiet).
+SATURATION_ALPHA = 0.2
+#: Views the bank keeps (localization looks a few ticks back).
+HISTORY_LIMIT = 64
 
 
 class TelemetrySilence:
@@ -118,8 +118,7 @@ class TelemetrySilence:
 
     name = "telemetry-silence"
 
-    def __init__(self, config: DetectorConfig) -> None:
-        self._config = config
+    def __init__(self) -> None:
         self._streak: dict[int, int] = {}
         self._fired: set[int] = set()
 
@@ -136,7 +135,7 @@ class TelemetrySilence:
             streak = self._streak.get(node.index, 0) + 1
             self._streak[node.index] = streak
             if (
-                streak >= self._config.silence_ticks
+                streak >= SILENCE_TICKS
                 and node.index not in self._fired
             ):
                 self._fired.add(node.index)
@@ -159,25 +158,23 @@ class AttainmentDrop:
 
     name = "attainment-drop"
 
-    def __init__(self, config: DetectorConfig) -> None:
-        self._config = config
+    def __init__(self) -> None:
         self._in_episode = False
 
     def observe(self, view: FleetView, history: list[FleetView]) -> list[Alarm]:
-        window = self._config.attainment_window
-        if len(history) <= window:
+        if len(history) <= ATTAINMENT_WINDOW:
             return []
-        base = history[-1 - window]
+        base = history[-1 - ATTAINMENT_WINDOW]
         d_offered = view.offered - base.offered
         d_good = view.good - base.good
-        if d_offered < self._config.attainment_min_offered:
+        if d_offered < ATTAINMENT_MIN_OFFERED:
             return []
         ratio = d_good / d_offered
         if self._in_episode:
-            if ratio >= self._config.attainment_clear:
+            if ratio >= ATTAINMENT_CLEAR:
                 self._in_episode = False
             return []
-        if ratio < self._config.attainment_floor:
+        if ratio < ATTAINMENT_FLOOR:
             self._in_episode = True
             return [
                 Alarm(
@@ -198,25 +195,23 @@ class ActuationDivergence:
 
     name = "actuation-divergence"
 
-    def __init__(self, config: DetectorConfig) -> None:
-        self._config = config
+    def __init__(self) -> None:
         self._failed: dict[int, list[int]] = {}
         self._fired: set[int] = set()
 
     def observe(self, view: FleetView) -> list[Alarm]:
         alarms: list[Alarm] = []
-        window = self._config.divergence_window
         for node in view.nodes:
             series = self._failed.setdefault(node.index, [])
             series.append(node.journal_failed)
-            if len(series) > window + 1:
-                del series[: len(series) - window - 1]
+            if len(series) > DIVERGENCE_WINDOW + 1:
+                del series[: len(series) - DIVERGENCE_WINDOW - 1]
             delta = series[-1] - series[0]
             if delta <= 0:
                 self._fired.discard(node.index)
                 continue
             if (
-                delta >= self._config.divergence_failures
+                delta >= DIVERGENCE_FAILURES
                 and node.index not in self._fired
             ):
                 self._fired.add(node.index)
@@ -239,21 +234,19 @@ class SaturationSpike:
 
     name = "saturation-spike"
 
-    def __init__(self, config: DetectorConfig) -> None:
-        self._config = config
+    def __init__(self) -> None:
         self._baseline: dict[int, float] = {}
         self._fired: set[int] = set()
 
     def observe(self, view: FleetView) -> list[Alarm]:
         alarms: list[Alarm] = []
-        alpha = self._config.saturation_alpha
         for node in view.nodes:
             baseline = self._baseline.get(node.index)
             if baseline is None:
                 self._baseline[node.index] = node.saturation
                 continue
             jump = node.saturation - baseline
-            if jump >= self._config.saturation_jump:
+            if jump >= SATURATION_JUMP:
                 if node.index not in self._fired:
                     self._fired.add(node.index)
                     alarms.append(
@@ -272,26 +265,21 @@ class SaturationSpike:
                 continue
             self._fired.discard(node.index)
             self._baseline[node.index] = (
-                (1.0 - alpha) * baseline + alpha * node.saturation
+                (1.0 - SATURATION_ALPHA) * baseline
+                + SATURATION_ALPHA * node.saturation
             )
         return alarms
 
 
-@dataclass
 class DetectorBank:
     """Runs every detector over the view stream, keeping bounded history."""
 
-    interval: float
-    config: DetectorConfig = field(default_factory=DetectorConfig)
-    #: Maximum retained views (localization looks a few ticks back).
-    history_limit: int = 64
-
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         self.views: list[FleetView] = []
-        self._silence = TelemetrySilence(self.config)
-        self._attainment = AttainmentDrop(self.config)
-        self._divergence = ActuationDivergence(self.config)
-        self._saturation = SaturationSpike(self.config)
+        self._silence = TelemetrySilence()
+        self._attainment = AttainmentDrop()
+        self._divergence = ActuationDivergence()
+        self._saturation = SaturationSpike()
 
     def observe(self, view: FleetView) -> list[Alarm]:
         """Ingest one tick's view; return every alarm that fired on it."""
@@ -301,6 +289,6 @@ class DetectorBank:
         alarms.extend(self._saturation.observe(view))
         alarms.extend(self._attainment.observe(view, self.views))
         self.views.append(view)
-        if len(self.views) > self.history_limit:
-            del self.views[: len(self.views) - self.history_limit]
+        if len(self.views) > HISTORY_LIMIT:
+            del self.views[: len(self.views) - HISTORY_LIMIT]
         return alarms

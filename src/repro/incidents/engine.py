@@ -107,7 +107,7 @@ class IncidentEngine(FleetHooks):
         self._sim = sim
         self._expected_router = orchestrator.router
         self._journal_cursor = {}
-        self._bank = DetectorBank(interval=orchestrator.config.interval)
+        self._bank = DetectorBank()
         if self.remediate:
             assert self._expected_router is not None
             self.remediator = Remediator(

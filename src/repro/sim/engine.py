@@ -96,10 +96,10 @@ class Simulator:
     is pickled with the heap, so a simulator restored in another process
     breaks ties exactly as the original would have. The simulator
     knows nothing of rates: when shared hardware state changes,
-    :meth:`repro.hw.machine.Machine.notify_change` syncs the attached tasks
-    at the old rates, re-solves contention and pushes the new rates, and
-    each task's :class:`~repro.sim.work.FluidPool` re-arms its completion
-    event.
+    :meth:`repro.hw.machine.Machine.notify_change` re-solves contention and
+    pushes the new rates; each task integrates its progress at the old
+    rates as it adopts them, and its :class:`~repro.sim.work.FluidPool`
+    re-arms its completion event.
     """
 
     def __init__(self) -> None:

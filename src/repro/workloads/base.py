@@ -83,9 +83,9 @@ def phase_speed(rates: SourceRates, profile: HostPhaseProfile) -> float:
 class Task:
     """Base class for everything attachable to a machine.
 
-    Subclasses implement :meth:`traffic_sources`, :meth:`sync` and
-    :meth:`apply_rates` (the :class:`~repro.hw.machine.AttachedTask`
-    protocol) plus :meth:`start`.
+    Subclasses implement :meth:`traffic_sources` and :meth:`apply_rates`
+    (the :class:`~repro.hw.machine.AttachedTask` protocol) plus
+    :meth:`start`.
     """
 
     def __init__(
@@ -176,12 +176,9 @@ class Task:
         """Active traffic sources; override in subclasses."""
         raise NotImplementedError
 
-    def sync(self, now: float) -> None:
-        """Integrate progress up to ``now``; override in subclasses."""
-        raise NotImplementedError
-
     def apply_rates(self, result: SolveResult, now: float) -> None:
-        """Adopt new solver rates; override in subclasses."""
+        """Integrate progress up to ``now`` and adopt new solver rates;
+        override in subclasses."""
         raise NotImplementedError
 
     # ------------------------------------------------------------- helpers

@@ -83,10 +83,8 @@ class BatchTask(Task):
             self._source_cache["phase"] = sources
         return sources
 
-    def sync(self, now: float) -> None:
-        self.meter.sync(now)
-
     def apply_rates(self, result: SolveResult, now: float) -> None:
+        self.meter.sync(now)
         if self.parked:
             self._speed = 0.0
             self.meter.set_rate(0.0, now)

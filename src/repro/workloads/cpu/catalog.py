@@ -19,6 +19,15 @@ from repro.workloads.cpu.stitch import stitch_profile
 from repro.workloads.cpu.stream import stream_profile
 
 
+#: Workloads whose intensity is a count: Stream threads, Stitch instances,
+#: CPUML threads.
+_COUNTED = {
+    "stream": stream_profile,
+    "stitch": stitch_profile,
+    "cpuml": cpuml_profile,
+}
+
+
 def cpu_workload_names() -> list[str]:
     """Names accepted by :func:`cpu_workload`."""
     return ["stream", "stitch", "cpuml", "llc", "dram", "remote-dram"]
@@ -27,16 +36,20 @@ def cpu_workload_names() -> list[str]:
 def cpu_workload(name: str, intensity: int | str = 1) -> BatchProfile:
     """Build a CPU workload profile.
 
-    ``intensity`` means: Stitch — instance count; CPUML — thread count;
-    Stream — thread count; aggressors — the level string ("L"/"M"/"H").
+    ``intensity`` means: Stream — thread count; Stitch — instance count;
+    CPUML — thread count (each an ``int >= 1``); the DRAM aggressors — the
+    level string ("L"/"M"/"H"); the LLC aggressor takes none.
     """
     key = name.lower()
-    if key == "stream":
-        return stream_profile(threads=int(intensity) if intensity else 8)
-    if key == "stitch":
-        return stitch_profile(instances=int(intensity))
-    if key == "cpuml":
-        return cpuml_profile(threads=int(intensity))
+    counted = _COUNTED.get(key)
+    if counted is not None:
+        # ``type() is int`` keeps a bool from passing as a count.
+        if type(intensity) is not int or intensity < 1:
+            raise WorkloadError(
+                f"CPU workload {name!r} needs an integer intensity >= 1, "
+                f"got {intensity!r}"
+            )
+        return counted(intensity)
     if key == "llc":
         return llc_aggressor_profile()
     if key == "dram":

@@ -20,7 +20,7 @@ separation Fig 3 demonstrates.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -118,14 +118,6 @@ class TrainingTask(Task):
         if not self.started or not self._host.works:
             return []
         return [self._make_source(self._host_profile)]
-
-    def sync(self, now: float) -> None:
-        # Deliberately lazy: fluid drain is linear between rate changes, so
-        # deferred integration is lossless. The host work self-syncs inside
-        # every ``retime`` and at phase completion, and the step meter
-        # (rate 0, discrete ``add_units`` credits) syncs in ``_finish_step``
-        # and on every ``throughput`` read.
-        pass
 
     def apply_rates(self, result: SolveResult, now: float) -> None:
         if not self._host.works:
@@ -397,32 +389,18 @@ class InferenceServerTask(Task):
         key = ("lanes", n)
         source = self._source_cache.get(key)
         if source is None:
-            profile = self.spec.host
-            source = TrafficSource(
-                source_id=f"{self.task_id}:host",
-                task_id=self.task_id,
-                demand_gbps=profile.bw_gbps * n,
-                mem_weights=self.placement.mem_weights,
-                cores=self.placement.cores,
-                threads=profile.threads * n,
-                clos=self.placement.clos,
-                priority=self.priority,
-                prefetch=profile.prefetch,
-                working_set_mb=profile.working_set_mb * min(n, 4),
-                llc_intensity=profile.llc_intensity,
-                llc_miss_traffic_gain=profile.llc_miss_traffic_gain,
-                llc_speed_sensitivity=profile.llc_speed_sensitivity,
-                smt_aggression=profile.smt_aggression,
-                smt_sensitivity=profile.smt_sensitivity,
+            # The lanes in their host phase aggregate into one source.
+            host = self.spec.host
+            source = self._make_source(
+                replace(
+                    host,
+                    bw_gbps=host.bw_gbps * n,
+                    threads=host.threads * n,
+                    working_set_mb=host.working_set_mb * min(n, 4),
+                )
             )
             self._source_cache[key] = source
         return [source]
-
-    def sync(self, now: float) -> None:
-        # Deliberately lazy: lane works self-sync inside every ``retime``
-        # and at completion, and nothing reads their remaining work between
-        # rate changes, so eager integration here would be pure overhead.
-        pass
 
     def apply_rates(self, result: SolveResult, now: float) -> None:
         if not self._host.works:

@@ -40,7 +40,7 @@ def _m(bw: float) -> KelpMeasurements:
 
 class TestPerfectSensors:
     def test_matches_direct_measure_node(self, node: Node) -> None:
-        suite = PerfectSensors(node, reader="t1")
+        suite = PerfectSensors(node)
         node.sim.run_until(1.0)
         direct = KelpMeasurements(
             *node.perf.read_kelp("t2", node.accel_socket, node.hi_subdomain)
@@ -110,9 +110,9 @@ class TestDropoutSensors:
 
 class TestBuildSensorSuite:
     def test_none_and_zero_config_build_perfect(self, node: Node) -> None:
-        assert isinstance(build_sensor_suite(node, "a", None), PerfectSensors)
+        assert isinstance(build_sensor_suite(node, None), PerfectSensors)
         assert isinstance(
-            build_sensor_suite(node, "b", SensorConfig()), PerfectSensors
+            build_sensor_suite(node, SensorConfig()), PerfectSensors
         )
 
     def test_full_stack_order(self, node: Node) -> None:
@@ -120,7 +120,7 @@ class TestBuildSensorSuite:
             staleness_period=2.0, noise_sigma=0.1, dropout_prob=0.1, seed=5
         )
         assert config.degraded
-        suite = build_sensor_suite(node, "c", config)
+        suite = build_sensor_suite(node, config)
         # Outside in: dropout(stale(noisy(perfect))).
         assert isinstance(suite, DropoutSensors)
         assert isinstance(suite._inner, StaleSensors)

@@ -165,10 +165,10 @@ class TestBackfillControl:
         assert backfill.parked
         assert backfill.traffic_sources() == []
         # A parked task makes no forward progress.
-        backfill.sync(node.sim.now)
+        backfill.meter.sync(node.sim.now)
         done_before = backfill.meter.units
         node.sim.run_until(node.sim.now + 5.0)
-        backfill.sync(node.sim.now)
+        backfill.meter.sync(node.sim.now)
         assert backfill.speed == 0.0
         assert backfill.meter.units == pytest.approx(done_before)
 

@@ -13,7 +13,7 @@ from repro.workloads.cpu.catalog import cpu_workload
 
 def measure(node: Node):
     """One windowed read of the four Kelp measurements."""
-    return PerfectSensors(node, reader="t").sample()
+    return PerfectSensors(node).sample()
 
 
 class TestMeasureNode:

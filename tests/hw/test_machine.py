@@ -11,12 +11,12 @@ from repro.sim import Simulator
 
 
 class RecordingTask:
-    """Minimal AttachedTask capturing the calls it receives."""
+    """Minimal AttachedTask capturing the rates it receives: a task id,
+    its traffic sources and ``apply_rates``, the whole contract."""
 
     def __init__(self, task_id: str = "t", demand: float = 10.0) -> None:
         self.task_id = task_id
         self.demand = demand
-        self.syncs: list[float] = []
         self.rates: list[SolveResult] = []
 
     def traffic_sources(self) -> list[TrafficSource]:
@@ -30,9 +30,6 @@ class RecordingTask:
                 threads=2,
             )
         ]
-
-    def sync(self, now: float) -> None:
-        self.syncs.append(now)
 
     def apply_rates(self, result: SolveResult, now: float) -> None:
         self.rates.append(result)
@@ -69,12 +66,12 @@ class TestAttachDetach:
 
 
 class TestRecompute:
-    def test_notify_syncs_before_rates(self, machine: Machine) -> None:
+    def test_task_without_sync_receives_rates(self, machine: Machine) -> None:
         task = RecordingTask()
+        assert not hasattr(task, "sync")
         machine.attach(task)
         machine.sim.run_until(1.0)
         machine.notify_change()
-        assert task.syncs[-1] == 1.0
         assert len(task.rates) >= 2
 
     def test_two_tasks_see_each_other(self, machine: Machine) -> None:

@@ -188,7 +188,7 @@ class TestHeldResult:
         solver = _solver()
         sources = _sources()
         first = solver.solve(sources)
-        assert solver._entry[3] is first
+        assert solver._entry[2] is first
         assert solver.solve(sources) is first
         assert solver.stats.cache_hits == 1
 
@@ -315,9 +315,6 @@ class _StaticTask:
                 cores=frozenset({0, 1}),
             )
         ]
-
-    def sync(self, now: float) -> None:
-        pass
 
     def apply_rates(self, result, now: float) -> None:
         pass

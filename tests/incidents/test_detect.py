@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.incidents.detect import DetectorBank, FleetView, NodeView
+from repro.incidents.detect import HISTORY_LIMIT, DetectorBank, FleetView, NodeView
 
 _INTERVAL = 10.0
 
@@ -47,7 +47,7 @@ def _view(
 
 class TestTelemetrySilence:
     def test_fires_once_per_episode_and_rearms(self) -> None:
-        bank = DetectorBank(interval=_INTERVAL)
+        bank = DetectorBank()
         frozen = {0: {"signals_time": 10.0}}
         assert bank.observe(_view(10.0)) == []
         assert bank.observe(_view(20.0, node_overrides=frozen)) == []
@@ -67,7 +67,7 @@ class TestTelemetrySilence:
 
 class TestActuationDivergence:
     def test_needs_enough_recent_failures(self) -> None:
-        bank = DetectorBank(interval=_INTERVAL)
+        bank = DetectorBank()
         assert bank.observe(_view(10.0)) == []
         one = {0: {"journal_failed": 1, "journal_total": 1}}
         assert bank.observe(_view(20.0, node_overrides=one)) == []
@@ -84,7 +84,7 @@ class TestActuationDivergence:
 
 class TestSaturationSpike:
     def test_baseline_frozen_during_episode(self) -> None:
-        bank = DetectorBank(interval=_INTERVAL)
+        bank = DetectorBank()
         assert bank.observe(_view(10.0)) == []
         assert bank.observe(_view(20.0)) == []
         hot = {1: {"saturation": 0.7}}
@@ -102,7 +102,7 @@ class TestSaturationSpike:
 
 class TestAttainmentDrop:
     def test_windowed_ratio_with_hysteresis(self) -> None:
-        bank = DetectorBank(interval=_INTERVAL)
+        bank = DetectorBank()
         # Healthy warmup: offered == good, 10 per tick.
         for tick in range(1, 6):
             assert bank.observe(_view(10.0 * tick, offered=10 * tick)) == []
@@ -119,7 +119,7 @@ class TestAttainmentDrop:
         assert [a.detector for a in alarms] == ["attainment-drop"]
 
     def test_min_offered_guard(self) -> None:
-        bank = DetectorBank(interval=_INTERVAL)
+        bank = DetectorBank()
         # A trickle of offered traffic never trips the ratio test.
         for tick in range(1, 10):
             alarms = bank.observe(_view(10.0 * tick, offered=tick, good=0))
@@ -128,8 +128,8 @@ class TestAttainmentDrop:
 
 class TestBankHistory:
     def test_history_is_bounded(self) -> None:
-        bank = DetectorBank(interval=_INTERVAL, history_limit=8)
-        for tick in range(1, 30):
+        bank = DetectorBank()
+        for tick in range(1, HISTORY_LIMIT + 22):
             bank.observe(_view(10.0 * tick, offered=10 * tick))
-        assert len(bank.views) == 8
-        assert bank.views[-1].time == 290.0
+        assert len(bank.views) == HISTORY_LIMIT
+        assert bank.views[-1].time == 10.0 * (HISTORY_LIMIT + 21)

@@ -68,6 +68,26 @@ class TestCli:
         assert lines[0].startswith(f"{argv[1]}: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mix", "--ml", "rnn1", "--cpu", "stream", "--intensity", "0",
+             "--duration", "8"],
+            ["mix", "--ml", "rnn1", "--cpu", "stream", "--intensity", "L",
+             "--duration", "8"],
+            ["fleet-sim", "--batch-jobs", "1", "--batch-intensity", "L",
+             "--duration", "4", "--warmup", "1"],
+        ],
+    )
+    def test_bad_cpu_intensity_exits_2_with_one_line(self, argv, capsys) -> None:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{argv[0]}: ") and "intensity" in lines[0]
+        assert "Traceback" not in captured.err
+
 
 class TestCliObservability:
     def test_run_with_trace_and_metrics(self, tmp_path, capsys) -> None:

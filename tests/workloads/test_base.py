@@ -86,9 +86,6 @@ class TestTaskLifecycle:
             def traffic_sources(self):
                 return []
 
-            def sync(self, now):
-                pass
-
             def apply_rates(self, result, now):
                 pass
 

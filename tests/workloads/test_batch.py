@@ -54,6 +54,19 @@ class TestBatchTask:
         task.start()
         assert 0.0 < task.speed <= 1.0
 
+    def test_recompute_syncs_meter_at_unchanged_speed(
+        self, machine: Machine
+    ) -> None:
+        task = make_task(machine, threads=2)
+        task.start()
+        speed = task.speed
+        machine.sim.run_until(3.0)
+        machine.notify_change()
+        assert task.speed == speed
+        # ``units`` is as of the meter's last sync: the recompute at t=3
+        # integrated the whole span though the rate did not move.
+        assert task.meter.units == pytest.approx(2.0 * speed * 3.0, rel=1e-12)
+
 
 class TestBatchProfile:
     def test_with_threads(self) -> None:

@@ -24,6 +24,16 @@ class TestCatalog:
         with pytest.raises(WorkloadError):
             cpu_workload("dram", "X")
 
+    @pytest.mark.parametrize("name", ["stream", "stitch", "cpuml"])
+    @pytest.mark.parametrize("intensity", [0, -1, "L", True])
+    def test_counted_intensity_must_be_a_positive_int(
+        self, name, intensity
+    ) -> None:
+        with pytest.raises(WorkloadError) as excinfo:
+            cpu_workload(name, intensity)
+        message = str(excinfo.value)
+        assert repr(name) in message and repr(intensity) in message
+
     def test_stitch_scales_with_instances(self) -> None:
         one = cpu_workload("stitch", 1)
         four = cpu_workload("stitch", 4)

@@ -72,6 +72,20 @@ class TestServerPipeline:
         assert len(seen) == 1
         assert seen[0][1] > seen[0][0]
 
+    def test_lane_source_scales_with_lanes_in_host_phase(
+        self, sim: Simulator
+    ) -> None:
+        machine, server = make_server(sim)
+        host = server.spec.host
+        for n in range(1, server.spec.max_inflight + 1):
+            server.submit()  # a new lane enters its host phase at once
+            (source,) = server.traffic_sources()
+            assert source.demand_gbps == host.bw_gbps * n
+            assert source.threads == host.threads * n
+            assert source.working_set_mb == host.working_set_mb * min(n, 4)
+            # The solver's id-keyed signature memo relies on interned sources.
+            assert server.traffic_sources()[0] is source
+
     def test_tracer_records_phases(self, sim: Simulator) -> None:
         tracer = TimelineTracer()
         machine, server = make_server(sim, tracer=tracer)
