@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.common import standalone_performance
 from repro.experiments.report import format_table
 from repro.experiments.sensitivity import run_sensitivity
 from repro.metrics.slowdown import arithmetic_mean
@@ -29,8 +30,14 @@ class Fig05Result:
 
 
 def _fig05_point(point: tuple[str, str | None, str, float]) -> float:
-    """One raw sensitivity run (module-level: runs inside pool workers)."""
+    """One raw sensitivity run (module-level: runs inside pool workers).
+
+    The no-antagonist point is the standalone run every experiment
+    normalizes by, simulated once per process.
+    """
     ml, antagonist, level, duration = point
+    if antagonist is None:
+        return standalone_performance(ml, duration)[0]
     return run_sensitivity(ml, antagonist, level, duration=duration)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.common import standalone_performance
 from repro.experiments.report import format_table
 from repro.experiments.sensitivity import run_sensitivity
 from repro.metrics.slowdown import arithmetic_mean
@@ -37,7 +38,7 @@ def run_fig15(duration: float = 40.0) -> Fig15Result:
     dram: dict[str, float] = {}
     remote: dict[str, float] = {}
     for ml in WORKLOADS:
-        baseline = run_sensitivity(ml, None, duration=duration)
+        baseline = standalone_performance(ml, duration)[0]
         llc[ml] = run_sensitivity(ml, "llc", duration=duration) / baseline
         dram[ml] = run_sensitivity(ml, "dram", "H", duration=duration) / baseline
         remote[ml] = (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.common import standalone_performance
 from repro.experiments.report import format_series
 from repro.experiments.sensitivity import run_sensitivity
 from repro.parallel import run_points
@@ -35,11 +36,13 @@ class Fig16Result:
 def _fig16_point(point: tuple[str, float | None, float | None, float]) -> float:
     """One locality-sweep run (module-level: runs inside pool workers).
 
-    A ``None`` fraction pair marks the no-antagonist baseline point.
+    A ``None`` fraction pair marks the no-antagonist baseline point: the
+    standalone run every experiment normalizes by, simulated once per
+    process.
     """
     ml, df, tf, duration = point
     if df is None:
-        return run_sensitivity(ml, None, duration=duration)
+        return standalone_performance(ml, duration)[0]
     return run_sensitivity(
         ml, "remote-dram", "H",
         remote_data_fraction=df, remote_thread_fraction=tf,

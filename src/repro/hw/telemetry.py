@@ -4,6 +4,14 @@ The contention state is piecewise constant between solves; the accumulator
 integrates each signal over time so that the simulated perf-counter interface
 (:mod:`repro.hostif.perf`) can expose *windowed averages* exactly the way a
 runtime samples real counters: read, wait, read again, divide by elapsed.
+
+Integration happens on read. A state change only logs the segment that
+ends (the values in force and its width); every read first sums the log
+into the integrals, segment by segment in time order, so each integral is
+the same chain of ``I += v * dt`` additions an eager per-segment loop
+would build, bit for bit, wherever the flushes fall. Runs that never read
+a counter pay one list append per segment, and the log sums itself once
+it holds :data:`LOG_LIMIT` segments, so its memory stays bounded.
 """
 
 from __future__ import annotations
@@ -11,11 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from repro.hw.contention import SolveResult
 
 #: Rounding slack granted to one windowed average, relative to the scale of
 #: the signal and its integral (see :meth:`TelemetryAccumulator.error_bounds`).
 ROUNDING_SLACK = 2.0**-48
+#: Most segments the log holds before it sums itself into the integrals.
+LOG_LIMIT = 4096
 
 
 @dataclass
@@ -65,16 +77,19 @@ class TelemetryAccumulator:
         self._snapshot = TelemetrySnapshot()
         self._last_time = 0.0
         self._state: SolveResult | None = None
-        #: Flattened per-state signal rows so the hot :meth:`advance` loop
-        #: avoids attribute walks per segment. The solver cache interns
-        #: results, so the same few state objects recur; rows are memoized
-        #: per object (the memo pins the state to keep ids valid). Integration
-        #: stays eager and chronological on purpose: grouping spans per state
-        #: would regroup floating-point sums and break the bit-equivalence
-        #: between cache-on (interned states) and cache-off (fresh objects).
-        self._mc_rows: list[tuple[int, float, float, float]] = []
-        self._socket_rows: list[tuple[int, float]] = []
+        #: The controllers and sockets of the state in force, and its signal
+        #: values: delivered GB/s, latency factor and saturation per
+        #: controller, then the throttle per socket. The solver cache interns
+        #: results, so the same few state objects recur; the pair is
+        #: memoized per object (the memo pins the state to keep ids valid),
+        #: and a layout equal to the one in force is that same tuple.
+        self._layout: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+        self._values: tuple[float, ...] = ()
         self._rows_memo: dict[int, tuple] = {}
+        #: Segments closed since the integrals were last summed, in time
+        #: order, as ``values, width`` pairs laid flat, all of the one
+        #: layout ``_layout``. :meth:`_flush` folds them into the snapshot.
+        self._log: list = []
         #: How many distinct solve states have been installed. Together with
         #: ``Machine.solver_stats`` this shows how much work the signature
         #: short-circuit is avoiding: skipped re-solves never land here.
@@ -82,16 +97,19 @@ class TelemetryAccumulator:
         #: When the state in force was installed: any window starting at or
         #: after this instant integrates that one state only.
         self.state_since = 0.0
-        #: While set, called at the start of every :meth:`advance`, whatever
-        #: its cause; a parked fleet member hooks its replay here (and
-        #: unhooks it there), so no read or state change can see integrals
-        #: that skip its elided reads.
+        #: While set, called before any segment closes (every
+        #: :meth:`set_state` and :meth:`advance`), whatever its cause; a
+        #: parked fleet member hooks its replay here (and unhooks it
+        #: there), so no read or state change can see integrals that skip
+        #: its elided reads.
         self.on_advance: Callable[[], None] | None = None
 
     def __getstate__(self) -> dict:
-        """Pickle without ``_rows_memo``: its ``id()`` keys would name other
-        objects once unpickled, and they differ from run to run, which would
-        make checkpoint bytes unrepeatable."""
+        """Pickle with the log folded in and without ``_rows_memo``: its
+        ``id()`` keys would name other objects once unpickled, and they
+        differ from run to run, which would make checkpoint bytes
+        unrepeatable."""
+        self._flush()
         state = self.__dict__.copy()
         state["_rows_memo"] = {}
         return state
@@ -99,65 +117,103 @@ class TelemetryAccumulator:
     @property
     def snapshot(self) -> TelemetrySnapshot:
         """The current integral values (advance first via :meth:`advance`)."""
+        self._flush()
         return self._snapshot
 
     def set_state(self, state: SolveResult, now: float) -> None:
-        """Switch to a new constant state, integrating the previous one."""
-        self.advance(now)
+        """Switch to a new constant state, closing the previous one's segment."""
+        self._close(now)
         self._state = state
         self.state_since = now
         memo = self._rows_memo.get(id(state))
         if memo is not None and memo[0] is state:
-            self._mc_rows = memo[1]
-            self._socket_rows = memo[2]
+            layout = memo[1]
+            values = memo[2]
         else:
-            self._mc_rows = [
-                (mc_id, load.delivered_gbps, load.latency_factor, load.saturation)
-                for mc_id, load in state.mc_loads.items()
-            ]
-            self._socket_rows = [
-                (socket_id, pressure.core_throttle)
-                for socket_id, pressure in state.socket_pressures.items()
-            ]
+            loads = state.mc_loads.values()
+            pressures = state.socket_pressures
+            layout = (tuple(state.mc_loads), tuple(pressures))
+            if layout == self._layout:
+                layout = self._layout
+            values = (
+                *[load.delivered_gbps for load in loads],
+                *[load.latency_factor for load in loads],
+                *[load.saturation for load in loads],
+                *[pressure.core_throttle for pressure in pressures.values()],
+            )
             if len(self._rows_memo) >= 128:
                 self._rows_memo.clear()
-            self._rows_memo[id(state)] = (state, self._mc_rows, self._socket_rows)
-            # Seed the integral dicts so :meth:`advance` can use plain
-            # ``d[k] += x`` (no per-row ``dict.get`` bound-method call).
-            # ``0.0 + value * dt`` is the exact expression the missing-key
-            # path computed, so the integrals are bit-identical.
+            self._rows_memo[id(state)] = (state, layout, values)
+            # Seed the integrals, so new keys enter the snapshot's dicts in
+            # the order states first name them, whether or not a segment
+            # of the state is ever summed.
             snap = self._snapshot
-            for mc_id, _, _, _ in self._mc_rows:
+            for mc_id in layout[0]:
                 snap.mc_bytes.setdefault(mc_id, 0.0)
                 snap.mc_latency.setdefault(mc_id, 0.0)
                 snap.mc_saturation.setdefault(mc_id, 0.0)
-            for socket_id, _ in self._socket_rows:
+            for socket_id in layout[1]:
                 snap.socket_throttle.setdefault(socket_id, 0.0)
+        if layout is not self._layout:
+            # The log holds one layout: sum it before the columns move.
+            self._flush()
+            self._layout = layout
+        self._values = values
         self.state_changes += 1
 
     def advance(self, now: float) -> None:
         """Integrate the current state up to ``now``."""
+        self._close(now)
+        self._flush()
+
+    def _close(self, now: float) -> None:
+        """Log the state in force as a segment up to ``now``.
+
+        Time that did not move (or moved backwards, which integrates as
+        zero width) logs nothing.
+        """
         if self.on_advance is not None:
             self.on_advance()
-        dt = now - self._last_time
-        if dt <= 0:
-            # Time did not move (or moved backwards, which integrates as
-            # zero width): the integrals are already up to date.
+        width = now - self._last_time
+        if width <= 0:
             return
         if self._state is not None:
-            snap = self._snapshot
-            mc_bytes = snap.mc_bytes
-            mc_latency = snap.mc_latency
-            mc_saturation = snap.mc_saturation
-            socket_throttle = snap.socket_throttle
-            for mc_id, delivered, latency, saturation in self._mc_rows:
-                mc_bytes[mc_id] += delivered * dt
-                mc_latency[mc_id] += latency * dt
-                mc_saturation[mc_id] += saturation * dt
-            for socket_id, throttle in self._socket_rows:
-                socket_throttle[socket_id] += throttle * dt
+            log = self._log
+            log += (self._values, width)
+            if len(log) >= 2 * LOG_LIMIT:
+                self._flush()
         self._last_time = now
         self._snapshot.time = now
+
+    def _flush(self) -> None:
+        """Fold the logged segments into the integrals.
+
+        ``np.add.accumulate`` down the rows ``[integrals; values_i *
+        width_i]`` adds each segment in time order, one IEEE addition at a
+        time: the very sums ``I += v * dt`` per segment, as they happened,
+        would have produced. (A pairwise sum, ``np.sum`` or ``math.fsum``
+        would round differently.)
+        """
+        log = self._log
+        if not log:
+            return
+        mc_ids, socket_ids = self._layout
+        snap = self._snapshot
+        columns = (
+            (snap.mc_bytes, mc_ids),
+            (snap.mc_latency, mc_ids),
+            (snap.mc_saturation, mc_ids),
+            (snap.socket_throttle, socket_ids),
+        )
+        start = [integrals[key] for integrals, keys in columns for key in keys]
+        rows = np.empty((len(log) // 2 + 1, len(start)))
+        rows[0] = start
+        np.multiply(log[0::2], np.array(log[1::2])[:, None], out=rows[1:])
+        totals = iter(np.add.accumulate(rows, axis=0)[-1].tolist())
+        for integrals, keys in columns:
+            for key in keys:
+                integrals[key] = next(totals)
+        self._log = []
 
     def error_bounds(
         self, mc_ids: tuple[int, ...], window: float, until: float
@@ -177,7 +233,14 @@ class TelemetryAccumulator:
         Each bound is ``2**-48 * (|v| + M / window)`` summed over the
         nonzero signals: at least twice what the analysis needs.
         """
-        rows = {mc_id: row for mc_id, *row in self._mc_rows}
+        self._flush()
+        layout = self._layout[0]
+        values = self._values
+        count = len(layout)
+        rows = {
+            mc_id: values[index : 3 * count : count]
+            for index, mc_id in enumerate(layout)
+        }
         snap = self._snapshot
         span = max(until - self._last_time, 0.0)
         bounds = [0.0, 0.0, 0.0]
@@ -230,6 +293,7 @@ class TelemetryAccumulator:
 
     def copy_snapshot(self) -> TelemetrySnapshot:
         """A deep copy of the current integrals, for later windowed reads."""
+        self._flush()
         snap = self._snapshot
         return TelemetrySnapshot(
             time=snap.time,

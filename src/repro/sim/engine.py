@@ -103,7 +103,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time, in seconds. Only :meth:`run_until`
+        #: moves it; read it, never assign it.
+        self.now = 0.0
         #: Heap entries are ``(time, priority, sequence, event)`` tuples.
         #: The sequence is unique within this simulator, so a comparison
         #: never reaches the event, which defines no ordering of its own.
@@ -114,13 +116,10 @@ class Simulator:
         self._dispatched = 0
         self._cancelled_pending = 0
         self._compactions = 0
+        #: :meth:`_note_cancel`, bound once and handed to every event.
+        self._on_cancel = self._note_cancel
 
     # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> float:
-        """Current simulated time, in seconds."""
-        return self._now
-
     @property
     def dispatched_events(self) -> int:
         """Total events dispatched so far (diagnostics/testing)."""
@@ -156,13 +155,13 @@ class Simulator:
         priority: int = PRIORITY_DEFAULT,
     ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event {label!r} at {time} < now {self._now}"
+                f"cannot schedule event {label!r} at {time} < now {self.now}"
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, priority, sequence, callback, label, self._note_cancel)
+        event = Event(time, priority, sequence, callback, label, self._on_cancel)
         heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
@@ -181,10 +180,10 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
-        time = self._now + delay
+        time = self.now + delay
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, priority, sequence, callback, label, self._note_cancel)
+        event = Event(time, priority, sequence, callback, label, self._on_cancel)
         heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
@@ -212,7 +211,7 @@ class Simulator:
 
     # ----------------------------------------------------------- compaction
     def _note_cancel(self, event: Event) -> None:
-        """Record one cancellation (hooked into every scheduled event).
+        """Record one cancellation (every scheduled event's ``on_cancel``).
 
         Lazy cancellation keeps :meth:`Event.cancel` O(1) but leaves
         tombstones in the heap; long fleet runs that continually reschedule
@@ -250,9 +249,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run_until is not re-entrant")
-        if end_time < self._now:
+        if end_time < self.now:
             raise SimulationError(
-                f"end_time {end_time} is in the past (now={self._now})"
+                f"end_time {end_time} is in the past (now={self.now})"
             )
         self._running = True
         budget = max_events
@@ -265,7 +264,7 @@ class Simulator:
                     if self._cancelled_pending > 0:
                         self._cancelled_pending -= 1
                     continue
-                self._now = event.time
+                self.now = event.time
                 # Out of the heap now: a later cancel() of this handle must
                 # not count a heap tombstone.
                 event.on_cancel = None
@@ -278,7 +277,7 @@ class Simulator:
                             f"exceeded max_events={max_events} "
                             f"(last: {event.label!r} at t={event.time})"
                         )
-            self._now = end_time
+            self.now = end_time
         finally:
             self._running = False
 

@@ -19,11 +19,9 @@ _EPSILON = 1e-12
 class FluidWork:
     """A quantity of work draining at a piecewise-constant rate.
 
-    Whoever sets the rate calls :meth:`retime` with the new rate whenever
-    it may have changed (:meth:`~repro.hw.machine.Machine.notify_change`
-    pushes new rates to every task). Between rate changes the rate is
-    constant, so completion time is analytic. A :class:`FluidPool` holds
-    the works of one owner and schedules their completions.
+    A :class:`FluidPool` owns its works: it integrates their progress,
+    switches their rate and times their completion. Between rate changes
+    the rate is constant, so completion time is analytic.
     """
 
     __slots__ = ("_remaining", "_rate", "_last_sync", "total", "due", "stamp")
@@ -34,6 +32,7 @@ class FluidWork:
         self.total = amount
         self._remaining = amount
         self._rate = 0.0
+        #: The instant ``_remaining`` was integrated to.
         self._last_sync = now
         #: The completion instant at the current rate, set by the owning
         #: pool: ``inf`` until a rate is set, and while stalled.
@@ -44,7 +43,7 @@ class FluidWork:
 
     @property
     def remaining(self) -> float:
-        """Remaining work as of the last sync (call :meth:`sync` first)."""
+        """Remaining work as of the pool's last re-time or completion."""
         return self._remaining
 
     @property
@@ -56,66 +55,6 @@ class FluidWork:
     def done(self) -> bool:
         """True once remaining work has drained to (numerically) zero."""
         return self._remaining <= _EPSILON
-
-    def sync(self, now: float) -> None:
-        """Integrate progress at the current rate up to ``now``."""
-        elapsed = now - self._last_sync
-        if elapsed <= 0.0:
-            if elapsed < -1e-9:
-                raise SimulationError(
-                    f"sync moving backwards: {now} < {self._last_sync}"
-                )
-            self._last_sync = now
-            return
-        if self._rate > 0.0:
-            drained = self._remaining - self._rate * elapsed
-            self._remaining = drained if drained > 0.0 else 0.0
-        self._last_sync = now
-
-    def retime(self, rate: float, now: float) -> float:
-        """Sync to ``now``, switch to a new drain ``rate`` (>= 0), and return
-        the absolute completion instant at that rate (``inf`` if stalled):
-        the float ``Simulator.after(eta())`` would schedule at."""
-        if rate < 0:
-            raise SimulationError(f"negative rate {rate}")
-        self.sync(now)
-        self._rate = rate
-        if self._remaining <= _EPSILON:
-            return now
-        if rate <= 0.0:
-            return math.inf
-        return now + self._remaining / rate
-
-    def retire_residue(self, *, now: float) -> bool:
-        """Zero out sub-resolution float residue at a completion event.
-
-        Completion events fire at ``now + remaining / rate`` rounded to an
-        absolute float timestamp, so up to about ``rate * ulp(now)`` of
-        work can survive the final sync — a residue that scales with the
-        *clock*, not the work amount, and outgrows ``_EPSILON`` once the
-        simulation runs long (e.g. a day-long trace replay). Rescheduling
-        such a remainder can round to a zero-width step that never
-        advances the clock, so :class:`FluidPool` calls this when a
-        completion event fires and retires the residue instead. Returns
-        ``False`` (changing nothing) when the remainder is too large to be
-        rounding noise: genuinely unfinished work.
-        """
-        self.sync(now)
-        tolerance = 1e-9 * self.total + 1024.0 * self._rate * math.ulp(
-            max(abs(now), 1.0)
-        )
-        if self._remaining > tolerance:
-            return False
-        self._remaining = 0.0
-        return True
-
-    def eta(self) -> float:
-        """Seconds until completion at the current rate (inf if stalled)."""
-        if self.done:
-            return 0.0
-        if self._rate <= 0.0:
-            return float("inf")
-        return self._remaining / self._rate
 
 
 #: Works order by due instant, then stamp.
@@ -165,19 +104,41 @@ class FluidPool:
         return work
 
     def set_rate(self, rate: float, now: float) -> None:
-        """Drain every work at ``rate`` from ``now``.
+        """Drain every work at ``rate`` (>= 0) from ``now``.
 
-        At an unchanged rate only the works without a due instant (just
-        added, or stalled) are re-timed: the others' instants are still
-        exact, since fluid progress is linear.
+        Re-timing a work integrates its progress at the old rate up to
+        ``now`` and puts its due instant at ``now + remaining / rate``
+        (``now`` once done, ``inf`` while stalled): the float
+        ``Simulator.after`` would schedule at. At an unchanged rate only
+        the works without a due instant (just added, or stalled) are
+        re-timed: the others' instants are still exact, since fluid
+        progress is linear.
         """
+        if rate < 0:
+            raise SimulationError(f"negative rate {rate}")
         unchanged = rate == self.rate
         self.rate = rate
         changed = False
         for work in self.works:
             if unchanged and work.due != math.inf:
                 continue
-            due = work.retime(rate, now)
+            elapsed = now - work._last_sync
+            if elapsed > 0.0:
+                if work._rate > 0.0:
+                    drained = work._remaining - work._rate * elapsed
+                    work._remaining = drained if drained > 0.0 else 0.0
+            elif elapsed < -1e-9:
+                raise SimulationError(
+                    f"sync moving backwards: {now} < {work._last_sync}"
+                )
+            work._last_sync = now
+            work._rate = rate
+            if work._remaining <= _EPSILON:
+                due = now
+            elif rate <= 0.0:
+                due = math.inf
+            else:
+                due = now + work._remaining / rate
             if due != work.due:
                 work.due = due
                 work.stamp = self._stamps
@@ -197,7 +158,11 @@ class FluidPool:
     def _arm(self) -> None:
         """Hold the event for the work due first, keeping the pending one
         while the same work stays first at the same instant."""
-        first = min(self.works, key=_DUE_ORDER, default=None)
+        works = self.works
+        if len(works) == 1:
+            (first,) = works
+        else:
+            first = min(works, key=_DUE_ORDER, default=None)
         if first is not None and first.due == math.inf:
             first = None
         event = self._event
@@ -212,18 +177,41 @@ class FluidPool:
 
     def _fire(self) -> None:
         """Complete the armed work, or re-arm it when a residue above
-        rounding noise is left."""
+        rounding noise is left.
+
+        Completion events fire at ``now + remaining / rate`` rounded to an
+        absolute float timestamp, so up to about ``rate * ulp(now)`` of
+        work can survive the final integration: a residue that scales with
+        the *clock*, not the work amount, and outgrows ``_EPSILON`` once the
+        simulation runs long (a day-long trace replay). Rescheduling such a
+        remainder can round to a zero-width step that never advances the
+        clock, so it is retired here. A remainder too large to be rounding
+        noise is genuinely unfinished work, due again at its current rate.
+        """
         work = self._armed
         self._event = None
         self._armed = None
         now = self.sim.now
-        work.sync(now)
-        if not work.done and not work.retire_residue(now=now):
-            work.due = now + work.eta()
-            work.stamp = self._stamps
-            self._stamps += 1
-            self._arm()
-            return
+        # The event fires at ``work.due``, which is never before the
+        # instant the work was last re-timed at, so time cannot run back.
+        elapsed = now - work._last_sync
+        if elapsed > 0.0 and work._rate > 0.0:
+            drained = work._remaining - work._rate * elapsed
+            work._remaining = drained if drained > 0.0 else 0.0
+        work._last_sync = now
+        remaining = work._remaining
+        if remaining > _EPSILON:
+            rate = work._rate
+            tolerance = 1e-9 * work.total + 1024.0 * rate * math.ulp(
+                max(abs(now), 1.0)
+            )
+            if remaining > tolerance:
+                work.due = now + remaining / rate if rate > 0.0 else math.inf
+                work.stamp = self._stamps
+                self._stamps += 1
+                self._arm()
+                return
+            work._remaining = 0.0
         self.on_done(work, self.works.pop(work))
         if self._event is None and self.works:
             self._arm()

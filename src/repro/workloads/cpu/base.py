@@ -84,7 +84,8 @@ class BatchTask(Task):
         return sources
 
     def apply_rates(self, result: SolveResult, now: float) -> None:
-        self.meter.sync(now)
+        # The meter syncs once per call, at every recompute instant, moved
+        # speed or not: its float sum depends on those instants.
         if self.parked:
             self._speed = 0.0
             self.meter.set_rate(0.0, now)
@@ -95,6 +96,7 @@ class BatchTask(Task):
             if speed == self._speed:
                 # The meter already drains at this rate; integration is
                 # linear, so re-installing the same rate is a no-op.
+                self.meter.sync(now)
                 return
         else:
             rates = result.rates_for(f"{self.task_id}:host")

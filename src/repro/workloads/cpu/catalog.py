@@ -38,7 +38,7 @@ def cpu_workload(name: str, intensity: int | str = 1) -> BatchProfile:
 
     ``intensity`` means: Stream — thread count; Stitch — instance count;
     CPUML — thread count (each an ``int >= 1``); the DRAM aggressors — the
-    level string ("L"/"M"/"H"); the LLC aggressor takes none.
+    level string ("L"/"M"/"H"); the LLC aggressor — "H", its one level.
     """
     key = name.lower()
     counted = _COUNTED.get(key)
@@ -51,6 +51,11 @@ def cpu_workload(name: str, intensity: int | str = 1) -> BatchProfile:
             )
         return counted(intensity)
     if key == "llc":
+        if intensity != "H":
+            raise WorkloadError(
+                f"CPU workload {name!r} has one intensity level, 'H', "
+                f"got {intensity!r}"
+            )
         return llc_aggressor_profile()
     if key == "dram":
         return dram_aggressor_profile(str(intensity))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments.common import standalone_performance
 from repro.experiments.registry import run_experiment
 from repro.experiments.sensitivity import run_sensitivity
 
@@ -14,6 +15,14 @@ FAST = dict(duration=12.0, warmup=3.0)
 class TestRunSensitivity:
     def test_baseline_positive(self) -> None:
         assert run_sensitivity("cnn1", None, **FAST) > 0
+
+    @pytest.mark.parametrize("ml", ["rnn1", "cnn1", "cnn2", "cnn3"])
+    def test_baseline_is_the_standalone_run(self, ml: str) -> None:
+        # Figs 5, 15 and 16 normalize by the shared standalone run: the ML
+        # task alone on the first cores of its socket, as placed here.
+        assert standalone_performance(ml, **FAST)[0] == run_sensitivity(
+            ml, None, **FAST
+        )
 
     @pytest.mark.parametrize("exp_id", ["fig05", "fig15", "fig16"])
     def test_horizon_within_warmup_rejected(self, exp_id: str) -> None:

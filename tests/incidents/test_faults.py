@@ -214,6 +214,12 @@ _HOSTILE = [
         "incidents[1]: params.batch_workload",
     ),
     (
+        # The aggressors take a level, and a rider's intensity is a count.
+        "batch-workload-llc",
+        _set_param(1, "batch_workload", "llc"),
+        "incidents[1]: params.batch_workload",
+    ),
+    (
         "batch-intensity-fraction",
         _set_param(1, "batch_intensity", 2.5),
         "incidents[1]: params.batch_intensity",

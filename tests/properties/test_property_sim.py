@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.sim.work import FluidWork
+from repro.sim.work import FluidPool
 
 times = st.lists(
     st.floats(min_value=0.001, max_value=100.0, allow_nan=False),
@@ -57,14 +57,15 @@ class TestFluidWorkProperties:
     def test_conservation_of_work(
         self, amount: float, segments: list[tuple[float, float]]
     ) -> None:
-        work = FluidWork(amount)
+        pool = FluidPool(Simulator(), "t:work", lambda work, owner: None)
+        work = pool.add(amount, None)
         now = 0.0
         integral = 0.0
         for dt, rate in segments:
-            work.retime(rate, now=now)
+            pool.set_rate(rate, now)
             now += dt
             integral += rate * dt
-        work.sync(now)
+        pool.set_rate(pool.rate + 1.0, now)  # a new rate integrates the last
         expected = max(0.0, amount - integral)
         assert work.remaining <= amount
         assert abs(work.remaining - expected) < 1e-6 or work.remaining == 0.0
@@ -72,8 +73,10 @@ class TestFluidWorkProperties:
     @given(st.floats(min_value=0.1, max_value=50.0), st.floats(min_value=0.01, max_value=10.0))
     @settings(max_examples=60, deadline=None)
     def test_eta_consistency(self, amount: float, rate: float) -> None:
-        work = FluidWork(amount)
-        work.retime(rate, now=0.0)
-        eta = work.eta()
-        work.sync(eta)
-        assert work.done
+        sim = Simulator()
+        completed: list[float] = []
+        pool = FluidPool(sim, "t:work", lambda work, owner: completed.append(sim.now))
+        work = pool.add(amount, None)
+        pool.set_rate(rate, 0.0)
+        sim.run_until(work.due)
+        assert work.done and completed == [work.due]

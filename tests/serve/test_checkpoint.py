@@ -221,10 +221,10 @@ class TestValidation:
         service.step()
         service.save(str(path))
         blob = pickle.loads(path.read_bytes())
-        assert blob["format"] == CHECKPOINT_FORMAT == "repro-serve-checkpoint/v8"
+        assert blob["format"] == CHECKPOINT_FORMAT == "repro-serve-checkpoint/v9"
         blob["format"] = "repro-serve-checkpoint/v1"
         path.write_bytes(_sealed(pickle.dumps(blob)))
-        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v8"):
+        with pytest.raises(ConfigurationError, match="not a repro-serve-checkpoint/v9"):
             FleetService.restore(str(path), trace=trace)
         # A real v1 or v3 payload names classes that no longer exist; the
         # format check must refuse it before ``pickle.loads`` can hit them.
@@ -233,19 +233,22 @@ class TestValidation:
         # the old fleet books, so it too must be refused by its tag, and so
         # must a v5 payload, whose inference lanes each hold their own
         # host-phase event, a v6 payload, whose host phases and PCIe
-        # transfers schedule their own completions, and a v7 payload, whose
-        # machines, solvers, detectors and parked members carry other fields.
+        # transfers schedule their own completions, a v7 payload, whose
+        # machines, solvers, detectors and parked members carry other fields,
+        # and a v8 payload, whose simulators keep the clock in ``_now`` and
+        # whose telemetry accumulators integrate eagerly.
         v1 = b"crepro.hw.contention\n_KnobDict\n."
         v3 = b"crepro.core.kelp\nKelpRuntime\n."
         with pytest.raises(AttributeError):
             pickle.loads(v1)
         with pytest.raises(ModuleNotFoundError):
             pickle.loads(v3)
-        v3_mark = _DIGEST_MARK.replace(b"/v8 ", b"/v3 ")
-        v4_mark = _DIGEST_MARK.replace(b"/v8 ", b"/v4 ")
-        v5_mark = _DIGEST_MARK.replace(b"/v8 ", b"/v5 ")
-        v6_mark = _DIGEST_MARK.replace(b"/v8 ", b"/v6 ")
-        v7_mark = _DIGEST_MARK.replace(b"/v8 ", b"/v7 ")
+        v3_mark = _DIGEST_MARK.replace(b"/v9 ", b"/v3 ")
+        v4_mark = _DIGEST_MARK.replace(b"/v9 ", b"/v4 ")
+        v5_mark = _DIGEST_MARK.replace(b"/v9 ", b"/v5 ")
+        v6_mark = _DIGEST_MARK.replace(b"/v9 ", b"/v6 ")
+        v7_mark = _DIGEST_MARK.replace(b"/v9 ", b"/v7 ")
+        v8_mark = _DIGEST_MARK.replace(b"/v9 ", b"/v8 ")
         stale = [
             _sealed(pickle.dumps({**blob, "payload": v1})),
             _sealed(
@@ -270,10 +273,14 @@ class TestValidation:
                 pickle.dumps({**blob, "format": "repro-serve-checkpoint/v7"}),
                 v7_mark,
             ),
+            _sealed(
+                pickle.dumps({**blob, "format": "repro-serve-checkpoint/v8"}),
+                v8_mark,
+            ),
         ]
         for raw in stale:
             path.write_bytes(raw)
-            message = "not a repro-serve-checkpoint/v8 checkpoint"
+            message = "not a repro-serve-checkpoint/v9 checkpoint"
             with pytest.raises(ConfigurationError, match=message):
                 FleetService.restore(str(path), trace=trace)
             with pytest.raises(ConfigurationError, match=message):
@@ -299,7 +306,7 @@ class TestValidation:
         corrupt.write_bytes(_sealed(b"this is not a pickle"))
         with pytest.raises(
             ConfigurationError,
-            match=r"not a repro-serve-checkpoint/v8 checkpoint \(UnpicklingError\)",
+            match=r"not a repro-serve-checkpoint/v9 checkpoint \(UnpicklingError\)",
         ):
             FleetService.restore(str(corrupt))
         with pytest.raises(ConfigurationError, match="UnpicklingError"):

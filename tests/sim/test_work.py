@@ -12,113 +12,6 @@ from repro.sim import Simulator
 from repro.sim.work import FluidPool, FluidWork
 
 
-class TestFluidWork:
-    def test_drains_at_rate(self) -> None:
-        work = FluidWork(10.0)
-        work.retime(2.0, now=0.0)
-        work.sync(3.0)
-        assert work.remaining == pytest.approx(4.0)
-
-    def test_eta(self) -> None:
-        work = FluidWork(10.0)
-        work.retime(2.0, now=0.0)
-        assert work.eta() == pytest.approx(5.0)
-
-    def test_eta_infinite_when_stalled(self) -> None:
-        work = FluidWork(10.0)
-        assert work.eta() == float("inf")
-
-    def test_rate_change_mid_flight(self) -> None:
-        work = FluidWork(10.0)
-        work.retime(2.0, now=0.0)
-        work.retime(4.0, now=2.0)  # 6 remaining at t=2
-        assert work.eta() == pytest.approx(1.5)
-
-    def test_retime_returns_the_due_instant(self) -> None:
-        work = FluidWork(10.0)
-        assert work.retime(0.0, now=1.0) == math.inf  # stalled
-        assert work.retime(2.0, now=1.0) == 1.0 + work.eta() == 6.0
-        assert work.retime(4.0, now=3.0) == 4.5  # 6 remaining at t=3
-        assert work.retime(4.0, now=4.5) == 4.5  # done: due now
-        assert work.done
-
-    def test_done_at_zero(self) -> None:
-        work = FluidWork(1.0)
-        work.retime(1.0, now=0.0)
-        work.sync(1.0)
-        assert work.done
-        assert work.eta() == 0.0
-
-    def test_never_negative(self) -> None:
-        work = FluidWork(1.0)
-        work.retime(1.0, now=0.0)
-        work.sync(100.0)
-        assert work.remaining == 0.0
-
-    def test_zero_amount_is_done(self) -> None:
-        assert FluidWork(0.0).done
-
-    def test_negative_amount_raises(self) -> None:
-        with pytest.raises(SimulationError):
-            FluidWork(-1.0)
-
-    def test_negative_rate_raises(self) -> None:
-        work = FluidWork(1.0)
-        with pytest.raises(SimulationError):
-            work.retime(-1.0, now=0.0)
-
-    def test_sync_backwards_raises(self) -> None:
-        work = FluidWork(1.0)
-        work.sync(5.0)
-        with pytest.raises(SimulationError):
-            work.sync(4.0)
-
-    def test_repeated_sync_is_stable(self) -> None:
-        work = FluidWork(10.0)
-        work.retime(1.0, now=0.0)
-        work.sync(2.0)
-        work.sync(2.0)
-        assert work.remaining == pytest.approx(8.0)
-
-
-class TestRetireResidue:
-    """Regression: event-time rounding can leave residue above _EPSILON.
-
-    A completion event scheduled ``remaining / rate`` ahead fires at an
-    absolute float timestamp rounded by up to ``ulp(now) / 2``, leaving up
-    to ~``rate * ulp(now)`` of work undrained — which exceeds the 1e-12
-    epsilon once the clock is large. Before the fix, the PCIe finisher
-    treated that state as a stale event and returned, stranding the
-    transfer (and its inference request) forever; day-long trace replays
-    showed multi-minute latencies on near-idle nodes.
-    """
-
-    def test_retires_clock_scale_residue(self) -> None:
-        # rate * ulp(86400) ~ 1.7e-10 at rate 12: representative of the
-        # observed strand (1.8e-12 left on a 0.0024 GB PCIe transfer).
-        work = FluidWork(0.0024, now=86400.0)
-        work.retime(12.0, now=86400.0)
-        fire_at = 86400.0 + work.eta()
-        fire_at = math.nextafter(fire_at, 0.0)  # event rounded down one ulp
-        work.sync(fire_at)
-        assert not work.done  # the residue survives the final sync...
-        assert work.retire_residue(now=fire_at)  # ...and is retired
-        assert work.done
-
-    def test_refuses_substantial_remainder(self) -> None:
-        work = FluidWork(10.0)
-        work.retime(1.0, now=0.0)
-        work.sync(4.0)  # 6.0 genuinely left: a stale event, not residue
-        assert not work.retire_residue(now=4.0)
-        assert work.remaining == pytest.approx(6.0)
-
-    def test_done_work_is_trivially_retired(self) -> None:
-        work = FluidWork(1.0)
-        work.retime(1.0, now=0.0)
-        work.sync(2.0)
-        assert work.retire_residue(now=2.0)
-
-
 def _live_events(sim: Simulator, label: str) -> int:
     return sum(
         1 for _, _, _, event in sim._heap
@@ -140,6 +33,159 @@ class _Log:
 def _pool(sim: Simulator) -> tuple[FluidPool, _Log]:
     log = _Log(sim)
     return FluidPool(sim, "t:work", log), log
+
+
+class TestFluidWork:
+    """A work's arithmetic, driven through the pool that owns it."""
+
+    def test_drains_at_rate(self, sim: Simulator) -> None:
+        pool, _ = _pool(sim)
+        work = pool.add(10.0, "a")
+        pool.set_rate(2.0, 0.0)
+        pool.set_rate(1.0, 3.0)  # re-timing integrates the old rate first
+        assert work.remaining == pytest.approx(4.0)
+        assert work.due == pytest.approx(7.0)
+
+    def test_eta(self, sim: Simulator) -> None:
+        pool, _ = _pool(sim)
+        work = pool.add(10.0, "a")
+        pool.set_rate(2.0, 0.0)
+        assert work.due == pytest.approx(5.0)
+        assert pool._event.time == work.due
+
+    def test_eta_infinite_when_stalled(self, sim: Simulator) -> None:
+        pool, _ = _pool(sim)
+        work = pool.add(10.0, "a")
+        assert work.due == math.inf  # no rate yet
+        pool.set_rate(0.0, 0.0)
+        assert work.due == math.inf and pool._event is None
+
+    def test_rate_change_mid_flight(self, sim: Simulator) -> None:
+        pool, _ = _pool(sim)
+        work = pool.add(10.0, "a")
+        pool.set_rate(2.0, 0.0)
+        pool.set_rate(4.0, 2.0)  # 6 remaining at t=2
+        assert work.due == pytest.approx(3.5)
+
+    def test_retime_returns_the_due_instant(self, sim: Simulator) -> None:
+        pool, log = _pool(sim)
+        work = pool.add(10.0, "a")
+        pool.set_rate(0.0, 1.0)
+        assert work.due == math.inf  # stalled
+        pool.set_rate(2.0, 1.0)
+        assert work.due == 6.0
+        pool.set_rate(4.0, 3.0)
+        assert work.due == 4.5  # 6 remaining at t=3
+        pool.set_rate(8.0, 4.5)
+        assert work.due == 4.5 and work.done  # done: due now
+        sim.run_until(5.0)
+        assert log.done == [(4.5, "a")]
+
+    def test_done_at_zero(self, sim: Simulator) -> None:
+        pool, log = _pool(sim)
+        work = pool.add(1.0, "a")
+        pool.set_rate(1.0, 0.0)
+        sim.run_until(1.0)
+        assert work.done and work.remaining == 0.0
+        assert log.done == [(1.0, "a")] and not pool.works
+
+    def test_never_negative(self, sim: Simulator) -> None:
+        pool, _ = _pool(sim)
+        work = pool.add(1.0, "a")
+        pool.set_rate(1.0, 0.0)
+        pool.set_rate(2.0, 100.0)  # long past its due instant
+        assert work.remaining == 0.0
+        assert work.due == 100.0
+
+    def test_zero_amount_is_done(self, sim: Simulator) -> None:
+        pool, log = _pool(sim)
+        work = pool.add(0.0, "a")
+        assert work.done
+        pool.set_rate(1.0, 0.0)
+        assert work.due == 0.0
+        sim.run_until(0.0)
+        assert log.done == [(0.0, "a")]
+
+    def test_negative_amount_raises(self, sim: Simulator) -> None:
+        pool, _ = _pool(sim)
+        with pytest.raises(SimulationError, match="negative work amount"):
+            pool.add(-1.0, "a")
+        assert not pool.works
+
+    def test_negative_rate_raises(self, sim: Simulator) -> None:
+        pool, _ = _pool(sim)
+        work = pool.add(1.0, "a")
+        with pytest.raises(SimulationError, match="negative rate"):
+            pool.set_rate(-1.0, 0.0)
+        assert pool.rate == 0.0 and work.rate == 0.0
+
+    def test_sync_backwards_raises(self, sim: Simulator) -> None:
+        pool, _ = _pool(sim)
+        pool.add(1.0, "a")
+        pool.set_rate(1.0, 5.0)
+        with pytest.raises(SimulationError, match="backwards"):
+            pool.set_rate(2.0, 4.0)
+
+    def test_repeated_sync_is_stable(self, sim: Simulator) -> None:
+        pool, _ = _pool(sim)
+        work = pool.add(10.0, "a")
+        pool.set_rate(1.0, 0.0)
+        pool.set_rate(2.0, 2.0)
+        pool.set_rate(3.0, 2.0)  # a second re-time at one instant drains nothing
+        assert work.remaining == pytest.approx(8.0)
+        assert work.due == 2.0 + work.remaining / 3.0
+
+
+class TestRetireResidue:
+    """Regression: event-time rounding can leave residue above _EPSILON.
+
+    A completion event scheduled ``remaining / rate`` ahead fires at an
+    absolute float timestamp rounded by up to ``ulp(now) / 2``, leaving up
+    to ~``rate * ulp(now)`` of work undrained — which exceeds the 1e-12
+    epsilon once the clock is large. Before the fix, the PCIe finisher
+    treated that state as a stale event and returned, stranding the
+    transfer (and its inference request) forever; day-long trace replays
+    showed multi-minute latencies on near-idle nodes.
+    """
+
+    def test_retires_clock_scale_residue(self, sim: Simulator) -> None:
+        # rate * ulp(86400) ~ 1.7e-10 at rate 12: representative of the
+        # observed strand (1.8e-12 left on a 0.0024 GB PCIe transfer).
+        sim.run_until(86400.0)
+        pool, log = _pool(sim)
+        work = pool.add(0.0024, "a")
+        pool.set_rate(12.0, 86400.0)
+        fire_at = math.nextafter(work.due, 0.0)  # event rounded down one ulp
+        # The residue survives the final integration...
+        assert 0.0024 - 12.0 * (fire_at - 86400.0) > 1e-12
+        work.due = fire_at
+        pool._arm()
+        sim.run_until(86401.0)
+        # ...and is retired: the work completes where its event fired.
+        assert log.done == [(fire_at, "a")]
+        assert work.done and work.remaining == 0.0
+
+    def test_refuses_substantial_remainder(self, sim: Simulator) -> None:
+        pool, log = _pool(sim)
+        work = pool.add(10.0, "a")
+        pool.set_rate(1.0, 0.0)
+        work.due = 4.0  # a stale event: 6.0 genuinely left at t=4
+        pool._arm()
+        sim.run_until(5.0)
+        assert log.done == [] and list(pool.works) == [work]
+        assert work.remaining == pytest.approx(6.0)
+        assert work.due == pytest.approx(10.0)
+        sim.run_until(11.0)
+        assert log.done == [(10.0, "a")]
+
+    def test_done_work_is_trivially_retired(self, sim: Simulator) -> None:
+        pool, log = _pool(sim)
+        work = pool.add(1.0, "a")
+        pool.set_rate(1.0, 0.0)
+        work.due = 2.0  # fires late: nothing is left
+        pool._arm()
+        sim.run_until(3.0)
+        assert log.done == [(2.0, "a")] and work.remaining == 0.0
 
 
 class TestFluidPool:
@@ -164,7 +210,7 @@ class TestFluidPool:
         # Behind the pool's back, a drains at half speed: it fires at 1
         # with half its work left, re-arms at 2 with a new stamp (2), and
         # so completes after b, which is due at 2 with stamp 1.
-        early.retime(0.5, now=0.0)
+        early._rate = 0.5
         sim.run_until(5.0)
         assert log.done == [(2.0, "b"), (2.0, "a")]
 
@@ -172,7 +218,7 @@ class TestFluidPool:
         pool, log = _pool(sim)
         work = pool.add(1.0, "a")
         pool.set_rate(1.0, 0.0)
-        work.retime(0.5, now=0.0)
+        work._rate = 0.5  # behind the pool's back
         sim.run_until(1.5)
         assert log.done == [] and list(pool.works) == [work]
         assert (work.due, work.stamp) == (2.0, 1)

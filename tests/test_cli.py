@@ -77,6 +77,10 @@ class TestCli:
              "--duration", "8"],
             ["fleet-sim", "--batch-jobs", "1", "--batch-intensity", "L",
              "--duration", "4", "--warmup", "1"],
+            ["mix", "--ml", "rnn1", "--cpu", "llc", "--intensity", "0",
+             "--duration", "8"],
+            ["mix", "--ml", "rnn1", "--cpu", "llc", "--intensity", "8",
+             "--duration", "8"],
         ],
     )
     def test_bad_cpu_intensity_exits_2_with_one_line(self, argv, capsys) -> None:
@@ -87,6 +91,18 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith(f"{argv[0]}: ") and "intensity" in lines[0]
         assert "Traceback" not in captured.err
+
+    def test_llc_level_h_runs_the_llc_aggressor(self, capsys) -> None:
+        # What ``--intensity 8`` printed while the LLC aggressor ignored
+        # its intensity: the 8-thread (level H) profile.
+        argv = ["mix", "--ml", "rnn1", "--cpu", "llc", "--intensity", "H",
+                "--duration", "8"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "ml_perf_norm     0.978\n"
+            "ml_tail_norm     1.023\n"
+            "cpu_throughput   7.890\n"
+        )
 
 
 class TestCliObservability:

@@ -67,6 +67,31 @@ class TestBatchTask:
         # integrated the whole span though the rate did not move.
         assert task.meter.units == pytest.approx(2.0 * speed * 3.0, rel=1e-12)
 
+    def test_recompute_at_a_new_speed_syncs_meter_once(
+        self, machine: Machine
+    ) -> None:
+        task = make_task(machine, threads=8)
+        task.start()
+        speed = task.speed
+        machine.sim.run_until(3.0)
+        synced: list[float] = []
+        sync = task.meter.sync
+
+        def counted(now: float) -> None:
+            synced.append(now)
+            sync(now)
+
+        task.meter.sync = counted
+        rival = BatchTask(
+            "c",
+            machine,
+            Placement(cores=frozenset(range(12, 16)), mem_weights={0: 0.5, 1: 0.5}),
+            cpu_workload("dram", "H").with_threads(4),
+        )
+        rival.start()  # one recompute, which slows the task down
+        assert task.speed < speed
+        assert synced == [3.0]
+
 
 class TestBatchProfile:
     def test_with_threads(self) -> None:

@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.cpu.aggressors import AGGRESSOR_LEVELS
+from repro.workloads.cpu.aggressors import AGGRESSOR_LEVELS, llc_aggressor_profile
 from repro.workloads.cpu.catalog import cpu_workload, cpu_workload_names
 
 
 class TestCatalog:
     def test_all_names_resolve(self) -> None:
         for name in cpu_workload_names():
-            intensity = "H" if name in ("dram", "remote-dram") else 2
+            intensity = "H" if name in ("llc", "dram", "remote-dram") else 2
             profile = cpu_workload(name, intensity)
             assert profile.phase.bw_gbps >= 0
 
@@ -52,8 +52,17 @@ class TestCatalog:
         assert demands == sorted(demands)
         assert set(AGGRESSOR_LEVELS) == {"L", "M", "H"}
 
+    @pytest.mark.parametrize("intensity", [0, 8, "X", True, "L", "M"])
+    def test_llc_intensity_must_be_h(self, intensity) -> None:
+        with pytest.raises(WorkloadError) as excinfo:
+            cpu_workload("llc", intensity)
+        message = str(excinfo.value)
+        assert "'llc'" in message and repr(intensity) in message
+
     def test_llc_aggressor_traits(self) -> None:
-        profile = cpu_workload("llc")
+        profile = cpu_workload("llc", "H")
+        # H is the 8-thread aggressor the sensitivity studies have always run.
+        assert profile == llc_aggressor_profile()
         assert profile.phase.working_set_mb >= 28.0
         assert profile.phase.smt_aggression > 0.5
         assert profile.phase.bw_gbps < 10.0
